@@ -372,16 +372,25 @@ class StructureRealization:
     idempotent: IdempotentChoice
 
 
-def _coords_in(sub_space, incl: HomogeneousMap, ambient, flat_vec, f):
-    """Express an ambient flat vector in subspace coordinates; None if outside."""
+def _block_solvers(sub) -> dict:
+    """Each nonzero degree of a subspace's inclusion, factored once."""
+    return {d: sub.inclusion.block(d).factor() for d in sub.space.degrees() if sub.space.dim(d)}
+
+
+def _coords_in(sub_space, solvers: dict, ambient, flat_vec, f):
+    """Express an ambient flat vector in subspace coordinates; None if outside.
+
+    ``solvers`` is ``_block_solvers`` of the subspace.
+    """
     out: dict = {}
     by_deg: dict[int, dict] = {}
     for m, c in flat_vec.items():
         by_deg.setdefault(ambient.degree_of(m), {})[m] = c
     for d, part in by_deg.items():
-        if sub_space.dim(d) == 0:
+        solver = solvers.get(d)
+        if solver is None:
             return None
-        sol = incl.block(d).solve(_flat_to_dense(ambient, d, part, f))
+        sol = solver.solve(_flat_to_dense(ambient, d, part, f))
         if sol is None:
             return None
         base = sub_space.flat_index(d, 0)
@@ -410,6 +419,7 @@ def structure_realize(A: DgAlgebra) -> StructureRealization:
 
     M = _pivot_subspace(A, _ideal_columns(A, [e, de] if de else [e]), "m")
     N = _pivot_subspace(A, _ideal_columns(A, [de]) if de else {}, "n")
+    m_solvers, n_solvers = _block_solvers(M), _block_solvers(N)
 
     # d restricted to M, in M coordinates; also certify d(N) <= N
     m_cols = M.inclusion.flat_columns()
@@ -418,7 +428,7 @@ def structure_realize(A: DgAlgebra) -> StructureRealization:
         img = A.d_apply(m_cols.get(s, {}))
         if not img:
             continue
-        coords = _coords_in(M.space, M.inclusion, A.space, img, f)
+        coords = _coords_in(M.space, m_solvers, A.space, img, f)
         if coords is None:
             raise ValidationError([AxiomViolation(
                 "structure", (s,), "differential does not preserve M")])
@@ -426,7 +436,7 @@ def structure_realize(A: DgAlgebra) -> StructureRealization:
     n_cols = N.inclusion.flat_columns()
     for s in range(N.space.total_dim):
         img = A.d_apply(n_cols.get(s, {}))
-        if img and _coords_in(N.space, N.inclusion, A.space, img, f) is None:
+        if img and _coords_in(N.space, n_solvers, A.space, img, f) is None:
             raise ValidationError([AxiomViolation(
                 "structure", (s,), "differential does not preserve N")])
 
@@ -435,7 +445,7 @@ def structure_realize(A: DgAlgebra) -> StructureRealization:
 
     n_in_m_cols = {}
     for s in range(N.space.total_dim):
-        coords = _coords_in(M.space, M.inclusion, A.space, n_cols.get(s, {}), f)
+        coords = _coords_in(M.space, m_solvers, A.space, n_cols.get(s, {}), f)
         if coords is None:
             raise ValidationError([AxiomViolation("structure", (s,), "N is not inside M")])
         n_in_m_cols[s] = coords
@@ -461,7 +471,7 @@ def structure_realize(A: DgAlgebra) -> StructureRealization:
             p = A.mul({a: one}, v)
             if not p:
                 continue
-            coords = _coords_in(M.space, M.inclusion, A.space, p, f)
+            coords = _coords_in(M.space, m_solvers, A.space, p, f)
             if coords is None:
                 raise ValidationError([AxiomViolation(
                     "structure", (a, s), "left multiplication leaves M")])

@@ -419,8 +419,7 @@ def _cycle_and_boundary_columns(A: DgAlgebra):
     bounds: dict[int, list] = {}
     for k in A.space.degrees():
         blk = d.block(k)
-        cycles[k] = blk.kernel_basis()
-        pivots = blk.column_space_pivots()
+        cycles[k], pivots = blk.kernel_basis_and_pivots()
         if pivots:
             bounds.setdefault(k + 1, []).extend(blk.column(j) for j in pivots)
     return cycles, bounds
@@ -437,6 +436,7 @@ def kernel_subalgebra(A: DgAlgebra) -> "KernelAlgebra":
         k: Matrix.from_columns(f, cycles[k], A.space.dim(k)) for k in dims
     }
     incl = HomogeneousMap(f, space, A.space, 0, blocks)
+    solvers = {k: blk.factor() for k, blk in blocks.items()}
 
     cols_flat = incl.flat_columns()
     table: dict = {}
@@ -447,15 +447,15 @@ def kernel_subalgebra(A: DgAlgebra) -> "KernelAlgebra":
             if not p:
                 continue
             deg = space.degree_of(i) + space.degree_of(j)
-            blk = blocks.get(deg)
-            if blk is None:
+            solver = solvers.get(deg)
+            if solver is None:
                 raise ValidationError([AxiomViolation(
                     "kernel-closure", (i, j), "product of cycles leaves the kernel")])
             dense = [f.zero] * A.space.dim(deg)
             base = A.space.flat_index(deg, 0)
             for m, c in p.items():
                 dense[m - base] = c
-            sol = blk.solve(dense)
+            sol = solver.solve(dense)
             if sol is None:
                 raise ValidationError([AxiomViolation(
                     "kernel-closure", (i, j), "product of cycles leaves the kernel")])
@@ -466,14 +466,14 @@ def kernel_subalgebra(A: DgAlgebra) -> "KernelAlgebra":
 
     unit: dict = {}
     if A.unit:
-        blk = blocks.get(0)
-        if blk is None:
+        solver = solvers.get(0)
+        if solver is None:
             raise ValidationError([AxiomViolation("kernel-closure", (), "unit is not a cycle")])
         dense = [f.zero] * A.space.dim(0)
         base = A.space.flat_index(0, 0)
         for m, c in A.unit.items():
             dense[m - base] = c
-        sol = blk.solve(dense)
+        sol = solver.solve(dense)
         if sol is None:
             raise ValidationError([AxiomViolation("kernel-closure", (), "unit is not a cycle")])
         base_z = space.flat_index(0, 0)
@@ -499,8 +499,8 @@ def homology(A: DgAlgebra) -> DgAlgebra:
     cycles, bounds = _cycle_and_boundary_columns(A)
 
     reps: dict[int, list] = {}
-    solver: dict[int, tuple] = {}  # degree -> (matrix [B|R], number of boundary cols)
-    bmats: dict[int, Matrix] = {}
+    solver: dict[int, tuple] = {}  # degree -> (factored [B|R], number of boundary cols)
+    bsolvers: dict = {}  # degree -> factored B
     for k in sorted(set(cycles) | set(bounds)):
         zc = cycles.get(k, [])
         bc = bounds.get(k, [])
@@ -508,7 +508,7 @@ def homology(A: DgAlgebra) -> DgAlgebra:
         if not zc and not bc:
             continue
         if bc:
-            bmats[k] = Matrix.from_columns(f, bc, nk)
+            bsolvers[k] = Matrix.from_columns(f, bc, nk).factor()
         aug = Matrix.from_columns(f, bc + zc, nk)
         pivots = aug.column_space_pivots()
         if len([p for p in pivots if p < len(bc)]) != len(bc):
@@ -517,14 +517,14 @@ def homology(A: DgAlgebra) -> DgAlgebra:
         chosen = [aug.column(p) for p in pivots if p >= len(bc)]
         if chosen:
             reps[k] = chosen
-        solver[k] = (Matrix.from_columns(f, bc + chosen, nk), len(bc))
+        solver[k] = (Matrix.from_columns(f, bc + chosen, nk).factor(), len(bc))
 
     # boundaries form an ideal inside the cycles: check it on basis columns
-    for kb, bm in bmats.items():
+    for kb in bsolvers:
         for kz, zc in cycles.items():
             tdeg = kb + kz
-            tb = bmats.get(tdeg)
-            for bcol in bm.columns():
+            tb = bsolvers.get(tdeg)
+            for bcol in bounds[kb]:
                 bvec = _dense_to_flat(A.space, kb, bcol, f)
                 for zcol in zc:
                     zvec = _dense_to_flat(A.space, kz, zcol, f)
@@ -675,10 +675,8 @@ def center(A: DgAlgebra) -> Subspace:
                     col_entries[(j, m)] = c
             rows.append(col_entries)
         keys = sorted({key for r in rows for key in r})
-        mat = Matrix(
-            f,
-            [[rows[pos].get(key, f.zero) for pos in range(nk)] for key in keys],
-            ncols=nk,
+        mat = Matrix._raw(
+            f, [[rows[pos].get(key, f.zero) for pos in range(nk)] for key in keys], nk
         )
         basis = mat.kernel_basis()
         if basis:
@@ -731,7 +729,7 @@ def is_semisimple_ungraded(A: DgAlgebra) -> SemisimplicityReport:
             for m, c in out.items():
                 acc = f.add(acc, f.mul(c, trvec[m]))
             gram[i][j] = acc
-        rad = Matrix(f, gram).kernel_basis()
+        rad = Matrix._raw(f, gram, n).kernel_basis()
         radical = tuple(
             GradedVector.from_flat(f, A.space, {i: c for i, c in enumerate(col) if not f.is_zero(c)})
             for col in rad

@@ -10,14 +10,17 @@ from fractions import Fraction
 
 from .errors import DgError, FieldMismatch, ParseError
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin with the prime bases up to 41 is exact below this bound
+# (Sorenson & Webster, Math. Comp. 86, 2017); no order at or above it is trusted
+_MR_EXACT_BELOW = 3317044064679887385961981
 
 
 def _is_prime(n: int) -> bool:
-    # deterministic Miller-Rabin, exact for n < 3.3e24
+    # deterministic Miller-Rabin; callers reject n >= _MR_EXACT_BELOW first
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
@@ -153,6 +156,8 @@ class PrimeField(Field):
     kind = "prime"
 
     def __init__(self, p: int):
+        if isinstance(p, int) and p >= _MR_EXACT_BELOW:
+            raise DgError(f"prime field order must be below {_MR_EXACT_BELOW}, got {p}")
         if not isinstance(p, int) or not _is_prime(p):
             raise DgError(f"prime field order must be prime, got {p!r}")
         self.p = p

@@ -325,7 +325,7 @@ class HomogeneousMap:
                         )
                     data[tpos][j] = field.coerce(c)
                     assert tbase + tpos == ti
-            blocks[k] = Matrix(field, data, ncols=n)
+            blocks[k] = Matrix._raw(field, data, n)
         return cls(field, source, target, degree, blocks)
 
     def inverse(self) -> "HomogeneousMap | None":
@@ -438,7 +438,7 @@ def quotient_by(space: GradedVectorSpace, inclusion: HomogeneousMap) -> Quotient
         full = W.hstack(R)
         inv = full.inverse()
         assert inv is not None
-        proj = Matrix(field, inv.rows[W.ncols:], ncols=n)
+        proj = Matrix._raw(field, inv.rows[W.ncols:], n)
         qdims[k] = q
         proj_blocks[k] = proj
         sect_blocks[k] = R

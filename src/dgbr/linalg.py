@@ -1,8 +1,19 @@
 """Dense exact matrices over a Field.
 
-Naive Gaussian elimination throughout; every dimension in this package is
-desk scale, so clarity wins over asymptotics.  Entries are raw field values
-(Fraction or residue int), never Scalar wrappers.
+Entries are raw field values (Fraction or residue int), never Scalar
+wrappers.  The public ``Matrix(field, rows)`` constructor coerces every entry,
+because it is where outside values enter.  Everything computed inside the
+package (elimination results, arithmetic, stacking, inverses) is built with
+the trusted ``Matrix._raw``, which takes rows that already hold field values
+and coerces nothing.
+
+``Matrix.solve`` eliminates afresh on every call.  When one matrix is solved
+against many right-hand sides, ``Matrix.factor()`` runs a single ``rref`` of
+``[A | I]`` and returns a ``Factored`` solver that keeps the pivots and the
+transform ``T`` with ``T * A = rref(A)``.  Each of its solves is one sparse
+product ``T * b``.  Both paths return the same canonical solution, entry for
+entry: the reduced echelon form is unique, and free variables are set to
+zero.
 """
 from __future__ import annotations
 
@@ -29,14 +40,28 @@ class Matrix:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _raw(cls, field, rows, ncols: int):
+        """Trusted constructor: rows already hold field values of one length.
+
+        Nothing is coerced or checked, so only code that computed the entries
+        with ``field`` itself may call it.
+        """
+        self = object.__new__(cls)
+        self.field = field
+        self.rows = tuple(map(tuple, rows))
+        self.nrows = len(self.rows)
+        self.ncols = ncols
+        return self
+
+    @classmethod
     def zeros(cls, field, m, n):
         z = field.zero
-        return cls(field, [[z] * n for _ in range(m)], ncols=n)
+        return cls._raw(field, [(z,) * n] * m, n)
 
     @classmethod
     def identity(cls, field, n):
         z, o = field.zero, field.one
-        return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return cls._raw(field, [[o if i == j else z for j in range(n)] for i in range(n)], n)
 
     @classmethod
     def from_columns(cls, field, cols, nrows: int):
@@ -47,7 +72,7 @@ class Matrix:
                 raise ShapeMismatch(f"column {j} has length {len(col)}, expected {nrows}")
             for i, x in enumerate(col):
                 rows[i][j] = field.coerce(x)
-        return cls(field, rows, ncols=len(cols))
+        return cls._raw(field, rows, len(cols))
 
     # -- basics ------------------------------------------------------------
 
@@ -62,7 +87,7 @@ class Matrix:
         return [self.column(j) for j in range(self.ncols)]
 
     def transpose(self):
-        return Matrix(self.field, list(zip(*self.rows)) if self.rows else [], ncols=self.nrows)
+        return Matrix._raw(self.field, zip(*self.rows), self.nrows)
 
     def is_zero(self):
         zero = self.field.is_zero
@@ -82,30 +107,32 @@ class Matrix:
     def __add__(self, other):
         self._same_shape(other)
         add = self.field.add
-        return Matrix(
+        return Matrix._raw(
             self.field,
             [[add(a, b) for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)],
-            ncols=self.ncols,
+            self.ncols,
         )
 
     def __sub__(self, other):
         self._same_shape(other)
         sub = self.field.sub
-        return Matrix(
+        return Matrix._raw(
             self.field,
             [[sub(a, b) for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)],
-            ncols=self.ncols,
+            self.ncols,
         )
 
     def __neg__(self):
         neg = self.field.neg
-        return Matrix(self.field, [[neg(x) for x in r] for r in self.rows], ncols=self.ncols)
+        return Matrix._raw(self.field, [[neg(x) for x in r] for r in self.rows], self.ncols)
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
             c = self.field.coerce(other)
             mul = self.field.mul
-            return Matrix(self.field, [[mul(c, x) for x in r] for r in self.rows], ncols=self.ncols)
+            return Matrix._raw(self.field, [[mul(c, x) for x in r] for r in self.rows], self.ncols)
+        if self.field != other.field:
+            raise ShapeMismatch("matrix operands must share a field")
         if self.ncols != other.nrows:
             raise ShapeMismatch(f"cannot multiply {self.shape} by {other.shape}")
         f = self.field
@@ -123,7 +150,7 @@ class Matrix:
                     if not is_zero(b):
                         row[j] = add(row[j], mul(a, b))
             out.append(row)
-        return Matrix(self.field, out, ncols=other.ncols)
+        return Matrix._raw(self.field, out, other.ncols)
 
     def _same_shape(self, other):
         if not isinstance(other, Matrix) or self.field != other.field:
@@ -134,10 +161,12 @@ class Matrix:
     def hstack(self, other):
         if self.nrows != other.nrows:
             raise ShapeMismatch("hstack needs equal row counts")
-        return Matrix(
+        if self.field != other.field:
+            raise ShapeMismatch("matrix operands must share a field")
+        return Matrix._raw(
             self.field,
-            [tuple(a) + tuple(b) for a, b in zip(self.rows, other.rows)],
-            ncols=self.ncols + other.ncols,
+            [a + b for a, b in zip(self.rows, other.rows)],
+            self.ncols + other.ncols,
         )
 
     def apply(self, vec):
@@ -183,13 +212,17 @@ class Matrix:
             r += 1
             if r == m:
                 break
-        return Matrix(f, rows, ncols=n), tuple(pivots)
+        return Matrix._raw(f, rows, n), tuple(pivots)
 
     def rank(self):
         return len(self.rref()[1])
 
     def kernel_basis(self):
         """Basis of the right kernel, as column tuples (free variables = 1)."""
+        return self.kernel_basis_and_pivots()[0]
+
+    def kernel_basis_and_pivots(self):
+        """``(kernel_basis(), column_space_pivots())`` from a single rref."""
         f = self.field
         R, pivots = self.rref()
         pivot_set = set(pivots)
@@ -201,7 +234,7 @@ class Matrix:
             for r, pc in enumerate(pivots):
                 col[pc] = f.neg(R.rows[r][j])
             basis.append(tuple(col))
-        return basis
+        return basis, pivots
 
     def column_space_pivots(self):
         """Indices of a maximal independent set of columns (leftmost first)."""
@@ -220,11 +253,7 @@ class Matrix:
         if len(rhs) != self.nrows:
             raise ShapeMismatch(f"rhs length {len(rhs)} vs {self.nrows} rows")
         f = self.field
-        aug = Matrix(
-            f,
-            [tuple(r) + (f.coerce(b),) for r, b in zip(self.rows, rhs)] if self.nrows else [],
-            ncols=self.ncols + 1,
-        )
+        aug = Matrix._raw(f, [r + (f.coerce(b),) for r, b in zip(self.rows, rhs)], self.ncols + 1)
         R, pivots = aug.rref()
         if self.ncols in pivots:
             return None
@@ -233,6 +262,10 @@ class Matrix:
             sol[pc] = R.rows[r][self.ncols]
         return tuple(sol)
 
+    def factor(self) -> "Factored":
+        """Factor once for many ``solve`` calls; see ``Factored``."""
+        return Factored(self)
+
     def inverse(self):
         if self.nrows != self.ncols:
             raise ShapeMismatch("inverse of a non-square matrix")
@@ -240,9 +273,60 @@ class Matrix:
         R, pivots = self.hstack(Matrix.identity(self.field, n)).rref()
         if tuple(pivots[:n]) != tuple(range(n)):
             return None
-        return Matrix(self.field, [r[n:] for r in R.rows], ncols=n)
+        return Matrix._raw(self.field, [r[n:] for r in R.rows], n)
 
     def __repr__(self):
         fmt = self.field.format
         body = "; ".join(" ".join(fmt(x) for x in r) for r in self.rows)
         return f"Matrix({self.nrows}x{self.ncols}: {body})"
+
+
+class Factored:
+    """A matrix A reduced once, for solving A * x = b against many b.
+
+    One rref of ``[A | I]`` yields the pivot columns of A and an invertible
+    transform T with ``T * A = rref(A)``.  T is kept column by column, with
+    only its nonzero entries, so a solve costs one pass over the nonzeros of
+    b.  The answer is the one ``Matrix.solve`` gives: None when a row of
+    ``T * b`` at or below the rank is nonzero, otherwise ``(T * b)[r]`` at
+    the r-th pivot column and zero at every free variable.
+    """
+
+    __slots__ = ("field", "nrows", "ncols", "pivots", "_tcols")
+
+    def __init__(self, A: Matrix):
+        f = A.field
+        m, n = A.nrows, A.ncols
+        R, pivots = A.hstack(Matrix.identity(f, m)).rref()
+        self.field = f
+        self.nrows = m
+        self.ncols = n
+        self.pivots = tuple(p for p in pivots if p < n)
+        is_zero = f.is_zero
+        self._tcols = [
+            [(i, row[n + j]) for i, row in enumerate(R.rows) if not is_zero(row[n + j])]
+            for j in range(m)
+        ]
+
+    def solve(self, rhs):
+        """Canonical solution of A * x = rhs, or None if inconsistent.
+
+        rhs is a sequence of field values (trusted, not coerced).
+        """
+        if len(rhs) != self.nrows:
+            raise ShapeMismatch(f"rhs length {len(rhs)} vs {self.nrows} rows")
+        f = self.field
+        add, mul, is_zero, zero = f.add, f.mul, f.is_zero, f.zero
+        y = [zero] * self.nrows
+        for j, b in enumerate(rhs):
+            if is_zero(b):
+                continue
+            for i, t in self._tcols[j]:
+                y[i] = add(y[i], mul(t, b))
+        rank = len(self.pivots)
+        if not all(is_zero(x) for x in y[rank:]):
+            return None
+        sol = [zero] * self.ncols
+        for r, pc in enumerate(self.pivots):
+            sol[pc] = y[r]
+        return tuple(sol)

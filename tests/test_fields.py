@@ -54,6 +54,30 @@ def test_gf_requires_prime():
         GF(1)
 
 
+# the smallest strong pseudoprime to every prime base up to 37
+SPSP_37 = 318665857834031151167461  # = 399165290221 * 798330580441
+MR_BOUND = 3317044064679887385961981  # base-41 test is exact below this
+
+
+def test_gf_rejects_strong_pseudoprime():
+    assert SPSP_37 == 399165290221 * 798330580441
+    with pytest.raises(DgError, match="must be prime"):
+        GF(SPSP_37)
+
+
+def test_gf_accepts_large_prime_below_bound():
+    p = 2**61 - 1
+    assert GF(p).inv(2) * 2 % p == 1
+
+
+@pytest.mark.parametrize("p", [MR_BOUND, 2**89 - 1])
+def test_gf_rejects_orders_at_or_above_bound(p):
+    with pytest.raises(DgError, match="must be below"):
+        GF(p)
+    with pytest.raises(ParseError):
+        field_from_description({"kind": "prime", "p": p})
+
+
 def test_gf_instances_cached():
     assert GF(5) is GF(5)
     assert GF(5) == GF(5)

@@ -335,6 +335,19 @@ def test_cli_matrix_prime_field():
     assert bad.returncode == 2
 
 
+@pytest.mark.parametrize("p", [
+    "318665857834031151167461",  # strong pseudoprime to every base up to 37
+    "618970019642690137449562111",  # prime, but above the exact-test bound
+])
+def test_cli_rejects_untrusted_prime_orders(p):
+    r = run_cli("matrix", "--field", "prime", "--prime", p, "-n", "2",
+                "--good-grading", "1")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert len(r.stderr.strip().splitlines()) == 1
+    assert "Traceback" not in r.stderr
+
+
 def test_shipped_samples_parse_to_catalog_algebras():
     assert parse_algebra_text(
         (SAMPLES / "dual_numbers.json").read_text()) == dual_numbers(QQ)

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dgbr.errors import ShapeMismatch
 from dgbr.fields import GF, QQ
@@ -92,3 +93,82 @@ def test_hstack():
     a = mat([[1], [0]])
     b = mat([[0], [1]])
     assert a.hstack(b).rank() == 2
+
+
+# -- the factored solver against the one-shot oracle ------------------------------
+
+entries = st.integers(-3, 3)
+
+
+@st.composite
+def matrices(draw):
+    """A matrix over QQ or GF(7), often rank deficient, possibly with 0 rows or columns."""
+    field = draw(st.sampled_from([QQ, GF(7)]))
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+
+    def rand(rows, cols):
+        return Matrix(field, [[draw(entries) for _ in range(cols)] for _ in range(rows)],
+                      ncols=cols)
+
+    if draw(st.booleans()):
+        k = draw(st.integers(0, min(m, n)))  # rank at most k
+        return rand(m, k) * rand(k, n)
+    return rand(m, n)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_factored_solve_matches_one_shot_solve(data):
+    A = data.draw(matrices())
+    f = A.field
+    solver = A.factor()
+    x = [f.coerce(data.draw(entries)) for _ in range(A.ncols)]
+    in_span = A.apply(x)
+    anything = tuple(f.coerce(data.draw(entries)) for _ in range(A.nrows))
+    assert solver.solve(in_span) == A.solve(in_span)
+    assert solver.solve(in_span) is not None
+    assert solver.solve(anything) == A.solve(anything)
+    assert solver.pivots == A.column_space_pivots()
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+@pytest.mark.parametrize("field", [QQ, GF(7)])
+def test_factored_solve_on_empty_shapes(field, shape):
+    m, n = shape
+    A = Matrix.zeros(field, m, n)
+    solver = A.factor()
+    zero = (field.zero,) * m
+    assert solver.solve(zero) == A.solve(zero) == (field.zero,) * n
+    if m:
+        b = (field.one,) + (field.zero,) * (m - 1)
+        assert solver.solve(b) is None and A.solve(b) is None
+
+
+def test_factored_solve_checks_length():
+    with pytest.raises(ShapeMismatch):
+        mat([[1, 2]]).factor().solve((Fraction(1), Fraction(2)))
+
+
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_raw_constructor_equals_coercing_constructor(data):
+    field = data.draw(st.sampled_from([QQ, GF(7)]))
+    m, n = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+    rows = [[field.coerce(data.draw(entries)) for _ in range(n)] for _ in range(m)]
+    raw, checked = Matrix._raw(field, rows, n), Matrix(field, rows, ncols=n)
+    assert raw == checked
+    assert hash(raw) == hash(checked)
+    assert raw.shape == checked.shape == (m, n)
+
+
+def test_kernel_basis_and_pivots_from_one_rref():
+    m = mat([[1, 2, 3], [2, 4, 6], [1, 1, 1]])
+    assert m.kernel_basis_and_pivots() == (m.kernel_basis(), m.column_space_pivots())
+
+
+def test_operations_reject_mixed_fields():
+    a, b = mat([[1]]), mat([[1]], GF(7))
+    with pytest.raises(ShapeMismatch):
+        a.hstack(b)
+    with pytest.raises(ShapeMismatch):
+        a * b

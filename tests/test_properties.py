@@ -1,6 +1,8 @@
 """Randomized invariants.  Example counts stay small; every case is exact."""
+import itertools
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from dgbr.brauer import (
@@ -20,7 +22,16 @@ from dgbr.catalog import (
     unit_equivalence_witness,
 )
 from dgbr.brauer import structure_realize
-from dgbr.dg import KComplex, ksign, opposite, swap_map, tensor_product
+from dgbr.dg import (
+    KComplex,
+    center,
+    homology,
+    kernel_subalgebra,
+    ksign,
+    opposite,
+    swap_map,
+    tensor_product,
+)
 from dgbr.fields import GF, QQ
 from dgbr.formats import parse_algebra_text, serialize_algebra
 from dgbr.homs import hom_differential, hom_of_complexes
@@ -31,6 +42,9 @@ seeds = st.integers(0, 10**6)
 
 _POOLS = {f: [A for _, A in generators(f)] for f in FIELDS}
 _SMALL = {f: [A for A in pool if A.dim <= 4] for f, pool in _POOLS.items()}
+
+LARGE_PRIME = GF(1000003)
+_NAMED = {f: dict(generators(f)) for f in (QQ, LARGE_PRIME)}
 
 
 @given(m=st.integers(-30, 30), n=st.integers(-30, 30), k=st.integers(-30, 30))
@@ -126,3 +140,22 @@ def test_equivalence_witness_is_symmetric():
 def test_forgetting_the_grading_of_a_split_pair():
     d = forget_descriptor(split_pair(QQ))
     assert (d.dimension, d.center_dimension, d.is_central_simple) == (2, 2, False)
+
+
+def _elimination_dims(A):
+    return (
+        homology(A).space.dims,
+        kernel_subalgebra(A).algebra.space.dims,
+        center(A).space.dims,
+    )
+
+
+@pytest.mark.parametrize("left,right", list(itertools.combinations_with_replacement(
+    [name for name, _ in generators(QQ)], 2)))
+def test_elimination_dims_agree_over_qq_and_a_large_prime(left, right):
+    """homology, kernel and center see the same dims over QQ and GF(1000003)."""
+    over = {
+        f: _elimination_dims(tensor_product(_NAMED[f][left], _NAMED[f][right]))
+        for f in _NAMED
+    }
+    assert over[QQ] == over[LARGE_PRIME]
