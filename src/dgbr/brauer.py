@@ -28,7 +28,7 @@ from .errors import (
     ShapeMismatch,
     ValidationError,
 )
-from .graded import GradedVector, HomogeneousMap, LinearMap, add_into
+from .graded import GradedVector, HomogeneousMap, LinearMap, TensorBasis
 from .homs import end_dg_algebra
 from .linalg import Matrix
 
@@ -144,14 +144,10 @@ def rho_map(A: DgAlgebra, a) -> LinearMap:
     deg = A.space.flat_degrees()
     cols = {}
     for x in range(A.dim):
-        acc: dict = {}
-        for ai, c in aflat.items():
-            term = A.mul({x: one}, {ai: c})
-            if ksign(deg[ai], deg[x]) < 0:
-                term = {t: f.neg(v) for t, v in term.items()}
-            add_into(f, acc, term)
-        if acc:
-            cols[x] = acc
+        signed = {ai: c if ksign(deg[ai], deg[x]) > 0 else f.neg(c) for ai, c in aflat.items()}
+        col = A.mul({x: one}, signed)
+        if col:
+            cols[x] = col
     return LinearMap(f, A.space, A.space, cols)
 
 
@@ -206,12 +202,10 @@ def forget_descriptor(A: DgAlgebra) -> UngradedDescriptor:
 
 def sandwich_map(A: DgAlgebra, T: DgAlgebra, E: DgAlgebra) -> HomogeneousMap:
     """a (x) b -> lambda_a o rho_b, in the unit coordinates of E = End(A)."""
-    from .graded import tensor_of_spaces
-
     f = A.field
     one = f.one
     # slot t of T corresponds to pairs[t]; the pair order is deterministic
-    pairs = tensor_of_spaces(A.space, A.space).pairs
+    pairs = TensorBasis(A.space, A.space).pairs
     lam = [lambda_map(A, {i: one}) for i in range(A.dim)]
     rho = [rho_map(A, {j: one}) for j in range(A.dim)]
     cols = {}

@@ -13,6 +13,7 @@ from .brauer import (
     idempotent_containment,
     is_central_simple,
     kunneth_check,
+    quaternion_algebra,
     sandwich_iso,
     structure_realize,
     verify_dg_iso,
@@ -24,7 +25,6 @@ from .dg import (
     homology,
     is_tgr_semisimple,
     kernel_subalgebra,
-    ksign,
     opposite,
     swap_map,
     tensor_product,
@@ -90,14 +90,8 @@ def generators(field):
         ("split-pair", split_pair(field)),
     ]
     if field.characteristic() != 2:
-        out.append(("quaternions", quaternion_algebra_cached(field)))
+        out.append(("quaternions", quaternion_algebra(field, -1, -1)))
     return out
-
-
-def quaternion_algebra_cached(field):
-    from .brauer import quaternion_algebra
-
-    return quaternion_algebra(field, field.neg(field.one), field.neg(field.one))
 
 
 # -- randomized constructions ----------------------------------------------------
@@ -343,7 +337,7 @@ def scenario_equivalence_unit():
     w = unit_equivalence_witness(A, sr)
     descs = []
     all_match = True
-    Q = quaternion_algebra_cached(QQ)
+    Q = quaternion_algebra(QQ, -1, -1)
     dq = forget_descriptor(Q)
     from .dg import regrade_trivial
 

@@ -56,10 +56,13 @@ from .matrix_algebras import good_grading_matrix_algebra, inner_differential
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"not UTF-8 text: {e}", path if path != "-" else "stdin") from None
 
 
 def _load_algebra(path: str) -> DgAlgebra:

@@ -3,14 +3,19 @@
 An algebra is stored as structure constants over the flat basis order of its
 graded space: ``table[(i, j)]`` is the sparse product of basis elements i and
 j, ``dcols[i]`` the sparse differential column.  Absent entries are zero.
-Every constructor re-checks the axioms (degree additivity, unit laws,
-associativity, d of degree +1, d squared zero, graded Leibniz); nothing is
-trusted by construction.
+Every constructor re-checks the axioms; nothing is trusted by construction.
+
+There is one validation path.  ``validate_complex`` checks a (space, d) pair:
+d of degree +1 and d squared zero; ``KComplex`` raises on its result.
+``validate_structure`` is that plus the product axioms (degree additivity,
+unit laws, associativity, graded Leibniz, d(1) = 0), and ``validate_module``
+is that, with ``module-`` axiom names, plus the action axioms.  Every product
+in them is an ``apply`` of a left or right multiplication operator.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .errors import AxiomViolation, ShapeMismatch, ValidationError
 from .fields import Field
@@ -18,12 +23,13 @@ from .graded import (
     GradedVector,
     GradedVectorSpace,
     HomogeneousMap,
-    LinearMap,
     Subspace,
+    TensorBasis,
     add_into,
+    apply,
+    bilinear,
     clean_coeffs,
     kernel_of,
-    tensor_of_spaces,
 )
 from .linalg import Matrix
 
@@ -31,12 +37,6 @@ from .linalg import Matrix
 def ksign(m: int, n: int) -> int:
     """The Koszul sign (-1)**(m*n) as an int, safe for negative degrees."""
     return -1 if (m * n) % 2 else 1
-
-
-def scale_coeffs(field: Field, coeffs: dict, c) -> dict:
-    if field.is_zero(c):
-        return {}
-    return {i: field.mul(c, x) for i, x in coeffs.items()}
 
 
 def negate_coeffs(field: Field, coeffs: dict) -> dict:
@@ -97,10 +97,9 @@ class DgAlgebra:
             out = clean_coeffs(field, out)
             if out:
                 dc[i] = out
-        for vec, what in [(unit, "unit")]:
-            for i in vec:
-                if not (0 <= i < n):
-                    raise ShapeMismatch(f"{what} index {i} outside the basis")
+        for i in unit:
+            if not (0 <= i < n):
+                raise ShapeMismatch(f"unit index {i} outside the basis")
         violations = validate_structure(field, space, unit, tbl, dc)
         if violations:
             raise ValidationError(violations)
@@ -123,9 +122,6 @@ class DgAlgebra:
     def label_of(self, i: int) -> str:
         return self.space.label_of(i)
 
-    def basis_coeffs(self, i: int) -> dict:
-        return {i: self.field.one}
-
     def element(self, terms) -> dict:
         """Sparse element from {label: coefficient}; labels must be unique."""
         labels = {self.label_of(i): i for i in range(self.dim)}
@@ -142,24 +138,10 @@ class DgAlgebra:
     # -- arithmetic on sparse elements --------------------------------------
 
     def mul(self, u: dict, v: dict) -> dict:
-        f = self.field
-        table = self.table
-        acc: dict = {}
-        for i, a in u.items():
-            for j, b in v.items():
-                out = table.get((i, j))
-                if out:
-                    add_into(f, acc, out, scale=f.mul(a, b))
-        return acc
+        return bilinear(self.field, self.table, u, v)
 
     def d_apply(self, u: dict) -> dict:
-        f = self.field
-        acc: dict = {}
-        for i, c in u.items():
-            col = self.dcols.get(i)
-            if col:
-                add_into(f, acc, col, scale=c)
-        return acc
+        return apply(self.field, self.dcols, u)
 
     def differential_map(self) -> HomogeneousMap:
         if self._dmap is None:
@@ -188,15 +170,52 @@ class DgAlgebra:
         return f"DgAlgebra(dim={self.dim}, degrees={dict(self.space.dims)})"
 
 
+def _show(field, space, vec) -> str:
+    fmt = field.format
+    return " + ".join(f"{fmt(c)}*{space.label_of(i)}" for i, c in sorted(vec.items())) or "0"
+
+
+def _operators(table) -> tuple:
+    """Left and right operators of a bilinear table: L[i][j] = R[j][i] = table[(i, j)]."""
+    L: dict = {}
+    R: dict = {}
+    for (i, j), out in table.items():
+        L.setdefault(i, {})[j] = out
+        R.setdefault(j, {})[i] = out
+    return L, R
+
+
+def validate_complex(field, space, dcols):
+    """d of degree +1 and d squared zero; returns every violation found."""
+    v: list[AxiomViolation] = []
+    deg = space.flat_degrees()
+    for i, out in sorted(dcols.items()):
+        for k in out:
+            if deg[k] != deg[i] + 1:
+                v.append(AxiomViolation(
+                    "d-degree", (i,),
+                    f"d hits degree {deg[k]} from degree {deg[i]}",
+                ))
+                break
+    for i, col in sorted(dcols.items()):
+        dd = apply(field, dcols, col)
+        if dd:
+            v.append(AxiomViolation("d-squared", (i,), f"d(d(e{i})) = {_show(field, space, dd)}"))
+    return v
+
+
 def validate_structure(field, space, unit, table, dcols):
-    """Exhaustive axiom check; returns every violation found."""
+    """Exhaustive axiom check; returns every violation found.
+
+    The product axioms are checked around ``validate_complex``: every
+    product becomes an ``apply`` of a left or right multiplication operator.
+    """
     v: list[AxiomViolation] = []
     n = space.total_dim
     deg = space.flat_degrees()
-    fmt = field.format
 
     def show(vec):
-        return " + ".join(f"{fmt(c)}*{space.label_of(i)}" for i, c in sorted(vec.items())) or "0"
+        return _show(field, space, vec)
 
     # degree additivity of the product
     for (i, j), out in sorted(table.items()):
@@ -221,92 +240,46 @@ def validate_structure(field, space, unit, table, dcols):
                 v.append(AxiomViolation("unit-degree", (i,), f"unit has a degree-{deg[i]} component"))
                 break
 
-    def mulvec(u, w):
-        acc: dict = {}
-        for i, a in u.items():
-            for j, b in w.items():
-                out = table.get((i, j))
-                if out:
-                    add_into(field, acc, out, scale=field.mul(a, b))
-        return acc
-
+    L, R = _operators(table)
+    empty: dict = {}
     one = field.one
     if unit:
         for i in range(n):
             e = {i: one}
-            if mulvec(unit, e) != e:
+            if apply(field, R.get(i, empty), unit) != e:
                 v.append(AxiomViolation("unit-law", (i,), "1*e differs from e"))
-            if mulvec(e, unit) != e:
+            if apply(field, L.get(i, empty), unit) != e:
                 v.append(AxiomViolation("unit-law", (i,), "e*1 differs from e"))
 
-    # associativity on every basis triple
+    # associativity on every basis triple: (e_i e_j) e_k = R_k(t_ij), e_i (e_j e_k) = L_i(t_jk)
     for i in range(n):
+        Li = L.get(i, empty)
         for j in range(n):
             tij = table.get((i, j))
             for k in range(n):
                 tjk = table.get((j, k))
                 if tij is None and tjk is None:
                     continue
-                left: dict = {}
-                if tij:
-                    for m, c in tij.items():
-                        out = table.get((m, k))
-                        if out:
-                            add_into(field, left, out, scale=c)
-                right: dict = {}
-                if tjk:
-                    for m, c in tjk.items():
-                        out = table.get((i, m))
-                        if out:
-                            add_into(field, right, out, scale=c)
+                left = apply(field, R.get(k, empty), tij) if tij else {}
+                right = apply(field, Li, tjk) if tjk else {}
                 if left != right:
                     v.append(AxiomViolation(
                         "associativity", (i, j, k),
                         f"(e{i}*e{j})*e{k} = {show(left)} but e{i}*(e{j}*e{k}) = {show(right)}",
                     ))
 
-    # differential: degree +1, squares to zero
-    for i, out in sorted(dcols.items()):
-        for k in out:
-            if deg[k] != deg[i] + 1:
-                v.append(AxiomViolation(
-                    "d-degree", (i,),
-                    f"d hits degree {deg[k]} from degree {deg[i]}",
-                ))
-                break
-    for i in range(n):
-        col = dcols.get(i)
-        if not col:
-            continue
-        acc: dict = {}
-        for m, c in col.items():
-            out = dcols.get(m)
-            if out:
-                add_into(field, acc, out, scale=c)
-        if acc:
-            v.append(AxiomViolation("d-squared", (i,), f"d(d(e{i})) = {show(acc)}"))
+    v += validate_complex(field, space, dcols)
 
-    # graded Leibniz rule on every basis pair
-    def dvec(u):
-        acc: dict = {}
-        for m, c in u.items():
-            out = dcols.get(m)
-            if out:
-                add_into(field, acc, out, scale=c)
-        return acc
-
+    # graded Leibniz rule on every basis pair: d(e_i e_j) = R_j(d e_i) +- L_i(d e_j)
+    minus = field.neg(one)
     for i in range(n):
-        di = dcols.get(i, {})
-        sign = ksign(deg[i], 1)
+        di = dcols.get(i, empty)
+        Li = L.get(i, empty)
+        sign = None if ksign(deg[i], 1) > 0 else minus
         for j in range(n):
-            lhs = dvec(table.get((i, j), {}))
-            rhs = mulvec(di, {j: one}) if di else {}
-            dj = dcols.get(j)
-            if dj:
-                second = mulvec({i: one}, dj)
-                if sign < 0:
-                    second = negate_coeffs(field, second)
-                add_into(field, rhs, second)
+            lhs = apply(field, dcols, table.get((i, j), empty))
+            rhs = apply(field, R.get(j, empty), di)
+            add_into(field, rhs, apply(field, Li, dcols.get(j, empty)), scale=sign)
             if lhs != rhs:
                 v.append(AxiomViolation(
                     "leibniz", (i, j),
@@ -314,10 +287,9 @@ def validate_structure(field, space, unit, table, dcols):
                 ))
 
     # d(1) = 0: implied by Leibniz, still checked to catch corrupt input
-    if unit:
-        du = dvec(unit)
-        if du:
-            v.append(AxiomViolation("d-unit", (), f"d(1) = {show(du)}"))
+    du = apply(field, dcols, unit)
+    if du:
+        v.append(AxiomViolation("d-unit", (), f"d(1) = {show(du)}"))
 
     return v
 
@@ -341,7 +313,7 @@ def tensor_product(A: DgAlgebra, B: DgAlgebra) -> DgAlgebra:
     if A.field != B.field:
         raise ShapeMismatch("tensor factors over different fields")
     f = A.field
-    tb = tensor_of_spaces(A.space, B.space)
+    tb = TensorBasis(A.space, B.space)
     idx = tb.index
     degA = A.space.flat_degrees()
     degB = B.space.flat_degrees()
@@ -382,8 +354,8 @@ def tensor_product(A: DgAlgebra, B: DgAlgebra) -> DgAlgebra:
 def swap_map(A: DgAlgebra, B: DgAlgebra) -> HomogeneousMap:
     """The signed flip a@b -> (-1)^{|a||b|} b@a between the two tensor spaces."""
     f = A.field
-    tab = tensor_of_spaces(A.space, B.space)
-    tba = tensor_of_spaces(B.space, A.space)
+    tab = TensorBasis(A.space, B.space)
+    tba = TensorBasis(B.space, A.space)
     degA = A.space.flat_degrees()
     degB = B.space.flat_degrees()
     cols = {}
@@ -396,17 +368,10 @@ def swap_map(A: DgAlgebra, B: DgAlgebra) -> HomogeneousMap:
 def unsigned_swap_map(A: DgAlgebra, B: DgAlgebra) -> HomogeneousMap:
     """The naive flip with no signs; fails multiplicativity in odd degrees."""
     f = A.field
-    tab = tensor_of_spaces(A.space, B.space)
-    tba = tensor_of_spaces(B.space, A.space)
+    tab = TensorBasis(A.space, B.space)
+    tba = TensorBasis(B.space, A.space)
     cols = {t: {tba.index[(j, i)]: f.one} for t, (i, j) in enumerate(tab.pairs)}
     return HomogeneousMap.from_flat_columns(f, tab.space, tba.space, 0, cols)
-
-
-def swap_iso(A: DgAlgebra, B: DgAlgebra):
-    """Verified isomorphism A (x) B -> B (x) A; returns the full witness."""
-    from .brauer import verify_dg_iso  # local import, brauer sits above this module
-
-    return verify_dg_iso(tensor_product(A, B), tensor_product(B, A), swap_map(A, B))
 
 
 # -- homology and kernel ------------------------------------------------------
@@ -785,10 +750,6 @@ class TgrReport:
     kernel_report: SemisimplicityReport
     reasons: tuple
 
-    @property
-    def is_semisimple(self):
-        return self.verdict
-
 
 def is_tgr_semisimple(A: DgAlgebra) -> TgrReport:
     """Acyclic with semisimple kernel subalgebra (boundedness is automatic)."""
@@ -837,26 +798,7 @@ class KComplex:
         self.space = space
         self.dcols = {int(i): clean_coeffs(field, c) for i, c in dcols.items()}
         self.dcols = {i: c for i, c in self.dcols.items() if c}
-        violations = []
-        for i, out in self.dcols.items():
-            for k in out:
-                if space.degree_of(k) != space.degree_of(i) + 1:
-                    violations.append(AxiomViolation(
-                        "d-degree", (i,),
-                        f"d hits degree {space.degree_of(k)} from {space.degree_of(i)}",
-                    ))
-                    break
-        for i in range(space.total_dim):
-            col = self.dcols.get(i)
-            if not col:
-                continue
-            acc: dict = {}
-            for m, c in col.items():
-                out = self.dcols.get(m)
-                if out:
-                    add_into(field, acc, out, scale=c)
-            if acc:
-                violations.append(AxiomViolation("d-squared", (i,), "d(d(e)) nonzero"))
+        violations = validate_complex(field, space, self.dcols)
         if violations:
             raise ValidationError(violations)
 
@@ -873,18 +815,10 @@ class KComplex:
         return self.space.total_dim
 
     def d_apply(self, u: dict) -> dict:
-        acc: dict = {}
-        for i, c in u.items():
-            col = self.dcols.get(i)
-            if col:
-                add_into(self.field, acc, col, scale=c)
-        return acc
+        return apply(self.field, self.dcols, u)
 
     def differential_map(self) -> HomogeneousMap:
         return HomogeneousMap.from_flat_columns(self.field, self.space, self.space, 1, self.dcols)
-
-    def differential_linear(self) -> LinearMap:
-        return LinearMap(self.field, self.space, self.space, self.dcols)
 
     def __eq__(self, other):
         return (
@@ -937,22 +871,7 @@ class DgModule:
         return cls(Aop, A.space, action, dict(A.dcols))
 
     def act(self, mvec: dict, avec: dict) -> dict:
-        f = self.field
-        acc: dict = {}
-        for m, c in mvec.items():
-            for a, b in avec.items():
-                out = self.action.get((m, a))
-                if out:
-                    add_into(f, acc, out, scale=f.mul(c, b))
-        return acc
-
-    def d_apply(self, u: dict) -> dict:
-        acc: dict = {}
-        for i, c in u.items():
-            col = self.dcols.get(i)
-            if col:
-                add_into(self.field, acc, col, scale=c)
-        return acc
+        return bilinear(self.field, self.action, mvec, avec)
 
     def complex(self) -> KComplex:
         return KComplex(self.field, self.space, self.dcols)
@@ -962,7 +881,11 @@ class DgModule:
 
 
 def validate_module(M: DgModule):
-    """All module axioms, exhaustively; returns the violations found."""
+    """All module axioms, exhaustively; returns the violations found.
+
+    ``validate_complex`` on (space, d) with ``module-`` axiom names, plus the
+    action axioms as applies of the action operators.
+    """
     A = M.algebra
     f = M.field
     v: list[AxiomViolation] = []
@@ -978,47 +901,41 @@ def validate_module(M: DgModule):
                     "module-degree", (m, a), f"action hits degree {mdeg[k]}, expected {want}"))
                 break
 
+    # on_m[m][a] = by_a[a][m] = (module basis m) * (algebra basis a)
+    on_m, by_a = _operators(M.action)
+    empty: dict = {}
     one = f.one
     for m in range(nm):
-        if M.act({m: one}, A.unit) != {m: one}:
+        if apply(f, on_m.get(m, empty), A.unit) != {m: one}:
             v.append(AxiomViolation("module-unit", (m,), "m*1 differs from m"))
 
     for m in range(nm):
+        om = on_m.get(m, empty)
         for a in range(na):
             ma = M.action.get((m, a))
             for b in range(na):
                 ab = A.table.get((a, b))
                 if ma is None and ab is None:
                     continue
-                left = M.act(ma or {}, {b: one})
-                right = M.act({m: one}, ab or {})
+                left = apply(f, by_a.get(b, empty), ma) if ma else {}
+                right = apply(f, om, ab) if ab else {}
                 if left != right:
                     v.append(AxiomViolation(
                         "module-associativity", (m, a, b),
                         "(m*a)*b differs from m*(a*b)"))
 
-    for i, out in sorted(M.dcols.items()):
-        for k in out:
-            if mdeg[k] != mdeg[i] + 1:
-                v.append(AxiomViolation("module-d-degree", (i,), "d is not degree +1"))
-                break
-    for i in range(nm):
-        acc = M.d_apply(M.dcols.get(i, {}))
-        if acc:
-            v.append(AxiomViolation("module-d-squared", (i,), "d(d(m)) nonzero"))
+    v += [AxiomViolation("module-" + x.axiom, x.witness, x.detail)
+          for x in validate_complex(f, M.space, M.dcols)]
 
+    minus = f.neg(one)
     for m in range(nm):
-        dm = M.dcols.get(m, {})
-        sgn = ksign(mdeg[m], 1)
+        dm = M.dcols.get(m, empty)
+        om = on_m.get(m, empty)
+        sign = None if ksign(mdeg[m], 1) > 0 else minus
         for a in range(na):
-            lhs = M.d_apply(M.action.get((m, a), {}))
-            rhs = M.act(dm, {a: one}) if dm else {}
-            da = A.dcols.get(a)
-            if da:
-                second = M.act({m: one}, da)
-                if sgn < 0:
-                    second = negate_coeffs(f, second)
-                add_into(f, rhs, second)
+            lhs = apply(f, M.dcols, M.action.get((m, a), empty))
+            rhs = apply(f, by_a.get(a, empty), dm)
+            add_into(f, rhs, apply(f, om, A.dcols.get(a, empty)), scale=sign)
             if lhs != rhs:
                 v.append(AxiomViolation(
                     "module-leibniz", (m, a),

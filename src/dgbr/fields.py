@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DgError, FieldMismatch, ParseError
+from .errors import DgError, ParseError
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # Miller-Rabin with the prime bases up to 41 is exact below this bound
@@ -73,14 +73,8 @@ class Field:
     def inv(self, a):
         raise NotImplementedError
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def is_zero(self, a) -> bool:
         raise NotImplementedError
-
-    def scalar(self, x) -> "Scalar":
-        return Scalar(self, self.coerce(x))
 
     def describe(self) -> dict:
         raise NotImplementedError
@@ -95,10 +89,6 @@ class RationalField(Field):
         return 0
 
     def coerce(self, x):
-        if isinstance(x, Scalar):
-            if x.field != self:
-                raise FieldMismatch("scalar from a different field")
-            return x.value
         if isinstance(x, bool):
             raise DgError("bool is not a scalar")
         if isinstance(x, (int, Fraction)):
@@ -168,10 +158,6 @@ class PrimeField(Field):
         return self.p
 
     def coerce(self, x):
-        if isinstance(x, Scalar):
-            if x.field != self:
-                raise FieldMismatch("scalar from a different field")
-            return x.value
         if isinstance(x, bool):
             raise DgError("bool is not a scalar")
         if isinstance(x, int):
@@ -257,78 +243,3 @@ def field_from_description(desc: dict) -> Field:
         except DgError as exc:
             raise ParseError(str(exc)) from None
     raise ParseError(f"unknown field kind {kind!r}")
-
-
-class Scalar:
-    """A field element tied to its field; supports the usual operators.
-
-    Kept immutable.  Formatting and re-parsing is bit-for-bit stable.
-    """
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: Field, value):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "value", field.coerce(value))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Scalar is immutable")
-
-    def _rhs(self, other):
-        if isinstance(other, Scalar):
-            if other.field != self.field:
-                raise FieldMismatch(f"{self.field!r} vs {other.field!r}")
-            return other.value
-        return self.field.coerce(other)
-
-    def __add__(self, other):
-        return Scalar(self.field, self.field.add(self.value, self._rhs(other)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return Scalar(self.field, self.field.sub(self.value, self._rhs(other)))
-
-    def __rsub__(self, other):
-        return Scalar(self.field, self.field.sub(self._rhs(other), self.value))
-
-    def __mul__(self, other):
-        return Scalar(self.field, self.field.mul(self.value, self._rhs(other)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return Scalar(self.field, self.field.div(self.value, self._rhs(other)))
-
-    def __rtruediv__(self, other):
-        return Scalar(self.field, self.field.div(self._rhs(other), self.value))
-
-    def __neg__(self):
-        return Scalar(self.field, self.field.neg(self.value))
-
-    def inverse(self):
-        return Scalar(self.field, self.field.inv(self.value))
-
-    def __bool__(self):
-        return not self.field.is_zero(self.value)
-
-    def __eq__(self, other):
-        if isinstance(other, Scalar):
-            return self.field == other.field and self.value == other.value
-        try:
-            return self.value == self.field.coerce(other)
-        except DgError:
-            return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field, self.value))
-
-    def __str__(self):
-        return self.field.format(self.value)
-
-    def __repr__(self):
-        return f"Scalar({self.field!r}, {self})"
-
-    @classmethod
-    def parse(cls, field: Field, text: str) -> "Scalar":
-        return cls(field, field.parse(text))

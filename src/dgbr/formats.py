@@ -21,6 +21,8 @@ def load_json(text: str, where: str = "input") -> dict:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"not valid JSON: {e}", where) from None
+    except RecursionError:
+        raise ParseError("JSON nested too deeply", where) from None
     if not isinstance(obj, dict):
         raise ParseError("top level must be a JSON object", where)
     return obj
@@ -107,6 +109,25 @@ def _parse_sparse(field, items, n, perm, where) -> dict:
     return out
 
 
+def _parse_diff(field, items, n, perm, where) -> dict:
+    """Differential columns [{"in": index, "out": sparse}, ...], indices remapped."""
+    if not isinstance(items, list):
+        raise ParseError("diff must be a list", where)
+    dcols: dict = {}
+    for t, entry in enumerate(items):
+        here = f"{where}[{t}]"
+        if not isinstance(entry, dict):
+            raise ParseError("differential entry must be an object", here)
+        _check_keys(entry, {"in", "out"}, {"in", "out"}, here)
+        i = entry["in"]
+        if not isinstance(i, int) or isinstance(i, bool) or not (0 <= i < n):
+            raise ParseError(f"index {i!r} out of range", here)
+        if perm[i] in dcols:
+            raise ParseError(f"duplicate differential entry {i}", here)
+        dcols[perm[i]] = _parse_sparse(field, entry["out"], n, perm, f"{here}.out")
+    return dcols
+
+
 def algebra_from_obj(obj: dict, where: str = "algebra") -> DgAlgebra:
     _check_keys(obj, {"field", "basis", "unit", "mult", "diff"},
                 {"field", "basis", "unit"}, where)
@@ -115,8 +136,11 @@ def algebra_from_obj(obj: dict, where: str = "algebra") -> DgAlgebra:
     n = space.total_dim
     unit = _parse_sparse(field, obj["unit"], n, perm, f"{where}.unit")
 
+    mult = obj.get("mult", [])
+    if not isinstance(mult, list):
+        raise ParseError("mult must be a list", f"{where}.mult")
     table: dict = {}
-    for t, entry in enumerate(obj.get("mult", [])):
+    for t, entry in enumerate(mult):
         here = f"{where}.mult[{t}]"
         if not isinstance(entry, dict):
             raise ParseError("product entry must be an object", here)
@@ -130,19 +154,7 @@ def algebra_from_obj(obj: dict, where: str = "algebra") -> DgAlgebra:
             raise ParseError(f"duplicate product entry ({l},{r})", here)
         table[key] = _parse_sparse(field, entry["out"], n, perm, f"{here}.out")
 
-    dcols: dict = {}
-    for t, entry in enumerate(obj.get("diff", [])):
-        here = f"{where}.diff[{t}]"
-        if not isinstance(entry, dict):
-            raise ParseError("differential entry must be an object", here)
-        _check_keys(entry, {"in", "out"}, {"in", "out"}, here)
-        i = entry["in"]
-        if not isinstance(i, int) or isinstance(i, bool) or not (0 <= i < n):
-            raise ParseError(f"index {i!r} out of range", here)
-        if perm[i] in dcols:
-            raise ParseError(f"duplicate differential entry {i}", here)
-        dcols[perm[i]] = _parse_sparse(field, entry["out"], n, perm, f"{here}.out")
-
+    dcols = _parse_diff(field, obj.get("diff", []), n, perm, f"{where}.diff")
     return DgAlgebra.build(field, space, unit, table, dcols)
 
 
@@ -150,19 +162,7 @@ def complex_from_obj(obj: dict, where: str = "complex") -> KComplex:
     _check_keys(obj, {"field", "basis", "diff"}, {"field", "basis"}, where)
     field = _parse_field(obj["field"], f"{where}.field")
     space, perm = _parse_basis(obj["basis"], f"{where}.basis")
-    n = space.total_dim
-    dcols: dict = {}
-    for t, entry in enumerate(obj.get("diff", [])):
-        here = f"{where}.diff[{t}]"
-        if not isinstance(entry, dict):
-            raise ParseError("differential entry must be an object", here)
-        _check_keys(entry, {"in", "out"}, {"in", "out"}, here)
-        i = entry["in"]
-        if not isinstance(i, int) or isinstance(i, bool) or not (0 <= i < n):
-            raise ParseError(f"index {i!r} out of range", here)
-        if perm[i] in dcols:
-            raise ParseError(f"duplicate differential entry {i}", here)
-        dcols[perm[i]] = _parse_sparse(field, entry["out"], n, perm, f"{here}.out")
+    dcols = _parse_diff(field, obj.get("diff", []), space.total_dim, perm, f"{where}.diff")
     return KComplex(field, space, dcols)
 
 
@@ -175,6 +175,8 @@ def map_from_obj(obj: dict, field, source: GradedVectorSpace,
         raise ParseError("degree must be an integer", f"{where}.degree")
     ns, nt = source.total_dim, target.total_dim
     ident = {i: i for i in range(max(ns, nt))}
+    if not isinstance(obj["entries"], list):
+        raise ParseError("entries must be a list", f"{where}.entries")
     cols: dict = {}
     for t, entry in enumerate(obj["entries"]):
         here = f"{where}.entries[{t}]"

@@ -35,6 +35,31 @@ def add_into(field: Field, acc: dict, coeffs: dict, scale=None) -> None:
             acc[i] = s
 
 
+def apply(field: Field, cols, u: dict) -> dict:
+    """Sum of u[i] * cols[i] over sparse columns ``{col: {row: coeff}}``.
+
+    The one sparse operator of the package: differentials, multiplication
+    tables and maps all apply through it.  Absent columns are zero.
+    """
+    acc: dict = {}
+    for i, c in u.items():
+        col = cols.get(i)
+        if col:
+            add_into(field, acc, col, scale=c)
+    return acc
+
+
+def bilinear(field: Field, table, u: dict, v: dict) -> dict:
+    """Sum of u[i] * v[j] * table[(i, j)]: a product table applied to two vectors."""
+    mul = field.mul
+    coeffs = {}
+    for i, a in u.items():
+        for j, b in v.items():
+            if (i, j) in table:
+                coeffs[i, j] = mul(a, b)
+    return apply(field, table, coeffs)
+
+
 class GradedVectorSpace:
     """Finite-dimensional graded space; equality compares dimension data only."""
 
@@ -152,9 +177,6 @@ class GradedVector:
     def is_zero(self):
         return not self.components
 
-    def is_homogeneous(self):
-        return len(self.components) <= 1
-
     @property
     def degree(self):
         """Degree of a homogeneous nonzero vector."""
@@ -234,18 +256,16 @@ class HomogeneousMap:
         return GradedVector(self.field, self.target, comp)
 
     def apply_flat(self, coeffs: dict) -> dict:
-        f = self.field
-        acc: dict = {}
-        for i, c in coeffs.items():
-            k, pos = self.source.flat_info(i)
-            blk = self.blocks.get(k)
-            if blk is None:
-                continue
-            tdeg = k + self.degree
-            base = self.target.flat_index(tdeg, 0) if self.target.dim(tdeg) else 0
-            col = blk.column(pos)
-            add_into(f, acc, {base + r: x for r, x in enumerate(col) if not f.is_zero(x)}, scale=c)
-        return acc
+        return apply(self.field, {i: self._flat_column(i) for i in coeffs}, coeffs)
+
+    def _flat_column(self, i: int) -> dict:
+        """Source basis vector i's image as target flat coeffs."""
+        k, pos = self.source.flat_info(i)
+        blk = self.blocks.get(k)
+        if blk is None:
+            return {}
+        base = self.target.flat_index(k + self.degree, 0)
+        return {base + r: x for r, x in enumerate(blk.column(pos)) if not self.field.is_zero(x)}
 
     def compose(self, other: "HomogeneousMap") -> "HomogeneousMap":
         """self after other (matrix product, blockwise; no signs)."""
@@ -294,16 +314,11 @@ class HomogeneousMap:
 
     def flat_columns(self) -> dict:
         """Columns as flat-index coeff dicts: source index -> target coeffs."""
-        f = self.field
         cols = {}
         for k, blk in self.blocks.items():
             sbase = self.source.flat_index(k, 0)
-            tdeg = k + self.degree
-            if self.target.dim(tdeg) == 0:
-                continue
-            tbase = self.target.flat_index(tdeg, 0)
             for j in range(blk.ncols):
-                col = {tbase + r: x for r, x in enumerate(blk.column(j)) if not f.is_zero(x)}
+                col = self._flat_column(sbase + j)
                 if col:
                     cols[sbase + j] = col
         return cols
@@ -346,11 +361,6 @@ class HomogeneousMap:
 
     def __repr__(self):
         return f"HomogeneousMap(degree={self.degree}, blocks={sorted(self.blocks)})"
-
-
-def compose_maps(g: HomogeneousMap, f: HomogeneousMap) -> HomogeneousMap:
-    """g after f.  Koszul signs never enter plain composition."""
-    return g.compose(f)
 
 
 @dataclass(frozen=True)
@@ -478,16 +488,6 @@ class TensorBasis:
         self.pairs = tuple(pairs)
         self.index = {pq: t for t, pq in enumerate(pairs)}
 
-    def index_of(self, i: int, j: int) -> int:
-        return self.index[(i, j)]
-
-    def pair_of(self, t: int):
-        return self.pairs[t]
-
-
-def tensor_of_spaces(left: GradedVectorSpace, right: GradedVectorSpace) -> TensorBasis:
-    return TensorBasis(left, right)
-
 
 class LinearMap:
     """A not-necessarily-homogeneous linear map via sparse flat columns."""
@@ -508,12 +508,7 @@ class LinearMap:
                     raise ShapeMismatch(f"row index {i} outside the target space")
 
     def apply_flat(self, coeffs: dict) -> dict:
-        acc: dict = {}
-        for j, c in coeffs.items():
-            col = self.cols.get(j)
-            if col:
-                add_into(self.field, acc, col, scale=c)
-        return acc
+        return apply(self.field, self.cols, coeffs)
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         if other.target != self.source:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .dg import DgAlgebra, DgModule, KComplex, ksign
 from .errors import AxiomViolation, ShapeMismatch, ValidationError
-from .graded import GradedVectorSpace, LinearMap, add_into, clean_coeffs
+from .graded import GradedVectorSpace, LinearMap, add_into, apply, clean_coeffs
 from .linalg import Matrix
 
 
@@ -52,10 +52,7 @@ class HomComplex:
         """Expand coefficients over self.space into full unit coordinates."""
         if self.coords is None:
             return dict(coeffs)
-        acc: dict = {}
-        for t, c in coeffs.items():
-            add_into(self.field, acc, self.coords[t], scale=c)
-        return acc
+        return apply(self.field, self.coords, coeffs)
 
     def basis_map(self, t: int) -> LinearMap:
         return self.to_map({t: self.field.one})
@@ -64,13 +61,9 @@ class HomComplex:
         """The actual linear map with the given coefficients."""
         cols: dict = {}
         for u, c in self.unit_coords(clean_coeffs(self.field, coeffs)).items():
-            mi, nj = self.units[u]
-            cols.setdefault(mi, {})[nj] = self.field.add(
-                cols.get(mi, {}).get(nj, self.field.zero), c
-            )
-        cols = {mi: clean_coeffs(self.field, col) for mi, col in cols.items()}
-        return LinearMap(self.field, self.source_space, self.target_space,
-                         {mi: col for mi, col in cols.items() if col})
+            mi, nj = self.units[u]  # units are distinct (source, target) pairs
+            cols.setdefault(mi, {})[nj] = c
+        return LinearMap(self.field, self.source_space, self.target_space, cols)
 
     def from_map(self, lm: LinearMap) -> dict:
         """Coefficients of a linear map; fails if it lies outside the space."""
@@ -180,11 +173,9 @@ def hom_complex(M: DgModule, N: DgModule, linearity: str = "base-field") -> HomC
         return full
 
     A = M.algebra
-    degM = M.space.flat_degrees()
-    degN = N.space.flat_degrees()
     sub_dims: dict[int, int] = {}
     sub_labels: dict[int, tuple] = {}
-    coords: list[dict] = []
+    coords: dict[int, dict] = {}  # solution basis index -> unit coordinates
     kernel_cols: dict[int, list] = {}
     for k in space.degrees():
         nk = space.dim(k)
@@ -216,17 +207,13 @@ def hom_complex(M: DgModule, N: DgModule, linearity: str = "base-field") -> HomC
             sub_dims[k] = len(basis)
             sub_labels[k] = tuple(f"al{k}_{i}" for i in range(len(basis)))
             for col in basis:
-                coords.append({base + t: c for t, c in enumerate(col) if not f.is_zero(c)})
+                coords[len(coords)] = {base + t: c for t, c in enumerate(col) if not f.is_zero(c)}
 
     sub_space = GradedVectorSpace(sub_dims, sub_labels)
     sub_dcols: dict = {}
     for s in range(sub_space.total_dim):
         k = sub_space.degree_of(s)
-        img: dict = {}
-        for u, c in coords[s].items():
-            col = dcols.get(u)
-            if col:
-                add_into(f, img, col, scale=c)
+        img = apply(f, dcols, coords[s])
         if not img:
             continue
         tk = k + 1
@@ -262,31 +249,17 @@ def hom_differential(H: HomComplex, lm: LinearMap) -> LinearMap:
     for mi, col in lm.cols.items():
         for nj, c in col.items():
             parts.setdefault(degN[nj] - degM[mi], {}).setdefault(mi, {})[nj] = c
-    dM = {i: c for i, c in (H.source.dcols if H.source is not None else {}).items()}
-    dN = {i: c for i, c in (H.target.dcols if H.target is not None else {}).items()}
+    dM = H.source.dcols if H.source is not None else {}
+    dN = H.target.dcols if H.target is not None else {}
+    minus = f.neg(f.one)
     out_cols: dict = {}
-
-    def add_entry(mi, nj, c):
-        col = out_cols.setdefault(mi, {})
-        col[nj] = f.add(col.get(nj, f.zero), c)
-
     for k, cols in parts.items():
-        sgn = ksign(k, 1)
-        for mi, col in cols.items():
-            for nj, c in col.items():
-                for nj2, e in dN.get(nj, {}).items():
-                    add_entry(mi, nj2, f.mul(e, c))
-        for src, dcol in dM.items():
-            for mid, e in dcol.items():
-                col = cols.get(mid)
-                if not col:
-                    continue
-                for nj, c in col.items():
-                    v = f.mul(e, c)
-                    add_entry(src, nj, f.neg(v) if sgn > 0 else v)
-    out_cols = {mi: clean_coeffs(f, col) for mi, col in out_cols.items()}
-    return LinearMap(f, H.source_space, H.target_space,
-                     {mi: col for mi, col in out_cols.items() if col})
+        sign = minus if ksign(k, 1) > 0 else None
+        for mi, col in cols.items():  # d_N o f, column by column
+            add_into(f, out_cols.setdefault(mi, {}), apply(f, dN, col))
+        for src, dcol in dM.items():  # f o d_M
+            add_into(f, out_cols.setdefault(src, {}), apply(f, cols, dcol), scale=sign)
+    return LinearMap(f, H.source_space, H.target_space, out_cols)
 
 
 def end_dg_algebra(C: KComplex) -> DgAlgebra:

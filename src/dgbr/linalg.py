@@ -1,8 +1,8 @@
 """Dense exact matrices over a Field.
 
-Entries are raw field values (Fraction or residue int), never Scalar
-wrappers.  The public ``Matrix(field, rows)`` constructor coerces every entry,
-because it is where outside values enter.  Everything computed inside the
+Entries are raw field values (Fraction or residue int).  The public
+``Matrix(field, rows)`` constructor coerces every entry, because it is where
+outside values enter.  Everything computed inside the
 package (elimination results, arithmetic, stacking, inverses) is built with
 the trusted ``Matrix._raw``, which takes rows that already hold field values
 and coerces nothing.

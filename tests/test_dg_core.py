@@ -305,16 +305,23 @@ def test_trivial_dg_and_regrade():
 
 def test_kcomplex_rejects_bad_differential():
     space = GradedVectorSpace({0: 1, 1: 1})
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as err:
         KComplex(QQ, space, {0: {0: QQ.one}})  # degree 0, not +1
+    assert [(v.axiom, v.witness, v.detail) for v in err.value.violations] == [
+        ("d-degree", (0,), "d hits degree 0 from degree 0"),
+        ("d-squared", (0,), "d(d(e0)) = 1*b0_0"),
+    ]
     ok = KComplex(QQ, space, {0: {1: QQ.one}})
     assert ok.d_apply({0: QQ.one}) == {1: QQ.one}
 
 
 def test_kcomplex_d_squared_checked():
     space = GradedVectorSpace({0: 1, 1: 1, 2: 1})
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as err:
         KComplex(QQ, space, {0: {1: QQ.one}, 1: {2: QQ.one}})
+    assert [(v.axiom, v.witness, v.detail) for v in err.value.violations] == [
+        ("d-squared", (0,), "d(d(e0)) = 1*b2_0"),
+    ]
 
 
 def test_regular_module_validates():
@@ -327,3 +334,61 @@ def test_left_regular_as_op_module_validates():
     A = mat2_inner(QQ)
     M = DgModule.left_regular_as_op(A)
     assert validate_module(M) == []
+
+
+def _corrupted_regular(kind):
+    """The regular module of mat2_inner (basis e21, e11, e22, e12) with one defect."""
+    A = mat2_inner(QQ)
+    R = DgModule.regular(A)
+    action = {k: dict(v) for k, v in R.action.items()}
+    dcols = {k: dict(v) for k, v in R.dcols.items()}
+    if kind == "action":
+        action[(1, 1)] = {1: QQ.coerce(2)}  # e11 * e11 = 2 e11
+    elif kind == "d-squared":
+        dcols[0] = {1: QQ.one}  # d(e21) = e11, whose d is -e12
+    elif kind == "leibniz":
+        dcols = {k: {r: 2 * c for r, c in v.items()} for k, v in dcols.items()}
+    else:
+        dcols[3] = {0: QQ.one}  # d(e12) = e21, degree 1 -> -1
+    return DgModule(A, R.space, action, dcols)
+
+
+LEIBNIZ = "d(m*a) differs from d(m)*a + (-1)^{|m|} m*d(a)"
+
+
+@pytest.mark.parametrize("kind,expected", [
+    ("action", [
+        ("module-unit", (1,), "m*1 differs from m"),
+        ("module-associativity", (1, 1, 1), "(m*a)*b differs from m*(a*b)"),
+        ("module-associativity", (1, 1, 3), "(m*a)*b differs from m*(a*b)"),
+        ("module-associativity", (1, 3, 0), "(m*a)*b differs from m*(a*b)"),
+        ("module-associativity", (3, 0, 1), "(m*a)*b differs from m*(a*b)"),
+        ("module-leibniz", (0, 1), LEIBNIZ),
+        ("module-leibniz", (1, 0), LEIBNIZ),
+        ("module-leibniz", (1, 1), LEIBNIZ),
+    ]),
+    ("d-squared", [
+        ("module-d-squared", (0,), "d(d(e0)) = -1*e12"),
+        ("module-leibniz", (0, 0), LEIBNIZ),
+        ("module-leibniz", (0, 1), LEIBNIZ),
+        ("module-leibniz", (0, 2), LEIBNIZ),
+        ("module-leibniz", (2, 0), LEIBNIZ),
+    ]),
+    ("leibniz", [
+        ("module-leibniz", w, LEIBNIZ)
+        for w in [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (3, 0)]
+    ]),
+    ("d-degree", [
+        ("module-d-degree", (3,), "d hits degree -1 from degree 1"),
+        ("module-d-squared", (1,), "d(d(e1)) = -1*e21"),
+        ("module-d-squared", (2,), "d(d(e2)) = 1*e21"),
+        ("module-d-squared", (3,), "d(d(e3)) = 1*e11 + 1*e22"),
+        ("module-leibniz", (1, 3), LEIBNIZ),
+        ("module-leibniz", (3, 1), LEIBNIZ),
+        ("module-leibniz", (3, 2), LEIBNIZ),
+        ("module-leibniz", (3, 3), LEIBNIZ),
+    ]),
+])
+def test_validate_module_rejections(kind, expected):
+    M = _corrupted_regular(kind)
+    assert [(v.axiom, v.witness, v.detail) for v in validate_module(M)] == expected

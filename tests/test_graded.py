@@ -7,10 +7,10 @@ from dgbr.graded import (
     GradedVectorSpace,
     HomogeneousMap,
     LinearMap,
+    TensorBasis,
     image_of,
     kernel_of,
     quotient_by,
-    tensor_of_spaces,
 )
 
 V = GradedVectorSpace({-1: 1, 0: 2, 2: 1}, {-1: ("a",), 0: ("b", "c"), 2: ("d",)})
@@ -102,7 +102,7 @@ def test_kernel_image_quotient_dims():
 def test_tensor_of_spaces_order_and_labels():
     A = GradedVectorSpace({0: 1, 1: 1}, {0: ("x",), 1: ("y",)})
     B = GradedVectorSpace({0: 1, 1: 1}, {0: ("u",), 1: ("v",)})
-    T = tensor_of_spaces(A, B)
+    T = TensorBasis(A, B)
     assert dict(T.space.dims) == {0: 1, 1: 2, 2: 1}
     assert T.space.all_labels() == ("x@u", "x@v", "y@u", "y@v")
     i = T.index[(0, 1)]

@@ -12,6 +12,7 @@ from dgbr.errors import ParseError
 from dgbr.fields import GF, QQ
 from dgbr.formats import (
     algebra_to_obj,
+    complex_to_obj,
     map_from_obj,
     map_to_obj,
     parse_algebra_text,
@@ -101,6 +102,8 @@ def test_basis_reordered_file_parses_to_same_algebra():
     (lambda o: o["basis"].append({"label": "X", "degree": 0}), "basis"),
     (lambda o: o["mult"].append({"left": 0, "right": 0, "out": [[99, "1"]]}), "out"),
     (lambda o: o["unit"].append([0, "0.5"]), "unit"),
+    (lambda o: o.update(mult=None), "mult"),
+    (lambda o: o.update(diff=5), "diff"),
 ])
 def test_parse_errors_carry_location(mutate, loc):
     obj = algebra_to_obj(dual_numbers(QQ))
@@ -123,6 +126,32 @@ def test_wrong_degree_differential_names_the_axiom():
     r = run_cli("validate", "-", stdin=json.dumps(obj))
     assert r.returncode == 2
     assert "d-degree" in r.stderr
+
+
+@pytest.mark.parametrize("entry,message", [
+    ("x", "input.diff[1]: differential entry must be an object"),
+    ({"in": 0}, "input.diff[1]: missing key 'out'"),
+    ({"in": 9, "out": []}, "input.diff[1]: index 9 out of range"),
+    ({"in": 0, "out": []}, "input.diff[1]: duplicate differential entry 0"),
+    ({"in": 1, "out": [[0, "1/0"]]}, "input.diff[1].out[0]: bad rational literal"),
+])
+def test_diff_errors_read_the_same_for_algebras_and_complexes(entry, message):
+    A = dual_numbers(QQ)
+    objs = [algebra_to_obj(A), complex_to_obj(KComplex.from_algebra(A))]
+    for obj, parse in zip(objs, (parse_algebra_text, parse_complex_text)):
+        obj["diff"].append(entry)
+        with pytest.raises(ParseError) as err:
+            parse(json.dumps(obj))
+        assert str(err.value).startswith(message)
+
+
+def test_non_list_sections_are_parse_errors():
+    obj = {"field": {"kind": "rationals"}, "basis": [], "diff": {"in": 0}}
+    with pytest.raises(ParseError, match=r"input\.diff: diff must be a list"):
+        parse_complex_text(json.dumps(obj))
+    V = dual_numbers(QQ).space
+    with pytest.raises(ParseError, match=r"map\.entries: entries must be a list"):
+        map_from_obj({"entries": 3}, QQ, V, V)
 
 
 def test_field_mixing_rejected():
@@ -299,6 +328,23 @@ def test_cli_exit_code_bad_input():
     r2 = run_cli("tensor", str(SAMPLES / "dual_numbers.json"),
                  str(SAMPLES / "dual_numbers_f2.json"))
     assert r2.returncode == 2
+
+
+def test_cli_deeply_nested_json_exits_two(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    r = run_cli("validate", str(path))
+    assert r.returncode == 2
+    assert r.stderr == f"invalid input: {path}: JSON nested too deeply\n"
+
+
+def test_cli_non_utf8_file_exits_two(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    r = run_cli("validate", str(path))
+    assert r.returncode == 2
+    assert r.stderr.startswith(f"invalid input: {path}: not UTF-8 text:")
+    assert r.stderr.count("\n") == 1
 
 
 def test_cli_unknown_subcommand_exits_two():
