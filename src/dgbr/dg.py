@@ -30,6 +30,7 @@ from .graded import (
     bilinear,
     clean_coeffs,
     kernel_of,
+    operators,
 )
 from .linalg import Matrix
 
@@ -41,6 +42,28 @@ def ksign(m: int, n: int) -> int:
 
 def negate_coeffs(field: Field, coeffs: dict) -> dict:
     return {i: field.neg(x) for i, x in coeffs.items()}
+
+
+def _clean_column(field, out, n: int, what: str, key) -> dict:
+    """``clean_coeffs`` of the column ``what key``, whose row indices must lie in [0, n)."""
+    out = clean_coeffs(field, out)
+    for k in out:
+        if not 0 <= k < n:
+            raise ShapeMismatch(f"{what} {key} has row index {k} outside the basis")
+    return out
+
+
+def _clean_dcols(field, dcols, n: int) -> dict:
+    """Nonzero differential columns, with column and row indices in [0, n)."""
+    out = {}
+    for i, col in dcols.items():
+        i = int(i)
+        if not (0 <= i < n):
+            raise ShapeMismatch(f"differential entry {i} outside the basis")
+        col = _clean_column(field, col, n, "differential entry", i)
+        if col:
+            out[i] = col
+    return out
 
 
 @dataclass(frozen=True)
@@ -86,17 +109,10 @@ class DgAlgebra:
             i, j = int(i), int(j)
             if not (0 <= i < n and 0 <= j < n):
                 raise ShapeMismatch(f"product entry ({i},{j}) outside the basis")
-            out = clean_coeffs(field, out)
+            out = _clean_column(field, out, n, "product entry", (i, j))
             if out:
                 tbl[(i, j)] = out
-        dc = {}
-        for i, out in diff.items():
-            i = int(i)
-            if not (0 <= i < n):
-                raise ShapeMismatch(f"differential entry {i} outside the basis")
-            out = clean_coeffs(field, out)
-            if out:
-                dc[i] = out
+        dc = _clean_dcols(field, diff, n)
         for i in unit:
             if not (0 <= i < n):
                 raise ShapeMismatch(f"unit index {i} outside the basis")
@@ -175,16 +191,6 @@ def _show(field, space, vec) -> str:
     return " + ".join(f"{fmt(c)}*{space.label_of(i)}" for i, c in sorted(vec.items())) or "0"
 
 
-def _operators(table) -> tuple:
-    """Left and right operators of a bilinear table: L[i][j] = R[j][i] = table[(i, j)]."""
-    L: dict = {}
-    R: dict = {}
-    for (i, j), out in table.items():
-        L.setdefault(i, {})[j] = out
-        R.setdefault(j, {})[i] = out
-    return L, R
-
-
 def validate_complex(field, space, dcols):
     """d of degree +1 and d squared zero; returns every violation found."""
     v: list[AxiomViolation] = []
@@ -240,7 +246,7 @@ def validate_structure(field, space, unit, table, dcols):
                 v.append(AxiomViolation("unit-degree", (i,), f"unit has a degree-{deg[i]} component"))
                 break
 
-    L, R = _operators(table)
+    L, R = operators(table)
     empty: dict = {}
     one = field.one
     if unit:
@@ -796,8 +802,7 @@ class KComplex:
     def __init__(self, field, space, dcols):
         self.field = field
         self.space = space
-        self.dcols = {int(i): clean_coeffs(field, c) for i, c in dcols.items()}
-        self.dcols = {i: c for i, c in self.dcols.items() if c}
+        self.dcols = _clean_dcols(field, dcols, space.total_dim)
         violations = validate_complex(field, space, self.dcols)
         if violations:
             raise ValidationError(violations)
@@ -843,13 +848,16 @@ class DgModule:
         self.algebra = algebra
         self.field = algebra.field
         self.space = space
+        nm, na = space.total_dim, algebra.dim
         self.action = {}
         for (m, a), out in action.items():
-            out = clean_coeffs(self.field, out)
+            m, a = int(m), int(a)
+            if not (0 <= m < nm and 0 <= a < na):
+                raise ShapeMismatch(f"action entry ({m},{a}) outside the bases")
+            out = _clean_column(self.field, out, nm, "action entry", (m, a))
             if out:
-                self.action[(int(m), int(a))] = out
-        self.dcols = {int(i): clean_coeffs(self.field, c) for i, c in dcols.items()}
-        self.dcols = {i: c for i, c in self.dcols.items() if c}
+                self.action[(m, a)] = out
+        self.dcols = _clean_dcols(self.field, dcols, nm)
 
     @classmethod
     def regular(cls, A: DgAlgebra) -> "DgModule":
@@ -902,7 +910,7 @@ def validate_module(M: DgModule):
                 break
 
     # on_m[m][a] = by_a[a][m] = (module basis m) * (algebra basis a)
-    on_m, by_a = _operators(M.action)
+    on_m, by_a = operators(M.action)
     empty: dict = {}
     one = f.one
     for m in range(nm):

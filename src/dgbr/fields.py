@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DgError, ParseError
+from .errors import DgError, FieldMismatch, ParseError
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # Miller-Rabin with the prime bases up to 41 is exact below this bound
@@ -164,7 +164,7 @@ class PrimeField(Field):
             return x % self.p
         if isinstance(x, Fraction):
             if x.denominator % self.p == 0:
-                raise ZeroDivisionError(f"denominator divisible by {self.p}")
+                raise FieldMismatch(f"denominator divisible by {self.p}")
             return x.numerator * pow(x.denominator, -1, self.p) % self.p
         if isinstance(x, str):
             return self.parse(x)

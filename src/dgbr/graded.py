@@ -49,6 +49,20 @@ def apply(field: Field, cols, u: dict) -> dict:
     return acc
 
 
+def operators(table) -> tuple:
+    """Left and right operators of a bilinear table: L[i][j] = R[j][i] = table[(i, j)].
+
+    Both are ``{i: {j: column}}`` dicts that share the table's columns, so
+    ``apply(field, L[i], v)`` is e_i * v and ``apply(field, R[j], u)`` is u * e_j.
+    """
+    L: dict = {}
+    R: dict = {}
+    for (i, j), out in table.items():
+        L.setdefault(i, {})[j] = out
+        R.setdefault(j, {})[i] = out
+    return L, R
+
+
 def bilinear(field: Field, table, u: dict, v: dict) -> dict:
     """Sum of u[i] * v[j] * table[(i, j)]: a product table applied to two vectors."""
     mul = field.mul

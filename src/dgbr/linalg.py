@@ -1,4 +1,4 @@
-"""Dense exact matrices over a Field.
+"""Exact matrices over a Field: stored dense, eliminated sparse.
 
 Entries are raw field values (Fraction or residue int).  The public
 ``Matrix(field, rows)`` constructor coerces every entry, because it is where
@@ -7,18 +7,80 @@ package (elimination results, arithmetic, stacking, inverses) is built with
 the trusted ``Matrix._raw``, which takes rows that already hold field values
 and coerces nothing.
 
+All elimination runs through one kernel, ``rref_rows``, which works on rows
+stored as sparse ``{col: value}`` dicts: structure matrices built from
+matrix units are mostly zero, and the kernel touches only their nonzeros.
+``Matrix.rref`` converts to sparse rows and back; ``rank``,
+``column_space_pivots`` and ``Factored`` read the sparse rows directly.
+
 ``Matrix.solve`` eliminates afresh on every call.  When one matrix is solved
-against many right-hand sides, ``Matrix.factor()`` runs a single ``rref`` of
-``[A | I]`` and returns a ``Factored`` solver that keeps the pivots and the
-transform ``T`` with ``T * A = rref(A)``.  Each of its solves is one sparse
-product ``T * b``.  Both paths return the same canonical solution, entry for
-entry: the reduced echelon form is unique, and free variables are set to
-zero.
+against many right-hand sides, ``Matrix.factor()`` reduces ``[A | I]`` once
+and returns a ``Factored`` solver that keeps the pivots and the transform
+``T`` with ``T * A = rref(A)``.  Each of its solves is one sparse product
+``T * b``.  Both paths return the same canonical solution, entry for entry:
+the reduced echelon form is unique, and free variables are set to zero.
 """
 from __future__ import annotations
 
 from .errors import ShapeMismatch
 from .fields import Field
+
+
+def rref_rows(field: Field, rows):
+    """Reduced row echelon form of sparse rows ``{col: nonzero value}`` (Gauss-Jordan).
+
+    Returns ``(reduced, pivots)``: the nonzero rows of the reduced echelon
+    form as new dicts, ordered by their pivot columns, and those columns
+    ascending.  The input dicts are not modified.  The form is unique, so the
+    order of the input rows does not change the result.
+
+    Each row is reduced against the pivot rows found so far.  A nonzero
+    remainder is scaled to 1 at its smallest column, which becomes a new
+    pivot, and that column is cleared from the earlier pivot rows.  Pivot
+    rows are kept without their pivot entry (it is 1) and hold no other
+    pivot column, so subtracting one never creates a pivot-column entry.
+    """
+    sub, mul, neg, inv, is_zero = field.sub, field.mul, field.neg, field.inv, field.is_zero
+    one = field.one
+    tails: dict = {}    # pivot column -> rest of its reduced row
+    holders: dict = {}  # free column -> pivot columns whose tails may hold it
+
+    def subtract(row, t, tail):
+        # row -= t * tail, dropping cancelled entries; returns the new columns
+        new = []
+        for k, y in tail.items():
+            x = row.get(k)
+            if x is None:
+                row[k] = neg(mul(t, y))
+                new.append(k)
+            else:
+                x = sub(x, mul(t, y))
+                if is_zero(x):
+                    del row[k]
+                else:
+                    row[k] = x
+        return new
+
+    for row in rows:
+        row = dict(row)
+        for c in [c for c in row if c in tails]:
+            subtract(row, row.pop(c), tails[c])
+        if not row:
+            continue
+        c = min(row)
+        s = inv(row.pop(c))
+        tail = {k: mul(s, x) for k, x in row.items()}
+        for p in holders.pop(c, ()):
+            prow = tails[p]
+            t = prow.pop(c, None)
+            if t is not None:
+                for k in subtract(prow, t, tail):
+                    holders.setdefault(k, set()).add(p)
+        tails[c] = tail
+        for k in tail:
+            holders.setdefault(k, set()).add(c)
+    pivots = sorted(tails)
+    return [{c: one, **tails[c]} for c in pivots], tuple(pivots)
 
 
 class Matrix:
@@ -186,36 +248,27 @@ class Matrix:
 
     # -- elimination -------------------------------------------------------
 
+    def _sparse_rows(self):
+        """The rows as ``{col: value}`` dicts of their nonzero entries."""
+        is_zero = self.field.is_zero
+        return [{j: x for j, x in enumerate(r) if not is_zero(x)} for r in self.rows]
+
     def rref(self):
         """Reduced row echelon form; returns (matrix, pivot column indices)."""
         f = self.field
-        rows = [list(r) for r in self.rows]
-        m, n = self.nrows, self.ncols
-        pivots = []
-        r = 0
-        for c in range(n):
-            pr = None
-            for i in range(r, m):
-                if not f.is_zero(rows[i][c]):
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            rows[r], rows[pr] = rows[pr], rows[r]
-            inv = f.inv(rows[r][c])
-            rows[r] = [f.mul(inv, x) for x in rows[r]]
-            for i in range(m):
-                if i != r and not f.is_zero(rows[i][c]):
-                    t = rows[i][c]
-                    rows[i] = [f.sub(x, f.mul(t, y)) for x, y in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-            if r == m:
-                break
-        return Matrix._raw(f, rows, n), tuple(pivots)
+        reduced, pivots = rref_rows(f, self._sparse_rows())
+        zero, n = f.zero, self.ncols
+        rows = []
+        for row in reduced:
+            dense = [zero] * n
+            for j, x in row.items():
+                dense[j] = x
+            rows.append(dense)
+        rows += [(zero,) * n] * (self.nrows - len(rows))
+        return Matrix._raw(f, rows, n), pivots
 
     def rank(self):
-        return len(self.rref()[1])
+        return len(self.column_space_pivots())
 
     def kernel_basis(self):
         """Basis of the right kernel, as column tuples (free variables = 1)."""
@@ -238,7 +291,7 @@ class Matrix:
 
     def column_space_pivots(self):
         """Indices of a maximal independent set of columns (leftmost first)."""
-        return self.rref()[1]
+        return rref_rows(self.field, self._sparse_rows())[1]
 
     def solve(self, rhs):
         """One exact solution of self * x = rhs, or None if inconsistent.
@@ -284,7 +337,7 @@ class Matrix:
 class Factored:
     """A matrix A reduced once, for solving A * x = b against many b.
 
-    One rref of ``[A | I]`` yields the pivot columns of A and an invertible
+    One reduction of ``[A | I]`` yields the pivot columns of A and an invertible
     transform T with ``T * A = rref(A)``.  T is kept column by column, with
     only its nonzero entries, so a solve costs one pass over the nonzeros of
     b.  The answer is the one ``Matrix.solve`` gives: None when a row of
@@ -297,16 +350,19 @@ class Factored:
     def __init__(self, A: Matrix):
         f = A.field
         m, n = A.nrows, A.ncols
-        R, pivots = A.hstack(Matrix.identity(f, m)).rref()
+        rows = A._sparse_rows()
+        for i, row in enumerate(rows):
+            row[n + i] = f.one
+        reduced, pivots = rref_rows(f, rows)
         self.field = f
         self.nrows = m
         self.ncols = n
         self.pivots = tuple(p for p in pivots if p < n)
-        is_zero = f.is_zero
-        self._tcols = [
-            [(i, row[n + j]) for i, row in enumerate(R.rows) if not is_zero(row[n + j])]
-            for j in range(m)
-        ]
+        self._tcols = [[] for _ in range(m)]
+        for i, row in enumerate(reduced):
+            for k, x in row.items():
+                if k >= n:
+                    self._tcols[k - n].append((i, x))
 
     def solve(self, rhs):
         """Canonical solution of A * x = rhs, or None if inconsistent.

@@ -1,5 +1,8 @@
 """Sandwich isomorphism, structure realization, equivalence witnesses, quaternions."""
+import itertools
+
 import pytest
+from dense_oracle import dense_is_central_simple
 
 from dgbr.brauer import (
     _diagonal_candidates,
@@ -19,6 +22,7 @@ from dgbr.brauer import (
 )
 from dgbr.catalog import (
     dual_numbers,
+    generators,
     mat2_inner,
     mat3_inner,
     neutral,
@@ -27,18 +31,20 @@ from dgbr.catalog import (
 )
 from dgbr.dg import (
     KComplex,
+    center,
     ksign,
     opposite,
     regrade_trivial,
     swap_map,
     tensor_product,
+    trivial_dg,
     unsigned_swap_map,
 )
 from dgbr.errors import NoSuitableIdempotent, NotCentralSimple, ShapeMismatch
 from dgbr.fields import GF, QQ
 from dgbr.graded import HomogeneousMap
 from dgbr.homs import end_dg_algebra
-from dgbr.matrix_algebras import good_grading_matrix_algebra
+from dgbr.matrix_algebras import good_grading_matrix_algebra, inner_differential
 
 
 def test_lambda_rho_commute_up_to_sign():
@@ -72,6 +78,37 @@ def test_central_simplicity_classifier():
     assert is_central_simple(good_grading_matrix_algebra(QQ, 3, (1, 0)))
     assert not is_central_simple(dual_numbers(QQ))
     assert not is_central_simple(split_pair(QQ))
+
+
+def upper_triangular(field):
+    """Upper triangular 2x2 matrices: center K, but not semisimple."""
+    one = field.one
+    return trivial_dg(field, ("e11", "e12", "e22"), {0: one, 2: one},
+                      {(0, 0): {0: one}, (0, 1): {1: one}, (1, 2): {1: one}, (2, 2): {2: one}})
+
+
+@pytest.mark.parametrize("field", [QQ, GF(10007), GF(2), GF(3)], ids=repr)
+def test_central_simplicity_matches_the_dense_sandwich_rank(field):
+    # the dense n^2 x n^2 rank is the oracle up to dimension 16; every pairwise
+    # tensor product is also checked against: A (x) B is central simple iff A and B are
+    gens = [A for _, A in generators(field)]
+    cases = list(gens)
+    for A, B in itertools.product(gens, repeat=2):
+        T = tensor_product(A, B)
+        assert is_central_simple(T) == (is_central_simple(A) and is_central_simple(B))
+        if T.dim <= 9:
+            cases.append(T)
+    if field.characteristic() != 2:
+        cases.append(quaternion_algebra(field, field.one, field.neg(field.one)))
+    for n in (2, 3, 4):
+        M = good_grading_matrix_algebra(field, n, (1,) * (n - 1))
+        cases.append(inner_differential(M, M.element({"e12": 1})))
+    T2 = upper_triangular(field)
+    cases += [T2, tensor_product(T2, mat2_inner(field))]
+    verdicts = [is_central_simple(A) for A in cases]
+    assert verdicts == [dense_is_central_simple(A) for A in cases]
+    assert True in verdicts and False in verdicts
+    assert not is_central_simple(T2) and center(T2).space.total_dim == 1
 
 
 def test_sandwich_mat2_walkthrough():

@@ -324,6 +324,33 @@ def test_kcomplex_d_squared_checked():
     ]
 
 
+def _bad_index_cases():
+    one = QQ.one
+    point = GradedVectorSpace({0: 1})
+    pair = GradedVectorSpace({0: 1, 1: 1})
+    A = mat2_inner(QQ)  # dim 4
+    R = DgModule.regular(A)
+    return {
+        "product-row": lambda: DgAlgebra.build(QQ, point, {0: one}, {(0, 0): {5: one}}, {}),
+        "product-row-negative": lambda: DgAlgebra.build(
+            QQ, point, {0: one}, {(0, 0): {0: one, -1: one}}, {}),
+        "algebra-d-row": lambda: DgAlgebra.build(
+            QQ, point, {0: one}, {(0, 0): {0: one}}, {0: {1: one}}),
+        "complex-d-row": lambda: KComplex(QQ, pair, {0: {-1: one}}),
+        "complex-d-column": lambda: KComplex(QQ, pair, {2: {1: one}}),
+        "module-action-row": lambda: DgModule(A, R.space, {**R.action, (0, 0): {4: one}}, {}),
+        "module-action-key": lambda: DgModule(A, R.space, {**R.action, (0, 4): {0: one}}, {}),
+        "module-d-row": lambda: DgModule(A, R.space, R.action, {0: {-2: one}}),
+        "module-d-column": lambda: DgModule(A, R.space, R.action, {7: {0: one}}),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_bad_index_cases()))
+def test_indices_outside_the_basis_are_shape_mismatches(case):
+    with pytest.raises(ShapeMismatch, match="outside the bas"):
+        _bad_index_cases()[case]()
+
+
 def test_regular_module_validates():
     A = mat2_inner(QQ)
     M = DgModule.regular(A)

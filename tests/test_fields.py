@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from dgbr.errors import DgError, ParseError
+from dgbr.errors import DgError, FieldMismatch, ParseError
 from dgbr.fields import GF, QQ, field_from_description
 
 
@@ -45,6 +45,14 @@ def test_inverse_of_zero():
         GF(5).inv(0)
     with pytest.raises(ZeroDivisionError):
         QQ.inv(QQ.zero)
+
+
+def test_fraction_with_p_in_the_denominator_is_a_field_mismatch():
+    F = GF(7)
+    assert F.coerce(Fraction(3, 2)) == 5
+    for x in (Fraction(1, 7), Fraction(-3, 14)):
+        with pytest.raises(FieldMismatch, match="denominator divisible by 7"):
+            F.coerce(x)
 
 
 def test_gf_requires_prime():

@@ -1,11 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from dense_oracle import dense_inverse, dense_kernel_basis, dense_rref, dense_solve
 from hypothesis import given, settings, strategies as st
 
 from dgbr.errors import ShapeMismatch
 from dgbr.fields import GF, QQ
-from dgbr.linalg import Matrix
+from dgbr.linalg import Matrix, rref_rows
 
 
 def mat(rows, field=QQ):
@@ -98,16 +99,18 @@ def test_hstack():
 # -- the factored solver against the one-shot oracle ------------------------------
 
 entries = st.integers(-3, 3)
+# mostly zero, like the structure matrices built from matrix units
+sparse_entries = st.sampled_from((0,) * 8 + (1, -1, 2, 3))
 
 
 @st.composite
-def matrices(draw):
+def matrices(draw, values=entries, max_side=6):
     """A matrix over QQ or GF(7), often rank deficient, possibly with 0 rows or columns."""
     field = draw(st.sampled_from([QQ, GF(7)]))
-    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    m, n = draw(st.integers(0, max_side)), draw(st.integers(0, max_side))
 
     def rand(rows, cols):
-        return Matrix(field, [[draw(entries) for _ in range(cols)] for _ in range(rows)],
+        return Matrix(field, [[draw(values) for _ in range(cols)] for _ in range(rows)],
                       ncols=cols)
 
     if draw(st.booleans()):
@@ -172,3 +175,44 @@ def test_operations_reject_mixed_fields():
         a.hstack(b)
     with pytest.raises(ShapeMismatch):
         a * b
+
+
+# -- the sparse elimination kernel against the dense Gauss-Jordan oracle ----------
+
+
+@pytest.mark.parametrize("values, max_side", [(entries, 6), (sparse_entries, 10)],
+                         ids=["dense", "sparse"])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_elimination_matches_the_dense_oracle(data, values, max_side):
+    A = data.draw(matrices(values, max_side))
+    f, m, n = A.field, A.nrows, A.ncols
+    R, pivots = A.rref()
+    oracle, oracle_pivots = dense_rref(f, A.rows, n)
+    assert R.rows == tuple(oracle) and pivots == oracle_pivots
+    assert A.rank() == len(oracle_pivots)
+    assert A.column_space_pivots() == oracle_pivots
+    assert A.kernel_basis_and_pivots() == dense_kernel_basis(f, A.rows, n)
+
+    solver = A.factor()
+    assert solver.pivots == oracle_pivots
+    in_span = A.apply([f.coerce(data.draw(values)) for _ in range(n)])
+    anything = tuple(f.coerce(data.draw(values)) for _ in range(m))
+    for rhs in (in_span, anything):
+        assert solver.solve(rhs) == A.solve(rhs) == dense_solve(f, A.rows, n, rhs)
+
+    k = min(m, n)
+    block = [r[:k] for r in A.rows[:k]]
+    inv = Matrix._raw(f, block, k).inverse()
+    assert (None if inv is None else inv.rows) == dense_inverse(f, block)
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_rref_rows_does_not_depend_on_row_order(data):
+    A = data.draw(matrices(sparse_entries, 10))
+    rows = [{j: x for j, x in enumerate(r) if not A.field.is_zero(x)} for r in A.rows]
+    copies = [dict(r) for r in rows]
+    shuffled = data.draw(st.permutations(rows))
+    assert rref_rows(A.field, shuffled) == rref_rows(A.field, rows)
+    assert rows == copies  # the input rows are left alone
