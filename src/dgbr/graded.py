@@ -339,12 +339,17 @@ class HomogeneousMap:
 
     @classmethod
     def from_flat_columns(cls, field, source, target, degree, cols):
+        for j, col in cols.items():
+            if not 0 <= j < source.total_dim:
+                raise ShapeMismatch(f"column index {j} outside the source space")
+            for i in col:
+                if not 0 <= i < target.total_dim:
+                    raise ShapeMismatch(f"row index {i} outside the target space")
         blocks = {}
         for k in source.degrees():
             m, n = target.dim(k + degree), source.dim(k)
             data = [[field.zero] * n for _ in range(m)]
             sbase = source.flat_index(k, 0) if n else 0
-            tbase = target.flat_index(k + degree, 0) if m else 0
             for j in range(n):
                 for ti, c in cols.get(sbase + j, {}).items():
                     tk, tpos = target.flat_info(ti)
@@ -353,7 +358,6 @@ class HomogeneousMap:
                             f"column {sbase + j} (degree {k}) hits degree {tk}, expected {k + degree}"
                         )
                     data[tpos][j] = field.coerce(c)
-                    assert tbase + tpos == ti
             blocks[k] = Matrix._raw(field, data, n)
         return cls(field, source, target, degree, blocks)
 

@@ -3,10 +3,15 @@
 ``dense_rref`` is the column-by-column Gauss-Jordan loop on dense rows that
 ``Matrix.rref`` ran before elimination moved to sparse rows, and
 ``dense_is_central_simple`` is the dense n^2 x n^2 sandwich rank that
-``is_central_simple`` took before it built sparse rows.  They are kept
-only as oracles for the tests.
+``is_central_simple`` took before it built sparse rows.
+``dense_validate_structure`` and ``dense_validate_module`` are the
+validators as they were before associativity and Leibniz were checked only
+on the support of the tables: they visit every basis triple and pair.  All
+of them are kept only as oracles for the tests.
 """
-from dgbr.dg import center
+from dgbr.dg import DgModule, _show, center, ksign, validate_complex
+from dgbr.errors import AxiomViolation
+from dgbr.graded import add_into, apply, operators
 
 
 def dense_rref(field, rows, ncols):
@@ -92,3 +97,156 @@ def dense_is_central_simple(A):
     """Center of dimension 1 and a sandwich map of full rank n^2."""
     n = A.dim
     return n > 0 and center(A).space.total_dim == 1 and dense_sandwich_rank(A) == n * n
+
+
+def dense_validate_structure(field, space, unit, table, dcols):
+    """Exhaustive axiom check; returns every violation found.
+
+    The product axioms are checked around ``validate_complex``: every
+    product becomes an ``apply`` of a left or right multiplication operator.
+    """
+    v: list[AxiomViolation] = []
+    n = space.total_dim
+    deg = space.flat_degrees()
+
+    def show(vec):
+        return _show(field, space, vec)
+
+    # degree additivity of the product
+    for (i, j), out in sorted(table.items()):
+        want = deg[i] + deg[j]
+        for k in out:
+            if deg[k] != want:
+                v.append(AxiomViolation(
+                    "degree-additivity", (i, j),
+                    f"product hits degree {deg[k]}, expected {want}",
+                ))
+                break
+
+    # unit: homogeneous of degree 0, two-sided neutral
+    if n == 0:
+        if unit:
+            v.append(AxiomViolation("unit-degree", (), "nonzero unit in the zero algebra"))
+    else:
+        if not unit:
+            v.append(AxiomViolation("unit-law", (), "unit is zero"))
+        for i in unit:
+            if deg[i] != 0:
+                v.append(AxiomViolation("unit-degree", (i,), f"unit has a degree-{deg[i]} component"))
+                break
+
+    L, R = operators(table)
+    empty: dict = {}
+    one = field.one
+    if unit:
+        for i in range(n):
+            e = {i: one}
+            if apply(field, R.get(i, empty), unit) != e:
+                v.append(AxiomViolation("unit-law", (i,), "1*e differs from e"))
+            if apply(field, L.get(i, empty), unit) != e:
+                v.append(AxiomViolation("unit-law", (i,), "e*1 differs from e"))
+
+    # associativity on every basis triple: (e_i e_j) e_k = R_k(t_ij), e_i (e_j e_k) = L_i(t_jk)
+    for i in range(n):
+        Li = L.get(i, empty)
+        for j in range(n):
+            tij = table.get((i, j))
+            for k in range(n):
+                tjk = table.get((j, k))
+                if tij is None and tjk is None:
+                    continue
+                left = apply(field, R.get(k, empty), tij) if tij else {}
+                right = apply(field, Li, tjk) if tjk else {}
+                if left != right:
+                    v.append(AxiomViolation(
+                        "associativity", (i, j, k),
+                        f"(e{i}*e{j})*e{k} = {show(left)} but e{i}*(e{j}*e{k}) = {show(right)}",
+                    ))
+
+    v += validate_complex(field, space, dcols)
+
+    # graded Leibniz rule on every basis pair: d(e_i e_j) = R_j(d e_i) +- L_i(d e_j)
+    minus = field.neg(one)
+    for i in range(n):
+        di = dcols.get(i, empty)
+        Li = L.get(i, empty)
+        sign = None if ksign(deg[i], 1) > 0 else minus
+        for j in range(n):
+            lhs = apply(field, dcols, table.get((i, j), empty))
+            rhs = apply(field, R.get(j, empty), di)
+            add_into(field, rhs, apply(field, Li, dcols.get(j, empty)), scale=sign)
+            if lhs != rhs:
+                v.append(AxiomViolation(
+                    "leibniz", (i, j),
+                    f"d(e{i}*e{j}) = {show(lhs)} but the rule gives {show(rhs)}",
+                ))
+
+    # d(1) = 0: implied by Leibniz, still checked to catch corrupt input
+    du = apply(field, dcols, unit)
+    if du:
+        v.append(AxiomViolation("d-unit", (), f"d(1) = {show(du)}"))
+
+    return v
+
+
+def dense_validate_module(M: DgModule):
+    """All module axioms, exhaustively; returns the violations found.
+
+    ``validate_complex`` on (space, d) with ``module-`` axiom names, plus the
+    action axioms as applies of the action operators.
+    """
+    A = M.algebra
+    f = M.field
+    v: list[AxiomViolation] = []
+    mdeg = M.space.flat_degrees()
+    adeg = A.space.flat_degrees()
+    nm, na = M.space.total_dim, A.dim
+
+    for (m, a), out in sorted(M.action.items()):
+        want = mdeg[m] + adeg[a]
+        for k in out:
+            if mdeg[k] != want:
+                v.append(AxiomViolation(
+                    "module-degree", (m, a), f"action hits degree {mdeg[k]}, expected {want}"))
+                break
+
+    # on_m[m][a] = by_a[a][m] = (module basis m) * (algebra basis a)
+    on_m, by_a = operators(M.action)
+    empty: dict = {}
+    one = f.one
+    for m in range(nm):
+        if apply(f, on_m.get(m, empty), A.unit) != {m: one}:
+            v.append(AxiomViolation("module-unit", (m,), "m*1 differs from m"))
+
+    for m in range(nm):
+        om = on_m.get(m, empty)
+        for a in range(na):
+            ma = M.action.get((m, a))
+            for b in range(na):
+                ab = A.table.get((a, b))
+                if ma is None and ab is None:
+                    continue
+                left = apply(f, by_a.get(b, empty), ma) if ma else {}
+                right = apply(f, om, ab) if ab else {}
+                if left != right:
+                    v.append(AxiomViolation(
+                        "module-associativity", (m, a, b),
+                        "(m*a)*b differs from m*(a*b)"))
+
+    v += [AxiomViolation("module-" + x.axiom, x.witness, x.detail)
+          for x in validate_complex(f, M.space, M.dcols)]
+
+    minus = f.neg(one)
+    for m in range(nm):
+        dm = M.dcols.get(m, empty)
+        om = on_m.get(m, empty)
+        sign = None if ksign(mdeg[m], 1) > 0 else minus
+        for a in range(na):
+            lhs = apply(f, M.dcols, M.action.get((m, a), empty))
+            rhs = apply(f, by_a.get(a, empty), dm)
+            add_into(f, rhs, apply(f, om, A.dcols.get(a, empty)), scale=sign)
+            if lhs != rhs:
+                v.append(AxiomViolation(
+                    "module-leibniz", (m, a),
+                    "d(m*a) differs from d(m)*a + (-1)^{|m|} m*d(a)"))
+    return v

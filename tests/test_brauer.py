@@ -127,6 +127,14 @@ def test_sandwich_quaternions():
     assert w.source.dim == 16
 
 
+def test_sandwich_good_graded_mat4():
+    """A (x) A^op and End(A) have dimension 256 and are each validated."""
+    M = good_grading_matrix_algebra(GF(10007), 4, (1, 1, 1))
+    w = sandwich_iso(inner_differential(M, M.element({"e12": 1})))
+    assert w.verified
+    assert w.source.dim == 256 and w.target.dim == 256
+
+
 def test_sandwich_requires_central_simple():
     with pytest.raises(NotCentralSimple):
         sandwich_iso(dual_numbers(QQ))

@@ -57,6 +57,14 @@ def test_homogeneous_map_blocks_and_apply():
     assert m.block(5).shape == (0, 0)
 
 
+@pytest.mark.parametrize("cols", [{0: {5: 1}}, {0: {-1: 1}}, {2: {0: 1}}, {-1: {0: 1}}],
+                         ids=["row-past-end", "negative-row", "column-past-end", "negative-column"])
+def test_flat_columns_outside_the_spaces_are_shape_mismatches(cols):
+    W = GradedVectorSpace({0: 2})
+    with pytest.raises(ShapeMismatch, match="outside the (source|target) space"):
+        HomogeneousMap.from_flat_columns(QQ, W, W, 0, cols)
+
+
 def test_map_compose_degrees_add():
     W = GradedVectorSpace({0: 1, 1: 1, 2: 1})
     up = HomogeneousMap.from_flat_columns(QQ, W, W, 1, {0: {1: QQ.one}, 1: {2: QQ.one}})

@@ -3,6 +3,7 @@ import itertools
 import random
 
 import pytest
+from dense_oracle import dense_validate_module, dense_validate_structure
 from hypothesis import given, settings, strategies as st
 
 from dgbr.brauer import (
@@ -23,6 +24,7 @@ from dgbr.catalog import (
 )
 from dgbr.brauer import structure_realize
 from dgbr.dg import (
+    DgModule,
     KComplex,
     center,
     homology,
@@ -31,9 +33,12 @@ from dgbr.dg import (
     opposite,
     swap_map,
     tensor_product,
+    validate_module,
+    validate_structure,
 )
 from dgbr.fields import GF, QQ
 from dgbr.formats import parse_algebra_text, serialize_algebra
+from dgbr.graded import clean_coeffs
 from dgbr.homs import hom_differential, hom_of_complexes
 
 FIELDS = [QQ, GF(2), GF(3), GF(5)]
@@ -159,3 +164,74 @@ def test_elimination_dims_agree_over_qq_and_a_large_prime(left, right):
         for f in _NAMED
     }
     assert over[QQ] == over[LARGE_PRIME]
+
+
+_ORACLE_GENS = {f: [A for _, A in generators(f)] for f in (QQ, GF(7))}
+DEFECTS = ("new-product", "coefficient", "delete", "d-column")
+
+
+def _perturb(draw, field, cols, keys, nrows, defect):
+    """A copy of sparse columns with one defect: a column at a key that had
+    none, one entry of a present column changed, a column deleted, or one
+    entry of any column (a d column) changed."""
+    cols = {k: dict(v) for k, v in cols.items()}
+    present = sorted(cols)
+    absent = [k for k in keys if k not in cols]
+    row = draw(st.integers(0, nrows - 1))
+    if defect == "new-product" and absent:
+        cols[draw(st.sampled_from(absent))] = {row: draw(st.sampled_from((1, 2, -1)))}
+    elif defect == "delete" and present:
+        del cols[draw(st.sampled_from(present))]
+    else:
+        key = draw(st.sampled_from(present if defect == "coefficient" and present else keys))
+        cols.setdefault(key, {})[row] = draw(st.sampled_from((0, 1, 2, -1)))
+    return {k: c for k, c in ((k, clean_coeffs(field, v)) for k, v in cols.items()) if c}
+
+
+@st.composite
+def perturbed_structures(draw):
+    """(validator, dense oracle, arguments) for a catalog algebra or a tensor
+    product of two, or for one of its regular modules, with one to three
+    defects in its product or action table and its differential."""
+    field = draw(st.sampled_from(list(_ORACLE_GENS)))
+    gens = _ORACLE_GENS[field]
+    A = draw(st.sampled_from(gens))
+    if draw(st.booleans()):
+        A = tensor_product(A, draw(st.sampled_from(gens)))
+    target = draw(st.sampled_from(("algebra", "regular", "left-regular-as-op")))
+    if target == "algebra":
+        table, dcols, nrows = A.table, A.dcols, A.dim
+    else:
+        M = DgModule.regular(A) if target == "regular" else DgModule.left_regular_as_op(A)
+        table, dcols, nrows = M.action, M.dcols, M.space.total_dim
+    keys = [(i, j) for i in range(nrows) for j in range(A.dim)]
+    for defect in draw(st.lists(st.sampled_from(DEFECTS), min_size=1, max_size=3)):
+        if defect == "d-column":
+            dcols = _perturb(draw, field, dcols, range(nrows), nrows, defect)
+        else:
+            table = _perturb(draw, field, table, keys, nrows, defect)
+    if target == "algebra":
+        return validate_structure, dense_validate_structure, (field, A.space, A.unit, table, dcols)
+    return validate_module, dense_validate_module, (DgModule(M.algebra, M.space, table, dcols),)
+
+
+@given(case=perturbed_structures())
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_support_validation_matches_the_dense_oracle(case):
+    """The same (axiom, witness, detail) list, in order, as the loops over
+    every basis triple and pair."""
+    validate, oracle, args = case
+    assert validate(*args) == oracle(*args)
+
+
+@pytest.mark.parametrize("field", list(_ORACLE_GENS), ids=str)
+def test_each_deleted_product_is_judged_as_by_the_dense_oracle(field):
+    """Deleting one product can leave a basis element that multiplies to
+    zero with everything but still has a differential; Leibniz must reach it."""
+    for A in _ORACLE_GENS[field]:
+        for key in sorted(A.table):
+            table = {k: v for k, v in A.table.items() if k != key}
+            args = (field, A.space, A.unit, table, A.dcols)
+            assert validate_structure(*args) == dense_validate_structure(*args)
+            M = DgModule(A, A.space, table, A.dcols)
+            assert validate_module(M) == dense_validate_module(M)

@@ -22,8 +22,9 @@ def base(name, field):
 
 def corrupt(A, kind):
     """Structure data of A with one defect: a doubled unit, one product
-    coefficient raised by 1 on the last basis element, or d(e0) given an
-    extra e0 term."""
+    coefficient raised by 1 on the last basis element, the last basis
+    element as the product of the first pair whose product was zero, or
+    d(e0) given an extra e0 term."""
     f = A.field
     unit = dict(A.unit)
     table = {k: dict(v) for k, v in A.table.items()}
@@ -33,6 +34,10 @@ def corrupt(A, kind):
     elif kind == "product-entry":
         key, m = min(table), A.dim - 1
         table[key][m] = f.add(table[key].get(m, f.zero), f.one)
+    elif kind == "new-product":
+        n = A.dim
+        key = min((i, j) for i in range(n) for j in range(n) if (i, j) not in table)
+        table[key] = {n - 1: f.one}
     else:
         i = min(diff)
         diff[i][i] = f.add(diff[i].get(i, f.zero), f.one)
@@ -318,6 +323,106 @@ PINNED = {
              'd(e1*e2) = 1*X@X + 10006*X@1 + 1*1@X but the rule gives 10006*X@1 + 1*1@X'),
             ('leibniz', (2, 1),
              'd(e2*e1) = 10006*X@X + 1*X@1 + 10006*1@X but the rule gives 1*X@1 + 10006*1@X'),
+        ],
+    ),
+    ('mat2-inner', 'new-product', 'QQ'): (
+        ('8 axiom violation(s): degree-additivity fails at (0, 0): product hits degree 1, expected -2; '
+         'associativity fails at (0, 0, 0): (e0*e0)*e0 = 1*e11 but e0*(e0*e0) = 1*e22; '
+         'associativity fails at (0, 0, 1): (e0*e0)*e1 = 0 but e0*(e0*e1) = 1*e12; '
+         'associativity fails at (0, 0, 2): (e0*e0)*e2 = 1*e12 but e0*(e0*e2) = 0 (+4 more)'),
+        [
+            ('degree-additivity', (0, 0),
+             'product hits degree 1, expected -2'),
+            ('associativity', (0, 0, 0),
+             '(e0*e0)*e0 = 1*e11 but e0*(e0*e0) = 1*e22'),
+            ('associativity', (0, 0, 1),
+             '(e0*e0)*e1 = 0 but e0*(e0*e1) = 1*e12'),
+            ('associativity', (0, 0, 2),
+             '(e0*e0)*e2 = 1*e12 but e0*(e0*e2) = 0'),
+            ('associativity', (0, 1, 0),
+             '(e0*e1)*e0 = 1*e12 but e0*(e1*e0) = 0'),
+            ('associativity', (0, 2, 0),
+             '(e0*e2)*e0 = 0 but e0*(e2*e0) = 1*e12'),
+            ('associativity', (1, 0, 0),
+             '(e1*e0)*e0 = 0 but e1*(e0*e0) = 1*e12'),
+            ('associativity', (2, 0, 0),
+             '(e2*e0)*e0 = 1*e12 but e2*(e0*e0) = 0'),
+        ],
+    ),
+    ('dual@dual', 'new-product', 'QQ'): (
+        ('9 axiom violation(s): degree-additivity fails at (0, 0): product hits degree 0, expected -4; '
+         'associativity fails at (0, 0, 1): (e0*e0)*e1 = 1*X@1 but e0*(e0*e1) = 0; '
+         'associativity fails at (0, 0, 2): (e0*e0)*e2 = 1*1@X but e0*(e0*e2) = 0; '
+         'associativity fails at (0, 1, 2): (e0*e1)*e2 = 0 but e0*(e1*e2) = 1*1@1 (+5 more)'),
+        [
+            ('degree-additivity', (0, 0),
+             'product hits degree 0, expected -4'),
+            ('associativity', (0, 0, 1),
+             '(e0*e0)*e1 = 1*X@1 but e0*(e0*e1) = 0'),
+            ('associativity', (0, 0, 2),
+             '(e0*e0)*e2 = 1*1@X but e0*(e0*e2) = 0'),
+            ('associativity', (0, 1, 2),
+             '(e0*e1)*e2 = 0 but e0*(e1*e2) = 1*1@1'),
+            ('associativity', (0, 2, 1),
+             '(e0*e2)*e1 = 0 but e0*(e2*e1) = -1*1@1'),
+            ('associativity', (1, 0, 0),
+             '(e1*e0)*e0 = 0 but e1*(e0*e0) = 1*X@1'),
+            ('associativity', (1, 2, 0),
+             '(e1*e2)*e0 = 1*1@1 but e1*(e2*e0) = 0'),
+            ('associativity', (2, 0, 0),
+             '(e2*e0)*e0 = 0 but e2*(e0*e0) = 1*1@X'),
+            ('associativity', (2, 1, 0),
+             '(e2*e1)*e0 = -1*1@1 but e2*(e1*e0) = 0'),
+        ],
+    ),
+    ('mat2-inner', 'new-product', 'GF(10007)'): (
+        ('8 axiom violation(s): degree-additivity fails at (0, 0): product hits degree 1, expected -2; '
+         'associativity fails at (0, 0, 0): (e0*e0)*e0 = 1*e11 but e0*(e0*e0) = 1*e22; '
+         'associativity fails at (0, 0, 1): (e0*e0)*e1 = 0 but e0*(e0*e1) = 1*e12; '
+         'associativity fails at (0, 0, 2): (e0*e0)*e2 = 1*e12 but e0*(e0*e2) = 0 (+4 more)'),
+        [
+            ('degree-additivity', (0, 0),
+             'product hits degree 1, expected -2'),
+            ('associativity', (0, 0, 0),
+             '(e0*e0)*e0 = 1*e11 but e0*(e0*e0) = 1*e22'),
+            ('associativity', (0, 0, 1),
+             '(e0*e0)*e1 = 0 but e0*(e0*e1) = 1*e12'),
+            ('associativity', (0, 0, 2),
+             '(e0*e0)*e2 = 1*e12 but e0*(e0*e2) = 0'),
+            ('associativity', (0, 1, 0),
+             '(e0*e1)*e0 = 1*e12 but e0*(e1*e0) = 0'),
+            ('associativity', (0, 2, 0),
+             '(e0*e2)*e0 = 0 but e0*(e2*e0) = 1*e12'),
+            ('associativity', (1, 0, 0),
+             '(e1*e0)*e0 = 0 but e1*(e0*e0) = 1*e12'),
+            ('associativity', (2, 0, 0),
+             '(e2*e0)*e0 = 1*e12 but e2*(e0*e0) = 0'),
+        ],
+    ),
+    ('dual@dual', 'new-product', 'GF(10007)'): (
+        ('9 axiom violation(s): degree-additivity fails at (0, 0): product hits degree 0, expected -4; '
+         'associativity fails at (0, 0, 1): (e0*e0)*e1 = 1*X@1 but e0*(e0*e1) = 0; '
+         'associativity fails at (0, 0, 2): (e0*e0)*e2 = 1*1@X but e0*(e0*e2) = 0; '
+         'associativity fails at (0, 1, 2): (e0*e1)*e2 = 0 but e0*(e1*e2) = 1*1@1 (+5 more)'),
+        [
+            ('degree-additivity', (0, 0),
+             'product hits degree 0, expected -4'),
+            ('associativity', (0, 0, 1),
+             '(e0*e0)*e1 = 1*X@1 but e0*(e0*e1) = 0'),
+            ('associativity', (0, 0, 2),
+             '(e0*e0)*e2 = 1*1@X but e0*(e0*e2) = 0'),
+            ('associativity', (0, 1, 2),
+             '(e0*e1)*e2 = 0 but e0*(e1*e2) = 1*1@1'),
+            ('associativity', (0, 2, 1),
+             '(e0*e2)*e1 = 0 but e0*(e2*e1) = 10006*1@1'),
+            ('associativity', (1, 0, 0),
+             '(e1*e0)*e0 = 0 but e1*(e0*e0) = 1*X@1'),
+            ('associativity', (1, 2, 0),
+             '(e1*e2)*e0 = 1*1@1 but e1*(e2*e0) = 0'),
+            ('associativity', (2, 0, 0),
+             '(e2*e0)*e0 = 0 but e2*(e0*e0) = 1*1@X'),
+            ('associativity', (2, 1, 0),
+             '(e2*e1)*e0 = 10006*1@1 but e2*(e1*e0) = 0'),
         ],
     ),
 }
