@@ -72,28 +72,28 @@ def verify_dg_iso(A: DgAlgebra, B: DgAlgebra, m: HomogeneousMap) -> IsoWitness:
     if m.source != A.space or m.target != B.space or m.degree != 0:
         raise ShapeMismatch("expected a degree-0 map between the two underlying spaces")
     f = A.field
-    one = f.one
     cols = m.flat_columns()
+    empty: dict = {}
     failures = []
 
     is_hom = True
     for i in range(A.dim):
-        ci = cols.get(i, {})
+        ci = cols.get(i, empty)
         for j in range(A.dim):
-            lhs = m.apply_flat(A.mul({i: one}, {j: one}))
-            rhs = B.mul(ci, cols.get(j, {}))
+            lhs = apply(f, cols, A.table.get((i, j), empty))
+            rhs = B.mul(ci, cols.get(j, empty))
             if lhs != rhs:
                 is_hom = False
                 if len(failures) < 8:
                     failures.append(("product", A.label_of(i), A.label_of(j)))
 
-    is_unital = m.apply_flat(A.unit) == B.unit
+    is_unital = apply(f, cols, A.unit) == B.unit
     if not is_unital and len(failures) < 8:
         failures.append(("unit",))
 
     commutes = True
     for i in range(A.dim):
-        if m.apply_flat(A.d_apply({i: one})) != B.d_apply(cols.get(i, {})):
+        if apply(f, cols, A.dcols.get(i, empty)) != B.d_apply(cols.get(i, empty)):
             commutes = False
             if len(failures) < 8:
                 failures.append(("differential", A.label_of(i)))
@@ -454,8 +454,12 @@ def structure_realize(A: DgAlgebra) -> StructureRealization:
         if img:
             dL_cols[s] = img
     L = KComplex(f, Q.space, dL_cols)
-    if L.space.is_zero():
-        raise ValidationError([AxiomViolation("structure", (), "L collapsed to zero")])
+    # A -> End(L) can be bijective only if dim A = (dim L)^2; an idempotent
+    # that is not primitive (the unit of a split quaternion algebra), or any
+    # idempotent of a division algebra, fails here, before End(L) is built
+    if L.space.total_dim ** 2 != A.dim:
+        raise NoSuitableIdempotent(choice.rejected, (
+            choice.index, A.label_of(next(iter(e))), dict(L.space.dims), A.dim))
     E = end_dg_algebra(L)
 
     cols = {}

@@ -62,14 +62,30 @@ class ContainmentCertificate:
 
 
 class NoSuitableIdempotent(DgError):
-    """No diagonal idempotent satisfies the span condition; keeps all certificates."""
+    """No diagonal idempotent yields a realization; keeps all certificates.
 
-    def __init__(self, certificates):
+    Either every candidate e has A*e inside A*d(e), or the chosen e does not
+    split A: given ``chosen = (index, label, l_dims, dim)``, the quotient
+    L = (A*e + A*d(e)) / A*d(e) has degree dimensions ``l_dims`` whose total
+    squared is not ``dim`` = dim A, so no map A -> End(L) can be bijective.
+    That happens when e is not primitive (the unit of a split quaternion
+    algebra) or when A is not split at all (a division algebra).
+    """
+
+    def __init__(self, certificates, chosen=None):
         self.certificates = list(certificates)
-        super().__init__(
-            "every diagonal idempotent e has its left ideal contained in A*d(e); "
-            f"checked {len(self.certificates)} candidates"
-        )
+        self.chosen = chosen
+        if chosen is None:
+            msg = ("every diagonal idempotent e has its left ideal contained in A*d(e); "
+                   f"checked {len(self.certificates)} candidates")
+        else:
+            index, label, l_dims, dim = chosen
+            total = sum(l_dims.values())
+            msg = (f"diagonal idempotent {index} (basis element {label!r}) does not "
+                   f"split A: L has dims {l_dims}, and {total}^2 = {total * total} "
+                   f"!= dim A = {dim}, so e is not primitive or A is not split; "
+                   f"{len(self.certificates)} candidates rejected before it")
+        super().__init__(msg)
 
 
 class NotCentralSimple(DgError):

@@ -1,8 +1,9 @@
 """Exact coefficient fields: the rationals and prime fields.
 
-Rational values are ``fractions.Fraction`` instances (always reduced, positive
-denominator), prime-field values are plain ints in ``[0, p)``.  All arithmetic
-in the package goes through a ``Field`` so the two representations never mix.
+A rational value is a plain ``int`` when it is integral and a reduced
+``fractions.Fraction`` with denominator > 1 otherwise; prime-field values are
+plain ints in ``[0, p)``.  All arithmetic in the package goes through a
+``Field`` so the two fields never mix.
 """
 from __future__ import annotations
 
@@ -80,10 +81,24 @@ class Field:
         raise NotImplementedError
 
 
+def _norm(x):
+    """An integral Fraction as its int numerator; ints and other Fractions as they are."""
+    if type(x) is Fraction and x.denominator == 1:
+        return x.numerator
+    return x
+
+
 class RationalField(Field):
+    """QQ: integral values are ``int``, all others reduced ``Fraction``.
+
+    ``int`` and ``Fraction`` compare, hash and print alike, so the split is
+    invisible to dict keys, equality and output; it only keeps integral
+    arithmetic off the slower ``Fraction`` path.
+    """
+
     kind = "rationals"
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def characteristic(self):
         return 0
@@ -91,8 +106,10 @@ class RationalField(Field):
     def coerce(self, x):
         if isinstance(x, bool):
             raise DgError("bool is not a scalar")
-        if isinstance(x, (int, Fraction)):
-            return Fraction(x)
+        if isinstance(x, int):
+            return int(x)
+        if isinstance(x, Fraction):
+            return _norm(Fraction(x))
         if isinstance(x, str):
             return self.parse(x)
         raise DgError(f"cannot coerce {type(x).__name__} into the rationals")
@@ -102,7 +119,7 @@ class RationalField(Field):
         if "." in text or "e" in text.lower():
             raise ParseError(f"not an exact rational literal: {text!r}")
         try:
-            return Fraction(text)
+            return _norm(Fraction(text))
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad rational literal {text!r}: {exc}") from None
 
@@ -110,13 +127,13 @@ class RationalField(Field):
         return str(a)
 
     def add(self, a, b):
-        return a + b
+        return _norm(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _norm(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return _norm(a * b)
 
     def neg(self, a):
         return -a
@@ -124,7 +141,7 @@ class RationalField(Field):
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a
+        return _norm(Fraction(1, a))
 
     def is_zero(self, a):
         return not a

@@ -1,6 +1,7 @@
 """Exact matrices over a Field: stored dense, eliminated sparse.
 
-Entries are raw field values (Fraction or residue int).  The public
+Entries are raw field values: for QQ an int when integral and a reduced
+Fraction otherwise, for GF(p) a residue int.  The public
 ``Matrix(field, rows)`` constructor coerces every entry, because it is where
 outside values enter.  Everything computed inside the
 package (elimination results, arithmetic, stacking, inverses) is built with

@@ -6,11 +6,16 @@
 ``is_central_simple`` took before it built sparse rows.
 ``dense_validate_structure`` and ``dense_validate_module`` are the
 validators as they were before associativity and Leibniz were checked only
-on the support of the tables: they visit every basis triple and pair.  All
-of them are kept only as oracles for the tests.
+on the support of the tables: they visit every basis triple and pair.
+``FractionField`` is the rational field as it was before integral values
+became ``int``: every value it makes is a ``Fraction``.  All of them are kept
+only as oracles for the tests.
 """
+from fractions import Fraction
+
 from dgbr.dg import DgModule, _show, center, ksign, validate_complex
-from dgbr.errors import AxiomViolation
+from dgbr.errors import AxiomViolation, DgError, ParseError
+from dgbr.fields import Field
 from dgbr.graded import add_into, apply, operators
 
 
@@ -250,3 +255,70 @@ def dense_validate_module(M: DgModule):
                     "module-leibniz", (m, a),
                     "d(m*a) differs from d(m)*a + (-1)^{|m|} m*d(a)"))
     return v
+
+
+class FractionField(Field):
+    """The rationals with every value a ``Fraction``, integral ones included."""
+
+    kind = "rationals"
+    zero = Fraction(0)
+    one = Fraction(1)
+
+    def characteristic(self):
+        return 0
+
+    def coerce(self, x):
+        if isinstance(x, bool):
+            raise DgError("bool is not a scalar")
+        if isinstance(x, (int, Fraction)):
+            return Fraction(x)
+        if isinstance(x, str):
+            return self.parse(x)
+        raise DgError(f"cannot coerce {type(x).__name__} into the rationals")
+
+    def parse(self, text):
+        text = text.strip()
+        if "." in text or "e" in text.lower():
+            raise ParseError(f"not an exact rational literal: {text!r}")
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"bad rational literal {text!r}: {exc}") from None
+
+    def format(self, a):
+        return str(a)
+
+    def add(self, a, b):
+        return a + b
+
+    def sub(self, a, b):
+        return a - b
+
+    def mul(self, a, b):
+        return a * b
+
+    def neg(self, a):
+        return -a
+
+    def inv(self, a):
+        if not a:
+            raise ZeroDivisionError("inverse of zero")
+        return 1 / a
+
+    def is_zero(self, a):
+        return not a
+
+    def describe(self):
+        return {"kind": "rationals"}
+
+    def __eq__(self, other):
+        return isinstance(other, FractionField)
+
+    def __hash__(self):
+        return hash("rationals")
+
+    def __repr__(self):
+        return "QQ[Fraction]"
+
+
+FRACTION_QQ = FractionField()

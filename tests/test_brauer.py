@@ -292,6 +292,20 @@ def test_split_quaternions_still_central_simple():
     assert forget_descriptor(Q).is_central_simple
 
 
+@pytest.mark.parametrize("field, a, b", [(GF(7), -1, -1), (QQ, 1, 1), (QQ, -1, -1)])
+def test_quaternions_whose_only_basis_idempotent_is_the_unit_have_none_suitable(field, a, b):
+    # the first two are Mat_2 and their unit is not primitive; the last is a
+    # division algebra; in all three L is all of A, and 4^2 != 4
+    with pytest.raises(NoSuitableIdempotent) as exc:
+        structure_realize(quaternion_algebra(field, a, b))
+    err = exc.value
+    assert err.certificates == []
+    assert err.chosen == (1, "1", {0: 4}, 4)
+    assert str(err) == ("diagonal idempotent 1 (basis element '1') does not split A: "
+                        "L has dims {0: 4}, and 4^2 = 16 != dim A = 4, so e is not "
+                        "primitive or A is not split; 0 candidates rejected before it")
+
+
 def test_forget_descriptor_ignores_grading():
     graded = good_grading_matrix_algebra(QQ, 3, (1, 0))
     flat = good_grading_matrix_algebra(QQ, 3, (0, 0))

@@ -276,6 +276,20 @@ def test_tgr_semisimple_verdicts():
     assert rep.kernel_report.verdict is True
 
 
+def test_tgr_semisimple_decides_the_eighth_tensor_power_over_qq():
+    # dual numbers to the 8th, dim 256: acyclic, but the kernel (binomial
+    # dims, 128 in all) has a nonzero radical
+    A = dual_numbers(QQ)
+    T = A
+    for _ in range(7):
+        T = tensor_product(T, A)
+    assert T.dim == 256
+    rep = is_tgr_semisimple(T)
+    assert rep.acyclic and rep.verdict is False
+    assert rep.kernel_dims == {-k: c for k, c in enumerate((1, 7, 21, 35, 35, 21, 7, 1))}
+    assert rep.kernel_report.verdict is False
+
+
 def test_tgr_false_even_when_kernel_indeterminate():
     A = dual_numbers(GF(2))
     big = tensor_product(tensor_product(A, A), tensor_product(A, A))

@@ -372,6 +372,19 @@ def test_cli_check_semisimple_indeterminate_exits_one():
     assert "None" in r.stdout
 
 
+@pytest.mark.parametrize("field, a, b", [(GF(7), -1, -1), (QQ, 1, 1)])
+def test_cli_structure_of_split_quaternions_exits_one(field, a, b, tmp_path):
+    from dgbr.brauer import quaternion_algebra
+
+    path = tmp_path / "q.json"
+    path.write_text(serialize_algebra(quaternion_algebra(field, a, b)))
+    r = run_cli("structure", str(path))
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr.startswith("claim does not hold: diagonal idempotent 1 ")
+    assert r.stderr.count("\n") == 1
+
+
 def test_cli_matrix_prime_field():
     r = run_cli("matrix", "--field", "prime", "--prime", "5", "-n", "2",
                 "--good-grading", "1")
