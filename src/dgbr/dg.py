@@ -14,6 +14,23 @@ in them is an ``apply`` of a left or right multiplication operator.
 Associativity and Leibniz are checked on the tuples where a side can be
 nonzero, found from the support of the tables; a skipped tuple has both sides
 zero, so the list is that of a loop over all triples and pairs, in order.
+
+A constructor may pass ``generators``, a hint S of homogeneous sparse
+vectors, which the algebra keeps.  When every other axiom holds,
+``validate_structure`` first tries to certify associativity and Leibniz from
+S: the words s1(s2(...(sk*1))) over S, grown by elimination, must span A, and
+both axioms must hold with x a basis term of S, against every basis y and z.
+If that fails, or the hint is empty, out of range, not homogeneous or has
+basis terms in over half the basis, the complete enumeration runs unchanged,
+so the list never depends on the hint.
+
+The certificate is exact.  N = {x : (xy)z = x(yz) for all y, z} is a
+subspace holding S, and 1 by the unit laws.  It is closed under products:
+((x1 x2)y)z = (x1(x2 y))z = x1((x2 y)z) = x1(x2(yz)) = (x1 x2)(yz).  So N
+holds every word, and N = A.  Then, with d(1) = 0, the homogeneous x with
+d(xy) = d(x)y + (-1)^|x| x d(y) for all y form, degree by degree, a subspace
+that holds 1 and S and is closed under products by the same computation; the
+words are homogeneous, so it spans A too.
 """
 from __future__ import annotations
 
@@ -35,7 +52,7 @@ from .graded import (
     kernel_of,
     operators,
 )
-from .linalg import Matrix
+from .linalg import Matrix, rref_rows
 
 
 def ksign(m: int, n: int) -> int:
@@ -88,7 +105,7 @@ class DgAlgebra:
     """A validated dg-algebra over an exact field."""
 
     def __init__(self, field, space, unit, table, dcols, *, presentation=None, hom=None,
-                 _validated=False):
+                 generators=None, _validated=False):
         if not _validated:
             raise ShapeMismatch("use DgAlgebra.build so the axioms get checked")
         self.field = field
@@ -98,13 +115,18 @@ class DgAlgebra:
         self.dcols = dcols
         self.presentation = presentation
         self.hom = hom
+        self.generators = generators
         self._dmap = None
 
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def build(cls, field, space, unit, table, diff, *, presentation=None, hom=None):
-        """Validate structure data and wrap it; raises ValidationError when bad."""
+    def build(cls, field, space, unit, table, diff, *, presentation=None, hom=None,
+              generators=None):
+        """Validate structure data and wrap it; raises ValidationError when bad.
+
+        ``generators`` is passed on to ``validate_structure`` and kept.
+        """
         n = space.total_dim
         unit = clean_coeffs(field, unit)
         tbl = {}
@@ -119,11 +141,11 @@ class DgAlgebra:
         for i in unit:
             if not (0 <= i < n):
                 raise ShapeMismatch(f"unit index {i} outside the basis")
-        violations = validate_structure(field, space, unit, tbl, dc)
+        violations = validate_structure(field, space, unit, tbl, dc, generators=generators)
         if violations:
             raise ValidationError(violations)
         return cls(field, space, unit, tbl, dc, presentation=presentation, hom=hom,
-                   _validated=True)
+                   generators=generators, _validated=True)
 
     @classmethod
     def zero_algebra(cls, field):
@@ -173,7 +195,8 @@ class DgAlgebra:
         return KComplex(self.field, self.space, self.dcols)
 
     def validate(self):
-        return validate_structure(self.field, self.space, self.unit, self.table, self.dcols)
+        return validate_structure(self.field, self.space, self.unit, self.table, self.dcols,
+                                  generators=self.generators)
 
     def __eq__(self, other):
         return (
@@ -213,20 +236,22 @@ def validate_complex(field, space, dcols):
     return v
 
 
-def _associativity_failures(field, on, by, table):
+def _associativity_failures(field, on, by, table, only=None):
     """(m, a, b, (m*a)*b, m*(a*b)) for each basis triple whose sides differ, in order.
 
     ``on[m][a] = by[a][m] = m*a`` operate a right action of ``table`` (an
     algebra passes L, R and its table).  (m*a)*b needs a term e_k of m*a with
     k*b nonzero, m*(a*b) a term e_k of a*b with m*k nonzero; on every other
-    triple both sides are zero.
+    triple both sides are zero.  ``only`` (sorted indices) limits m; the
+    candidates still come from all of ``on``.
     """
     involves: dict = {}
     for ab, out in table.items():
         for k in out:
             involves.setdefault(k, []).append(ab)
     empty: dict = {}
-    for m, om in sorted(on.items()):
+    for m in sorted(on) if only is None else only:
+        om = on.get(m, empty)
         cand = {(a, b) for a, ma in om.items() for k in ma for b in on.get(k, empty)}
         cand.update(ab for k in om for ab in involves.get(k, ()))
         for a, b in sorted(cand):
@@ -236,13 +261,14 @@ def _associativity_failures(field, on, by, table):
                 yield m, a, b, left, right
 
 
-def _leibniz_failures(field, on, by, mdcols, adcols, mdeg):
+def _leibniz_failures(field, on, by, mdcols, adcols, mdeg, only=None):
     """(m, a, d(m*a), d(m)*a + (-1)^|m| m*d(a)) for each pair whose sides differ, in order.
 
     ``on``/``by`` are as in ``_associativity_failures``; ``mdcols`` and
     ``adcols`` are the differentials of the acted-on space and the algebra.
     A side is nonzero only if m*a is, d(m) has a term e_k with k*a nonzero,
     or d(a) has a term e_k with m*k nonzero; other pairs are zero on both sides.
+    ``only`` (sorted indices) limits m.
     """
     hits: dict = {}
     for a, col in adcols.items():
@@ -250,7 +276,7 @@ def _leibniz_failures(field, on, by, mdcols, adcols, mdeg):
             hits.setdefault(k, []).append(a)
     empty: dict = {}
     minus = field.neg(field.one)
-    for m in sorted(set(on) | set(mdcols)):
+    for m in sorted(set(on) | set(mdcols)) if only is None else only:
         om, dm = on.get(m, empty), mdcols.get(m, empty)
         cand = set(om).union(*(on.get(k, empty) for k in dm), *(hits.get(k, ()) for k in om))
         sign = None if ksign(mdeg[m], 1) > 0 else minus
@@ -262,12 +288,40 @@ def _leibniz_failures(field, on, by, mdcols, adcols, mdeg):
                 yield m, a, lhs, rhs
 
 
-def validate_structure(field, space, unit, table, dcols):
+def _generators_certify(field, deg, unit, table, dcols, L, R, generators) -> bool:
+    """Associativity and Leibniz follow from their checks on the generators.
+
+    See the module docstring for why.  False, never an error, for a hint that
+    is empty, out of range, not homogeneous or not generating, or on any failure;
+    also when the hint's basis terms are over half the basis, as the complete
+    check then costs less than the certificate.
+    """
+    n = len(deg)
+    gens = [s for s in generators if s]
+    support = sorted({i for s in gens for i in s})
+    if not support or support[0] < 0 or support[-1] >= n or 2 * len(support) > n:
+        return False
+    if any(len({deg[i] for i in s}) > 1 for s in gens):
+        return False
+    # the words s1(s2(...(sk*1))): each product that rref_rows reports as
+    # independent of those before it is appended and multiplied on in turn
+    words: list = []
+    products = (bilinear(field, table, s, w) for w in words for s in gens if len(words) < n)
+    rref_rows(field, itertools.chain([unit], products), words.append)
+    return (len(words) == n
+            and next(_associativity_failures(field, L, R, table, support), None) is None
+            and next(_leibniz_failures(field, L, R, dcols, dcols, deg, support), None) is None)
+
+
+def validate_structure(field, space, unit, table, dcols, *, generators=None):
     """Complete axiom check; returns every violation found.
 
     The product axioms are checked around ``validate_complex``: every
     product becomes an ``apply`` of a left or right multiplication operator.
     Associativity and Leibniz skip only tuples whose two sides are both zero.
+    ``generators`` (a list of sparse vectors, or None) may certify those two
+    axioms from fewer checks, as the module docstring explains; the list
+    returned is the same with or without it.
     """
     v: list[AxiomViolation] = []
     n = space.total_dim
@@ -310,13 +364,19 @@ def validate_structure(field, space, unit, table, dcols):
             if apply(field, L.get(i, empty), unit) != e:
                 v.append(AxiomViolation("unit-law", (i,), "e*1 differs from e"))
 
+    complex_v = validate_complex(field, space, dcols)
+    du = apply(field, dcols, unit)
+    if (generators is not None and not v and not complex_v and not du
+            and _generators_certify(field, deg, unit, table, dcols, L, R, generators)):
+        return v
+
     for i, j, k, left, right in _associativity_failures(field, L, R, table):
         v.append(AxiomViolation(
             "associativity", (i, j, k),
             f"(e{i}*e{j})*e{k} = {show(left)} but e{i}*(e{j}*e{k}) = {show(right)}",
         ))
 
-    v += validate_complex(field, space, dcols)
+    v += complex_v
 
     for i, j, lhs, rhs in _leibniz_failures(field, L, R, dcols, dcols, deg):
         v.append(AxiomViolation(
@@ -325,7 +385,6 @@ def validate_structure(field, space, unit, table, dcols):
         ))
 
     # d(1) = 0: implied by Leibniz, still checked to catch corrupt input
-    du = apply(field, dcols, unit)
     if du:
         v.append(AxiomViolation("d-unit", (), f"d(1) = {show(du)}"))
 
@@ -343,7 +402,7 @@ def opposite(A: DgAlgebra) -> DgAlgebra:
         if ksign(deg[i], deg[j]) < 0:
             out = negate_coeffs(A.field, out)
         table[(j, i)] = out
-    return DgAlgebra.build(A.field, A.space, A.unit, table, A.dcols)
+    return DgAlgebra.build(A.field, A.space, A.unit, table, A.dcols, generators=A.generators)
 
 
 def tensor_product(A: DgAlgebra, B: DgAlgebra) -> DgAlgebra:
@@ -386,7 +445,17 @@ def tensor_product(A: DgAlgebra, B: DgAlgebra) -> DgAlgebra:
         if col:
             dcols[t] = col
 
-    return DgAlgebra.build(f, tb.space, unit, table, dcols)
+    def hint(X):
+        # a factor without a hint is generated by its basis elements other than 1
+        if X.generators is not None:
+            return X.generators
+        return [e for e in ({i: f.one} for i in range(X.dim)) if e != X.unit]
+
+    gens = [{idx[(i, j)]: f.mul(a, b) for i, a in s.items() for j, b in B.unit.items()}
+            for s in hint(A)]
+    gens += [{idx[(i, j)]: f.mul(a, b) for i, a in A.unit.items() for j, b in s.items()}
+             for s in hint(B)]
+    return DgAlgebra.build(f, tb.space, unit, table, dcols, generators=gens)
 
 
 def swap_map(A: DgAlgebra, B: DgAlgebra) -> HomogeneousMap:

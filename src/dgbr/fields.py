@@ -41,6 +41,13 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _literal(text: str) -> str:
+    """The repr of a literal for an error message, cut to 40 characters."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:40]!r}... ({len(text)} characters)"
+
+
 class Field:
     """Common interface of the two supported fields."""
 
@@ -117,11 +124,12 @@ class RationalField(Field):
     def parse(self, text):
         text = text.strip()
         if "." in text or "e" in text.lower():
-            raise ParseError(f"not an exact rational literal: {text!r}")
+            raise ParseError(f"not an exact rational literal: {_literal(text)}")
         try:
             return _norm(Fraction(text))
         except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad rational literal {text!r}: {exc}") from None
+            reason = str(exc).replace(repr(text), _literal(text))
+            raise ParseError(f"bad rational literal {_literal(text)}: {reason}") from None
 
     def format(self, a):
         return str(a)
@@ -190,11 +198,11 @@ class PrimeField(Field):
     def parse(self, text):
         text = text.strip()
         if "/" in text:
-            raise ParseError(f"fractions are not residues: {text!r}")
+            raise ParseError(f"fractions are not residues: {_literal(text)}")
         try:
             return int(text, 10) % self.p
         except ValueError:
-            raise ParseError(f"bad residue literal {text!r}") from None
+            raise ParseError(f"bad residue literal {_literal(text)}") from None
 
     def format(self, a):
         return str(a % self.p)

@@ -9,6 +9,7 @@ reproduces x, and serialize(parse(file)) is byte-stable.
 from __future__ import annotations
 
 import json
+import sys
 
 from .dg import DgAlgebra, KComplex
 from .errors import ParseError
@@ -23,6 +24,9 @@ def load_json(text: str, where: str = "input") -> dict:
         raise ParseError(f"not valid JSON: {e}", where) from None
     except RecursionError:
         raise ParseError("JSON nested too deeply", where) from None
+    except ValueError:  # json parses integers with int(), which has a digit limit
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"integer literal longer than {limit} digits", where) from None
     if not isinstance(obj, dict):
         raise ParseError("top level must be a JSON object", where)
     return obj

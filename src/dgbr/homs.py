@@ -288,4 +288,6 @@ def end_dg_algebra(C: KComplex) -> DgAlgebra:
     unit = {}
     for mi in range(C.space.total_dim):
         unit[idx[(mi, mi)]] = one
-    return DgAlgebra.build(f, H.space, unit, table, H.dcols, hom=H)
+    adjacent = [{idx[u]: one} for k in range(C.space.total_dim - 1)
+                for u in ((k, k + 1), (k + 1, k))]
+    return DgAlgebra.build(f, H.space, unit, table, H.dcols, hom=H, generators=adjacent)

@@ -27,13 +27,16 @@ from .errors import ShapeMismatch
 from .fields import Field
 
 
-def rref_rows(field: Field, rows):
+def rref_rows(field: Field, rows, on_pivot=None):
     """Reduced row echelon form of sparse rows ``{col: nonzero value}`` (Gauss-Jordan).
 
     Returns ``(reduced, pivots)``: the nonzero rows of the reduced echelon
     form as new dicts, ordered by their pivot columns, and those columns
     ascending.  The input dicts are not modified.  The form is unique, so the
-    order of the input rows does not change the result.
+    order of the input rows does not change the result.  ``on_pivot(row)``
+    is called with each input row that is independent of the rows before it,
+    before the next row is read, so ``rows`` may be a generator that grows
+    from those calls.
 
     Each row is reduced against the pivot rows found so far.  A nonzero
     remainder is scaled to 1 at its smallest column, which becomes a new
@@ -62,8 +65,8 @@ def rref_rows(field: Field, rows):
                     row[k] = x
         return new
 
-    for row in rows:
-        row = dict(row)
+    for given in rows:
+        row = dict(given)
         for c in [c for c in row if c in tails]:
             subtract(row, row.pop(c), tails[c])
         if not row:
@@ -80,6 +83,8 @@ def rref_rows(field: Field, rows):
         tails[c] = tail
         for k in tail:
             holders.setdefault(k, set()).add(c)
+        if on_pivot is not None:
+            on_pivot(given)
     pivots = sorted(tails)
     return [{c: one, **tails[c]} for c in pivots], tuple(pivots)
 

@@ -80,9 +80,10 @@ def good_grading_matrix_algebra(field: Field, n: int, f=()) -> DgAlgebra:
             if j == k:
                 table[(s, t)] = {unit_index[(i, l)]: one}
     unit = {unit_index[(i, i)]: one for i in range(1, n + 1)}
+    adjacent = [{unit_index[u]: one} for i in range(1, n) for u in ((i, i + 1), (i + 1, i))]
     return DgAlgebra.build(
         field, space, unit, table, {},
-        presentation=MatrixPresentation(n, unit_index),
+        presentation=MatrixPresentation(n, unit_index), generators=adjacent,
     )
 
 
@@ -141,7 +142,8 @@ def inner_differential(A: DgAlgebra, z) -> DgAlgebra:
         if col:
             dcols[a] = col
     return DgAlgebra.build(
-        f, A.space, A.unit, A.table, dcols, presentation=A.presentation
+        f, A.space, A.unit, A.table, dcols, presentation=A.presentation,
+        generators=A.generators,
     )
 
 

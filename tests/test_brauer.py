@@ -135,6 +135,14 @@ def test_sandwich_good_graded_mat4():
     assert w.source.dim == 256 and w.target.dim == 256
 
 
+def test_sandwich_good_graded_mat5():
+    """The dim-625 builds are certified from generators, so this takes seconds."""
+    M = good_grading_matrix_algebra(GF(10007), 5, (1, 0, 0, 0))
+    w = sandwich_iso(inner_differential(M, M.element({"e12": 1})))
+    assert w.verified
+    assert w.source.dim == 625 and w.target.dim == 625
+
+
 def test_sandwich_requires_central_simple():
     with pytest.raises(NotCentralSimple):
         sandwich_iso(dual_numbers(QQ))

@@ -1,7 +1,8 @@
 """Core dg-algebra layer: validation, opposites, tensors, homology, kernels."""
 import pytest
 
-from dgbr.catalog import dual_numbers, mat2_inner, neutral, split_pair
+from dgbr import dg
+from dgbr.catalog import dual_numbers, mat2_inner, mat3_inner, neutral, split_pair
 from dgbr.dg import (
     DgAlgebra,
     DgModule,
@@ -24,6 +25,7 @@ from dgbr.dg import (
 from dgbr.errors import ShapeMismatch, ValidationError
 from dgbr.fields import GF, QQ
 from dgbr.graded import GradedVectorSpace
+from dgbr.homs import end_dg_algebra
 from dgbr.matrix_algebras import good_grading_matrix_algebra
 
 
@@ -99,6 +101,25 @@ def test_validation_catches_leibniz_failure():
     with pytest.raises(ValidationError) as err:
         DgAlgebra.build(QQ, space, {0: one}, table, {0: {1: one}})
     assert err.value.violations
+
+
+def test_hinted_constructions_are_certified_from_their_generators(monkeypatch):
+    """Mat_3 with d, its opposite, its tensor with a factor that has no hint,
+    and End of its complex never run the complete associativity enumeration."""
+    A, D = mat3_inner(QQ), dual_numbers(QQ)
+    complete = []
+    spied = dg._associativity_failures
+
+    def spy(field, on, by, table, only=None):
+        if only is None:
+            complete.append(len(on))
+        return spied(field, on, by, table, only)
+
+    monkeypatch.setattr(dg, "_associativity_failures", spy)
+    built = [opposite(A), tensor_product(D, A), end_dg_algebra(A.complex())]
+    assert all(B.validate() == [] for B in [A, *built])
+    assert complete == []
+    assert len(built[1].generators) == 1 + len(A.generators)
 
 
 def test_opposite_signs_and_involution():

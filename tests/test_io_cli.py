@@ -347,6 +347,23 @@ def test_cli_non_utf8_file_exits_two(tmp_path):
     assert r.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("coeff, reason", [
+    ("1" + "0" * 5000, "integer literal longer than"),
+    ('"1' + "0" * 5000 + '/3"', "bad rational literal '1000"),
+], ids=["json-integer", "string"])
+def test_cli_overlong_coefficient_exits_two_with_one_short_line(tmp_path, coeff, reason):
+    """5,001 digits are past Python's int conversion limit; the literal is
+    not echoed in full."""
+    text = json.dumps(json.loads((SAMPLES / "dual_numbers.json").read_text()))
+    assert '"unit": [[1, "1"]]' in text
+    path = tmp_path / "long.json"
+    path.write_text(text.replace('"unit": [[1, "1"]]', f'"unit": [[1, {coeff}]]'))
+    r = run_cli("validate", str(path))
+    assert r.returncode == 2
+    assert r.stderr.startswith(f"invalid input: {path}") and reason in r.stderr
+    assert r.stderr.count("\n") == 1 and len(r.stderr) < 400
+
+
 def test_cli_unknown_subcommand_exits_two():
     r = run_cli("frobnicate")
     assert r.returncode == 2

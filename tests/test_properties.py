@@ -1,4 +1,5 @@
 """Randomized invariants.  Example counts stay small; every case is exact."""
+import functools
 import itertools
 import random
 
@@ -39,7 +40,8 @@ from dgbr.dg import (
 from dgbr.fields import GF, QQ
 from dgbr.formats import parse_algebra_text, serialize_algebra
 from dgbr.graded import clean_coeffs
-from dgbr.homs import hom_differential, hom_of_complexes
+from dgbr.homs import end_dg_algebra, hom_differential, hom_of_complexes
+from dgbr.matrix_algebras import good_grading_matrix_algebra, inner_differential
 
 FIELDS = [QQ, GF(2), GF(3), GF(5)]
 fields = st.sampled_from(FIELDS)
@@ -167,17 +169,17 @@ def test_elimination_dims_agree_over_qq_and_a_large_prime(left, right):
 
 
 _ORACLE_GENS = {f: [A for _, A in generators(f)] for f in (QQ, GF(7))}
-DEFECTS = ("new-product", "coefficient", "delete", "d-column")
+DEFECTS = ("new-product", "coefficient", "delete", "d-column", "d-entry")
 
 
-def _perturb(draw, field, cols, keys, nrows, defect):
+def _perturb(draw, field, cols, keys, rows, defect):
     """A copy of sparse columns with one defect: a column at a key that had
     none, one entry of a present column changed, a column deleted, or one
-    entry of any column (a d column) changed."""
+    entry of any column (a d column) changed; the entry's row is from ``rows``."""
     cols = {k: dict(v) for k, v in cols.items()}
     present = sorted(cols)
     absent = [k for k in keys if k not in cols]
-    row = draw(st.integers(0, nrows - 1))
+    row = draw(st.sampled_from(rows))
     if defect == "new-product" and absent:
         cols[draw(st.sampled_from(absent))] = {row: draw(st.sampled_from((1, 2, -1)))}
     elif defect == "delete" and present:
@@ -188,30 +190,73 @@ def _perturb(draw, field, cols, keys, nrows, defect):
     return {k: c for k, c in ((k, clean_coeffs(field, v)) for k, v in cols.items()) if c}
 
 
+def _hinted(draw, field):
+    """An algebra built with a generator hint: a good-graded Mat_2-4 with or
+    without d = [e12, -], maybe opposite, a tensor product of two small ones,
+    or End of a random complex."""
+    def matrix(sizes):
+        n = draw(st.sampled_from(sizes))
+        f = draw(st.lists(st.integers(-1, 1), min_size=n - 1, max_size=n - 1))
+        inner = draw(st.booleans())
+        A = good_grading_matrix_algebra(field, n, [1, *f[1:]] if inner else f)
+        if inner:
+            A = inner_differential(A, A.element({"e12": 1}))
+        return opposite(A) if draw(st.booleans()) else A
+
+    kind = draw(st.sampled_from(("matrix", "tensor", "end")))
+    if kind == "matrix":
+        return matrix((2, 3, 4))
+    if kind == "tensor":
+        return tensor_product(matrix((2, 3)), matrix((2,)))
+    return end_dg_algebra(random_complex(random.Random(draw(seeds)), field, max_total=4))
+
+
+def _other_hints(A):
+    """No hint, and bad hints: empty, one basis element, and the algebra's own
+    hint plus a vector that may be inhomogeneous or one out of range."""
+    one, n = A.field.one, A.dim
+    own = list(A.generators or [])
+    return [None, [], [{0: one}], own + [{0: one, n - 1: one}], own + [{n: one}]]
+
+
 @st.composite
 def perturbed_structures(draw):
     """(validator, dense oracle, arguments) for a catalog algebra or a tensor
-    product of two, or for one of its regular modules, with one to three
-    defects in its product or action table and its differential."""
+    product of two, or one of its regular modules, or for a hinted algebra,
+    with up to three defects in its product or action table and its
+    differential.  An algebra is validated with its own hint or, as often,
+    with one from ``_other_hints``."""
     field = draw(st.sampled_from(list(_ORACLE_GENS)))
     gens = _ORACLE_GENS[field]
-    A = draw(st.sampled_from(gens))
     if draw(st.booleans()):
-        A = tensor_product(A, draw(st.sampled_from(gens)))
-    target = draw(st.sampled_from(("algebra", "regular", "left-regular-as-op")))
+        A = draw(st.sampled_from(gens))
+        if draw(st.booleans()):
+            A = tensor_product(A, draw(st.sampled_from(gens)))
+        target = draw(st.sampled_from(("algebra", "regular", "left-regular-as-op")))
+    else:
+        A, target = _hinted(draw, field), "algebra"
     if target == "algebra":
         table, dcols, nrows = A.table, A.dcols, A.dim
     else:
         M = DgModule.regular(A) if target == "regular" else DgModule.left_regular_as_op(A)
         table, dcols, nrows = M.action, M.dcols, M.space.total_dim
     keys = [(i, j) for i in range(nrows) for j in range(A.dim)]
-    for defect in draw(st.lists(st.sampled_from(DEFECTS), min_size=1, max_size=3)):
+    deg = (A.space if target == "algebra" else M.space).flat_degrees()
+    for _ in range(draw(st.integers(0, 3))):
+        defect = draw(st.sampled_from(DEFECTS))
         if defect == "d-column":
-            dcols = _perturb(draw, field, dcols, range(nrows), nrows, defect)
+            dcols = _perturb(draw, field, dcols, range(nrows), range(nrows), defect)
+        elif defect == "d-entry":  # a row one degree up, so d keeps degree +1
+            key = draw(st.integers(0, nrows - 1))
+            rows = [k for k in range(nrows) if deg[k] == deg[key] + 1]
+            if rows:
+                dcols = _perturb(draw, field, dcols, [key], rows, defect)
         else:
-            table = _perturb(draw, field, table, keys, nrows, defect)
+            table = _perturb(draw, field, table, keys, range(nrows), defect)
     if target == "algebra":
-        return validate_structure, dense_validate_structure, (field, A.space, A.unit, table, dcols)
+        hint = draw(st.one_of(st.just(A.generators), st.sampled_from(_other_hints(A))))
+        validate = functools.partial(validate_structure, generators=hint)
+        return validate, dense_validate_structure, (field, A.space, A.unit, table, dcols)
     return validate_module, dense_validate_module, (DgModule(M.algebra, M.space, table, dcols),)
 
 
@@ -227,11 +272,32 @@ def test_support_validation_matches_the_dense_oracle(case):
 @pytest.mark.parametrize("field", list(_ORACLE_GENS), ids=str)
 def test_each_deleted_product_is_judged_as_by_the_dense_oracle(field):
     """Deleting one product can leave a basis element that multiplies to
-    zero with everything but still has a differential; Leibniz must reach it."""
+    zero with everything but still has a differential; Leibniz must reach it.
+    The algebra's own hint and one basis element as a hint give the same list."""
     for A in _ORACLE_GENS[field]:
         for key in sorted(A.table):
             table = {k: v for k, v in A.table.items() if k != key}
             args = (field, A.space, A.unit, table, A.dcols)
-            assert validate_structure(*args) == dense_validate_structure(*args)
+            expected = dense_validate_structure(*args)
+            for hint in (None, A.generators, [{0: field.one}]):
+                assert validate_structure(*args, generators=hint) == expected
             M = DgModule(A, A.space, table, A.dcols)
             assert validate_module(M) == dense_validate_module(M)
+
+
+@pytest.mark.parametrize("field", list(_ORACLE_GENS), ids=str)
+def test_each_changed_d_entry_is_judged_as_by_the_dense_oracle(field):
+    """Adding 1 to one entry of d, in a row one degree up, can break the
+    Leibniz rule alone; the generator certificate must fall back then, with
+    the algebra's own hint or with one basis element as a hint."""
+    for A in _ORACLE_GENS[field]:
+        deg = A.space.flat_degrees()
+        for i, k in itertools.product(range(A.dim), repeat=2):
+            if deg[k] != deg[i] + 1:
+                continue
+            col = dict(A.dcols.get(i, {}))
+            col[k] = field.add(col.get(k, field.zero), field.one)
+            args = (field, A.space, A.unit, A.table, {**A.dcols, i: clean_coeffs(field, col)})
+            expected = dense_validate_structure(*args)
+            for hint in (A.generators, [{0: field.one}]):
+                assert validate_structure(*args, generators=hint) == expected
