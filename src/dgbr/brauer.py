@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from .dg import (
     DgAlgebra,
     KComplex,
-    _flat_to_dense,
     center,
     homology,
     ksign,
@@ -23,14 +22,15 @@ from .dg import (
 from .errors import (
     AxiomViolation,
     ContainmentCertificate,
+    FieldMismatch,
     NoSuitableIdempotent,
     NotCentralSimple,
     ShapeMismatch,
     ValidationError,
 )
-from .graded import GradedVector, HomogeneousMap, LinearMap, TensorBasis, apply, operators
+from .graded import GradedVector, HomogeneousMap, TensorBasis, apply, operators, quotient_by, span_of
 from .homs import end_dg_algebra
-from .linalg import Matrix, rref_rows
+from .linalg import Factored, rref_rows
 
 
 @dataclass(frozen=True)
@@ -69,6 +69,8 @@ def verify_dg_iso(A: DgAlgebra, B: DgAlgebra, m: HomogeneousMap) -> IsoWitness:
     """
     if A.field != B.field:
         raise ShapeMismatch("algebras over different fields")
+    if m.field != A.field:
+        raise FieldMismatch("map over a different field from the algebras")
     if m.source != A.space or m.target != B.space or m.degree != 0:
         raise ShapeMismatch("expected a degree-0 map between the two underlying spaces")
     f = A.field
@@ -119,7 +121,13 @@ def _flat_of(A: DgAlgebra, a) -> dict:
     return {i: c for i, c in out.items() if not f.is_zero(c)}
 
 
-def lambda_map(A: DgAlgebra, a) -> LinearMap:
+def _shift(A: DgAlgebra, aflat: dict):
+    """The degree of an element: 0 for zero, None when it mixes degrees."""
+    degrees = {A.degree_of(i) for i in aflat} or {0}
+    return degrees.pop() if len(degrees) == 1 else None
+
+
+def lambda_map(A: DgAlgebra, a) -> HomogeneousMap:
     """Left multiplication x -> a*x on the underlying complex of A."""
     aflat = _flat_of(A, a)
     f = A.field
@@ -129,10 +137,10 @@ def lambda_map(A: DgAlgebra, a) -> LinearMap:
         col = A.mul(aflat, {x: one})
         if col:
             cols[x] = col
-    return LinearMap(f, A.space, A.space, cols)
+    return HomogeneousMap(f, A.space, A.space, _shift(A, aflat), cols)
 
 
-def rho_map(A: DgAlgebra, a) -> LinearMap:
+def rho_map(A: DgAlgebra, a) -> HomogeneousMap:
     """Signed right multiplication x -> (-1)^{|a||x|} x*a.
 
     This is left multiplication by a inside the opposite algebra, so
@@ -148,7 +156,7 @@ def rho_map(A: DgAlgebra, a) -> LinearMap:
         col = A.mul({x: one}, signed)
         if col:
             cols[x] = col
-    return LinearMap(f, A.space, A.space, cols)
+    return HomogeneousMap(f, A.space, A.space, _shift(A, aflat), cols)
 
 
 # -- central simplicity --------------------------------------------------------
@@ -214,7 +222,7 @@ def sandwich_map(A: DgAlgebra, T: DgAlgebra, E: DgAlgebra) -> HomogeneousMap:
         coeffs = E.hom.from_map(lam[i].compose(rho[j]))
         if coeffs:
             cols[t] = coeffs
-    return HomogeneousMap.from_flat_columns(f, T.space, E.space, 0, cols)
+    return HomogeneousMap(f, T.space, E.space, 0, cols)
 
 
 def sandwich_iso(A: DgAlgebra) -> IsoWitness:
@@ -246,38 +254,23 @@ class IdempotentChoice:
 
 
 def _ideal_columns(A: DgAlgebra, gens) -> dict:
-    """Per-degree dense columns spanning sum of A*g over the given elements."""
-    f = A.field
-    one = f.one
+    """Per degree, the nonzero products e_k * g spanning sum of A*g over the given elements."""
+    one = A.field.one
     by_deg: dict[int, list] = {}
     for g in gens:
         for k in range(A.dim):
             p = A.mul({k: one}, g)
-            if not p:
-                continue
-            d = A.space.degree_of(next(iter(p)))
-            by_deg.setdefault(d, []).append(_flat_to_dense(A.space, d, p, f))
+            if p:
+                by_deg.setdefault(A.space.degree_of(next(iter(p))), []).append(p)
     return by_deg
 
 
 def _pivot_subspace(A: DgAlgebra, by_deg: dict, prefix: str):
-    """Reduce spanning columns to an independent basis, as a graded subspace."""
-    from .graded import GradedVectorSpace, Subspace
-
-    f = A.field
-    dims = {}
-    blocks = {}
-    labels = {}
-    for d, cols in sorted(by_deg.items()):
-        mat = Matrix.from_columns(f, cols, A.space.dim(d))
-        pivots = mat.column_space_pivots()
-        if not pivots:
-            continue
-        dims[d] = len(pivots)
-        blocks[d] = Matrix.from_columns(f, [mat.column(p) for p in pivots], A.space.dim(d))
-        labels[d] = tuple(f"{prefix}{d}_{t}" for t in range(len(pivots)))
-    space = GradedVectorSpace(dims, labels)
-    return Subspace(space, HomogeneousMap(f, space, A.space, 0, blocks))
+    """The vectors of each degree independent of those before them, as a graded subspace."""
+    picked: dict = {}
+    for d, vecs in sorted(by_deg.items()):
+        rref_rows(A.field, vecs, picked.setdefault(d, []).append)
+    return span_of(A.field, A.space, picked, prefix)
 
 
 def _diagonal_candidates(A: DgAlgebra):
@@ -303,7 +296,7 @@ def _diagonal_candidates(A: DgAlgebra):
 
 
 def idempotent_containment(A: DgAlgebra, i: int):
-    """Decide whether A*e_{i,i} sits inside A*d(e_{i,i}), by exact ranks.
+    """Decide whether A*e_{i,i} sits inside A*d(e_{i,i}), by exact elimination.
 
     Returns (certificate, witness): the certificate holds per-degree span
     dimensions of both left ideals, and the witness is an element of the
@@ -317,30 +310,12 @@ def idempotent_containment(A: DgAlgebra, i: int):
     de = A.d_apply(e)
     ae = _ideal_columns(A, [e])
     ade = _ideal_columns(A, [de]) if de else {}
-    contained = True
-    witness_vec = None
-    for d, cols in sorted(ae.items()):
-        base = ade.get(d, [])
-        r0 = Matrix.from_columns(f, base, A.space.dim(d)).rank()
-        for col in cols:
-            if Matrix.from_columns(f, base + [col], A.space.dim(d)).rank() > r0:
-                contained = False
-                witness_vec = (d, col)
-                break
-        if not contained:
-            break
-    ideal_dims = {d: Matrix.from_columns(f, c, A.space.dim(d)).rank()
-                  for d, c in ae.items()}
-    span_dims = {d: Matrix.from_columns(f, c, A.space.dim(d)).rank()
-                 for d, c in ade.items()}
-    cert = ContainmentCertificate(i, ideal_dims, span_dims, contained)
-    witness = None
-    if witness_vec is not None:
-        d, col = witness_vec
-        witness = GradedVector.from_flat(
-            f, A.space,
-            {A.space.flat_index(d, r): c for r, c in enumerate(col) if not f.is_zero(c)},
-        )
+    inside = Factored(f, [v for vs in ade.values() for v in vs])
+    witness_vec = next((v for d, vs in sorted(ae.items()) for v in vs if inside.solve(v) is None), None)
+    ideal_dims = {d: len(rref_rows(f, vs)[1]) for d, vs in ae.items()}
+    span_dims = {d: len(rref_rows(f, vs)[1]) for d, vs in ade.items()}
+    cert = ContainmentCertificate(i, ideal_dims, span_dims, witness_vec is None)
+    witness = None if witness_vec is None else GradedVector.from_flat(f, A.space, witness_vec)
     return cert, witness
 
 
@@ -367,34 +342,6 @@ class StructureRealization:
     idempotent: IdempotentChoice
 
 
-def _block_solvers(sub) -> dict:
-    """Each nonzero degree of a subspace's inclusion, factored once."""
-    return {d: sub.inclusion.block(d).factor() for d in sub.space.degrees() if sub.space.dim(d)}
-
-
-def _coords_in(sub_space, solvers: dict, ambient, flat_vec, f):
-    """Express an ambient flat vector in subspace coordinates; None if outside.
-
-    ``solvers`` is ``_block_solvers`` of the subspace.
-    """
-    out: dict = {}
-    by_deg: dict[int, dict] = {}
-    for m, c in flat_vec.items():
-        by_deg.setdefault(ambient.degree_of(m), {})[m] = c
-    for d, part in by_deg.items():
-        solver = solvers.get(d)
-        if solver is None:
-            return None
-        sol = solver.solve(_flat_to_dense(ambient, d, part, f))
-        if sol is None:
-            return None
-        base = sub_space.flat_index(d, 0)
-        for t, c in enumerate(sol):
-            if not f.is_zero(c):
-                out[base + t] = c
-    return out
-
-
 def structure_realize(A: DgAlgebra) -> StructureRealization:
     """Split a central simple dg matrix algebra as endomorphisms of a complex.
 
@@ -414,40 +361,38 @@ def structure_realize(A: DgAlgebra) -> StructureRealization:
 
     M = _pivot_subspace(A, _ideal_columns(A, [e, de] if de else [e]), "m")
     N = _pivot_subspace(A, _ideal_columns(A, [de]) if de else {}, "n")
-    m_solvers, n_solvers = _block_solvers(M), _block_solvers(N)
+    # coordinates in M and N: their inclusion columns are their bases, in order
+    m_cols, n_cols = M.inclusion.flat_columns(), N.inclusion.flat_columns()
+    m_solver, n_solver = Factored(f, list(m_cols.values())), Factored(f, list(n_cols.values()))
 
     # d restricted to M, in M coordinates; also certify d(N) <= N
-    m_cols = M.inclusion.flat_columns()
     dM: dict = {}
     for s in range(M.space.total_dim):
         img = A.d_apply(m_cols.get(s, {}))
         if not img:
             continue
-        coords = _coords_in(M.space, m_solvers, A.space, img, f)
+        coords = m_solver.solve(img)
         if coords is None:
             raise ValidationError([AxiomViolation(
                 "structure", (s,), "differential does not preserve M")])
         dM[s] = coords
-    n_cols = N.inclusion.flat_columns()
     for s in range(N.space.total_dim):
         img = A.d_apply(n_cols.get(s, {}))
-        if img and _coords_in(N.space, n_solvers, A.space, img, f) is None:
+        if img and n_solver.solve(img) is None:
             raise ValidationError([AxiomViolation(
                 "structure", (s,), "differential does not preserve N")])
 
     # N in M coordinates, then the quotient L = M/N
-    from .graded import quotient_by
-
     n_in_m_cols = {}
     for s in range(N.space.total_dim):
-        coords = _coords_in(M.space, m_solvers, A.space, n_cols.get(s, {}), f)
+        coords = m_solver.solve(n_cols.get(s, {}))
         if coords is None:
             raise ValidationError([AxiomViolation("structure", (s,), "N is not inside M")])
         n_in_m_cols[s] = coords
-    n_in_m = HomogeneousMap.from_flat_columns(f, N.space, M.space, 0, n_in_m_cols)
+    n_in_m = HomogeneousMap(f, N.space, M.space, 0, n_in_m_cols)
     Q = quotient_by(M.space, n_in_m)
 
-    dM_map = HomogeneousMap.from_flat_columns(f, M.space, M.space, 1, dM)
+    dM_map = HomogeneousMap(f, M.space, M.space, 1, dM)
     dL_cols = {}
     for s in range(Q.space.total_dim):
         img = Q.projection.apply_flat(dM_map.apply_flat(Q.section.apply_flat({s: one})))
@@ -470,17 +415,17 @@ def structure_realize(A: DgAlgebra) -> StructureRealization:
             p = A.mul({a: one}, v)
             if not p:
                 continue
-            coords = _coords_in(M.space, m_solvers, A.space, p, f)
+            coords = m_solver.solve(p)
             if coords is None:
                 raise ValidationError([AxiomViolation(
                     "structure", (a, s), "left multiplication leaves M")])
             img = Q.projection.apply_flat(coords)
             if img:
                 lcols[s] = img
-        coeffs = E.hom.from_map(LinearMap(f, Q.space, Q.space, lcols))
+        coeffs = E.hom.from_map(HomogeneousMap(f, Q.space, Q.space, A.degree_of(a), lcols))
         if coeffs:
             cols[a] = coeffs
-    m = HomogeneousMap.from_flat_columns(f, A.space, E.space, 0, cols)
+    m = HomogeneousMap(f, A.space, E.space, 0, cols)
     w = verify_dg_iso(A, E, m)
     if not w.verified:
         raise ValidationError([AxiomViolation(

@@ -33,9 +33,9 @@ from .dg import (
 )
 from .errors import ShapeMismatch
 from .fields import GF, QQ
-from .graded import GradedVectorSpace, HomogeneousMap
+from .graded import GradedVectorSpace, HomogeneousMap, add_into
 from .homs import end_dg_algebra
-from .linalg import Matrix
+from .linalg import kernel_columns
 from .matrix_algebras import (
     enumerate_good_gradings,
     good_grading_matrix_algebra,
@@ -113,33 +113,24 @@ def random_complex(rng: random.Random, field, max_total: int = 3,
     labels = {k: tuple(f"v{k}_{t}" for t in range(m)) for k, m in dims.items()}
     space = GradedVectorSpace(dims, labels)
 
-    blocks: dict = {}
-    kernel_cols: dict = {}
+    dcols: dict = {}
+    kernel: dict = {}  # degree -> flat vectors of that degree killed by d
     for k in sorted(dims, reverse=True):
-        nk = dims[k]
-        up = dims.get(k + 1, 0)
-        if up == 0:
-            kernel_cols[k] = [
-                tuple(field.one if t == s else field.zero for t in range(nk))
-                for s in range(nk)
-            ]
+        base = space.flat_index(k, 0)
+        if k + 1 not in dims:
+            kernel[k] = [{base + s: field.one} for s in range(dims[k])]
             continue
-        allowed = kernel_cols[k + 1]  # columns of V_{k+1} killed by d
-        cols = []
-        for _ in range(nk):
-            acc = [field.zero] * up
-            for kc in allowed:
+        cols = {}
+        for s in range(dims[k]):
+            acc: dict = {}
+            for kc in kernel[k + 1]:
                 c = field.coerce(rng.randint(-1, 1))
-                if field.is_zero(c):
-                    continue
-                acc = [field.add(x, field.mul(c, y)) for x, y in zip(acc, kc)]
-            cols.append(tuple(acc))
-        blk = Matrix.from_columns(field, cols, up)
-        blocks[k] = blk
-        kernel_cols[k] = blk.kernel_basis()
-    dmap = HomogeneousMap(field, space, space, 1,
-                          {k: b for k, b in blocks.items() if not b.is_zero()})
-    return KComplex(field, space, dmap.flat_columns())
+                if not field.is_zero(c):
+                    add_into(field, acc, kc, scale=c)
+            cols[s] = dcols[base + s] = acc
+        basis, _ = kernel_columns(field, cols, dims[k])
+        kernel[k] = [{base + t: x for t, x in v.items()} for v in basis.values()]
+    return KComplex(field, space, dcols)
 
 
 def random_square_zero_inner(rng: random.Random, field, n: int = None) -> DgAlgebra:
@@ -325,9 +316,7 @@ def unit_equivalence_witness(A: DgAlgebra, sr) -> "IsoWitness":
     C1 = KComplex.point(field)
     T1 = tensor_product(A, end_dg_algebra(C1))
     T2 = tensor_product(K, end_dg_algebra(sr.L))
-    m = HomogeneousMap.from_flat_columns(
-        field, T1.space, T2.space, 0, sr.witness.map.flat_columns()
-    )
+    m = HomogeneousMap(field, T1.space, T2.space, 0, sr.witness.map.flat_columns())
     return verify_equivalence(A, K, C1, sr.L, m)
 
 

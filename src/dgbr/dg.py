@@ -51,8 +51,9 @@ from .graded import (
     clean_coeffs,
     kernel_of,
     operators,
+    span_of,
 )
-from .linalg import Matrix, rref_rows
+from .linalg import Factored, Matrix, kernel_columns, rref_rows
 
 
 def ksign(m: int, n: int) -> int:
@@ -186,9 +187,7 @@ class DgAlgebra:
 
     def differential_map(self) -> HomogeneousMap:
         if self._dmap is None:
-            self._dmap = HomogeneousMap.from_flat_columns(
-                self.field, self.space, self.space, 1, self.dcols
-            )
+            self._dmap = HomogeneousMap(self.field, self.space, self.space, 1, self.dcols)
         return self._dmap
 
     def complex(self) -> "KComplex":
@@ -469,7 +468,7 @@ def swap_map(A: DgAlgebra, B: DgAlgebra) -> HomogeneousMap:
     for t, (i, j) in enumerate(tab.pairs):
         c = f.one if ksign(degA[i], degB[j]) > 0 else f.neg(f.one)
         cols[t] = {tba.index[(j, i)]: c}
-    return HomogeneousMap.from_flat_columns(f, tab.space, tba.space, 0, cols)
+    return HomogeneousMap(f, tab.space, tba.space, 0, cols)
 
 
 def unsigned_swap_map(A: DgAlgebra, B: DgAlgebra) -> HomogeneousMap:
@@ -478,81 +477,50 @@ def unsigned_swap_map(A: DgAlgebra, B: DgAlgebra) -> HomogeneousMap:
     tab = TensorBasis(A.space, B.space)
     tba = TensorBasis(B.space, A.space)
     cols = {t: {tba.index[(j, i)]: f.one} for t, (i, j) in enumerate(tab.pairs)}
-    return HomogeneousMap.from_flat_columns(f, tab.space, tba.space, 0, cols)
+    return HomogeneousMap(f, tab.space, tba.space, 0, cols)
 
 
 # -- homology and kernel ------------------------------------------------------
 
 
 def _cycle_and_boundary_columns(A: DgAlgebra):
-    """Per degree: kernel columns of d and pivot columns of the image of d."""
-    d = A.differential_map()
+    """Per degree, in flat order: the kernel basis of d and the images d(e_j) at its pivots j."""
+    basis, pivots = kernel_columns(A.field, A.dcols, A.dim)
     cycles: dict[int, list] = {}
+    for j, v in basis.items():
+        cycles.setdefault(A.degree_of(j), []).append(v)
     bounds: dict[int, list] = {}
-    for k in A.space.degrees():
-        blk = d.block(k)
-        cycles[k], pivots = blk.kernel_basis_and_pivots()
-        if pivots:
-            bounds.setdefault(k + 1, []).extend(blk.column(j) for j in pivots)
+    for j in pivots:
+        bounds.setdefault(A.degree_of(j) + 1, []).append(A.dcols[j])
     return cycles, bounds
+
+
+def _coords(solver: Factored, vec: dict, axiom: str, witness: tuple, detail: str) -> dict:
+    """``solver.solve(vec)``, raising a one-violation ValidationError when vec is outside."""
+    sol = solver.solve(vec)
+    if sol is None:
+        raise ValidationError([AxiomViolation(axiom, witness, detail)])
+    return sol
 
 
 def kernel_subalgebra(A: DgAlgebra) -> "KernelAlgebra":
     """ker(d) with its inherited product; closed by the Leibniz rule."""
     f = A.field
     cycles, _ = _cycle_and_boundary_columns(A)
-    dims = {k: len(cols) for k, cols in cycles.items() if cols}
-    labels = {k: tuple(f"z{k}_{i}" for i in range(m)) for k, m in dims.items()}
-    space = GradedVectorSpace(dims, labels)
-    blocks = {
-        k: Matrix.from_columns(f, cycles[k], A.space.dim(k)) for k in dims
-    }
-    incl = HomogeneousMap(f, space, A.space, 0, blocks)
-    solvers = {k: blk.factor() for k, blk in blocks.items()}
-
-    cols_flat = incl.flat_columns()
+    sub = span_of(f, A.space, cycles, "z")
+    zcols = [v for vs in cycles.values() for v in vs]
+    solver = Factored(f, zcols)
     table: dict = {}
-    nz = space.total_dim
-    for i in range(nz):
-        for j in range(nz):
-            p = A.mul(cols_flat.get(i, {}), cols_flat.get(j, {}))
-            if not p:
-                continue
-            deg = space.degree_of(i) + space.degree_of(j)
-            solver = solvers.get(deg)
-            if solver is None:
-                raise ValidationError([AxiomViolation(
-                    "kernel-closure", (i, j), "product of cycles leaves the kernel")])
-            dense = [f.zero] * A.space.dim(deg)
-            base = A.space.flat_index(deg, 0)
-            for m, c in p.items():
-                dense[m - base] = c
-            sol = solver.solve(dense)
-            if sol is None:
-                raise ValidationError([AxiomViolation(
-                    "kernel-closure", (i, j), "product of cycles leaves the kernel")])
-            base_z = space.flat_index(deg, 0)
-            out = {base_z + t: c for t, c in enumerate(sol) if not f.is_zero(c)}
-            if out:
-                table[(i, j)] = out
-
-    unit: dict = {}
-    if A.unit:
-        solver = solvers.get(0)
-        if solver is None:
-            raise ValidationError([AxiomViolation("kernel-closure", (), "unit is not a cycle")])
-        dense = [f.zero] * A.space.dim(0)
-        base = A.space.flat_index(0, 0)
-        for m, c in A.unit.items():
-            dense[m - base] = c
-        sol = solver.solve(dense)
-        if sol is None:
-            raise ValidationError([AxiomViolation("kernel-closure", (), "unit is not a cycle")])
-        base_z = space.flat_index(0, 0)
-        unit = {base_z + t: c for t, c in enumerate(sol) if not f.is_zero(c)}
-
-    alg = DgAlgebra.build(f, space, unit, table, {})
-    return KernelAlgebra(alg, incl)
+    for i, zi in enumerate(zcols):
+        for j, zj in enumerate(zcols):
+            p = A.mul(zi, zj)
+            if p:
+                out = _coords(solver, p, "kernel-closure", (i, j), "product of cycles leaves the kernel")
+                if out:
+                    table[(i, j)] = out
+    unit = _coords(solver, A.unit, "kernel-closure", (), "unit is not a cycle") if A.unit else {}
+    alg = DgAlgebra.build(f, sub.space, unit, table, {})
+    return KernelAlgebra(alg, sub.inclusion)
 
 
 @dataclass(frozen=True)
@@ -565,48 +533,34 @@ def homology(A: DgAlgebra) -> DgAlgebra:
     """H(A) with its induced product, as a dg-algebra with zero differential.
 
     Well-definedness of the product (boundaries times cycles stay boundaries)
-    is checked rather than assumed.
+    is checked rather than assumed.  The representatives of each degree are
+    the cycles independent of the boundaries and of the cycles before them.
     """
     f = A.field
     cycles, bounds = _cycle_and_boundary_columns(A)
 
     reps: dict[int, list] = {}
-    solver: dict[int, tuple] = {}  # degree -> (factored [B|R], number of boundary cols)
-    bsolvers: dict = {}  # degree -> factored B
     for k in sorted(set(cycles) | set(bounds)):
-        zc = cycles.get(k, [])
         bc = bounds.get(k, [])
-        nk = A.space.dim(k)
-        if not zc and not bc:
-            continue
-        if bc:
-            bsolvers[k] = Matrix.from_columns(f, bc, nk).factor()
-        aug = Matrix.from_columns(f, bc + zc, nk)
-        pivots = aug.column_space_pivots()
-        if len([p for p in pivots if p < len(bc)]) != len(bc):
+        picked: list = []
+        rref_rows(f, bc + cycles.get(k, []), picked.append)
+        if picked[:len(bc)] != bc:
             raise ValidationError([AxiomViolation(
                 "homology", (k,), "boundary columns are dependent")])
-        chosen = [aug.column(p) for p in pivots if p >= len(bc)]
-        if chosen:
-            reps[k] = chosen
-        solver[k] = (Matrix.from_columns(f, bc + chosen, nk).factor(), len(bc))
+        if len(picked) > len(bc):
+            reps[k] = picked[len(bc):]
 
     # boundaries form an ideal inside the cycles: check it on basis columns
-    for kb in bsolvers:
+    bcols = [v for vs in bounds.values() for v in vs]
+    bsolver = Factored(f, bcols)
+    for kb, bc in bounds.items():
         for kz, zc in cycles.items():
-            tdeg = kb + kz
-            tb = bsolvers.get(tdeg)
-            for bcol in bounds[kb]:
-                bvec = _dense_to_flat(A.space, kb, bcol, f)
-                for zcol in zc:
-                    zvec = _dense_to_flat(A.space, kz, zcol, f)
+            for bvec in bc:
+                for zvec in zc:
                     for prod in (A.mul(bvec, zvec), A.mul(zvec, bvec)):
-                        if not prod:
-                            continue
-                        if tb is None or tb.solve(_flat_to_dense(A.space, tdeg, prod, f)) is None:
-                            raise ValidationError([AxiomViolation(
-                                "homology", (kb, kz),
-                                "boundary times cycle is not a boundary")])
+                        if prod:
+                            _coords(bsolver, prod, "homology", (kb, kz),
+                                    "boundary times cycle is not a boundary")
 
     dims = {k: len(v) for k, v in reps.items()}
     labels = {k: tuple(f"h{k}_{i}" for i in range(m)) for k, m in dims.items()}
@@ -614,23 +568,14 @@ def homology(A: DgAlgebra) -> DgAlgebra:
     if space.is_zero():
         return DgAlgebra.zero_algebra(f)
 
-    rep_flat: list[dict] = []
-    for k in space.degrees():
-        for col in reps[k]:
-            rep_flat.append(_dense_to_flat(A.space, k, col, f))
+    rep_flat = [v for vs in reps.values() for v in vs]
+    nb = len(bcols)
+    solver = Factored(f, bcols + rep_flat)
 
     def project(degree, vec):
         """Coordinates of a cycle in the chosen representatives, mod boundaries."""
-        if degree not in solver:
-            raise ValidationError([AxiomViolation(
-                "homology", (degree,), "product of cycles is not a cycle")])
-        mat, nb = solver[degree]
-        sol = mat.solve(_flat_to_dense(A.space, degree, vec, f))
-        if sol is None:
-            raise ValidationError([AxiomViolation(
-                "homology", (degree,), "product of cycles is not a cycle")])
-        base = space.flat_index(degree, 0)
-        return {base + (t - nb): c for t, c in enumerate(sol) if t >= nb and not f.is_zero(c)}
+        sol = _coords(solver, vec, "homology", (degree,), "product of cycles is not a cycle")
+        return {t - nb: c for t, c in sol.items() if t >= nb}
 
     table: dict = {}
     nh = space.total_dim
@@ -645,21 +590,6 @@ def homology(A: DgAlgebra) -> DgAlgebra:
 
     unit = project(0, A.unit) if A.unit else {}
     return DgAlgebra.build(f, space, unit, table, {})
-
-
-def _dense_to_flat(space, degree, col, f):
-    base = space.flat_index(degree, 0)
-    return {base + r: x for r, x in enumerate(col) if not f.is_zero(x)}
-
-
-def _flat_to_dense(space, degree, vec, f):
-    dense = [f.zero] * space.dim(degree)
-    base = space.flat_index(degree, 0)
-    for m, c in vec.items():
-        if space.degree_of(m) != degree:
-            raise ShapeMismatch("vector not homogeneous of the expected degree")
-        dense[m - base] = c
-    return dense
 
 
 # -- contracting elements ----------------------------------------------------
@@ -690,39 +620,35 @@ def contracting_element(A: DgAlgebra):
     f = A.field
     if not A.unit or A.space.dim(-1) == 0:
         return None
-    blk = A.differential_map().block(-1)
-    sol = blk.solve(_flat_to_dense(A.space, 0, A.unit, f))
+    base = A.space.flat_index(-1, 0)
+    sol = Factored(f, [A.dcols.get(base + t, {}) for t in range(A.space.dim(-1))]).solve(A.unit)
     if sol is None:
         return None
-    zvec = _dense_to_flat(A.space, -1, sol, f)
+    zvec = {base + t: c for t, c in sol.items()}
     z = GradedVector.from_flat(f, A.space, zvec)
 
     ker = kernel_of(A.differential_map())
-    kdims = dict(ker.space.dims)
     kcols = ker.inclusion.flat_columns()
-    nzk = ker.space.total_dim
-
-    zk_by_deg: dict[int, list] = {}
+    # per degree: the kernel basis there and z times the kernel basis one above
+    by_deg: dict[int, list] = {}
     retraction_ok = True
-    for i in range(nzk):
-        ncol = kcols.get(i, {})
+    for i, ncol in kcols.items():
         zn = A.mul(zvec, ncol)
-        deg = ker.space.degree_of(i) - 1
-        zk_by_deg.setdefault(deg, []).append(_flat_to_dense(A.space, deg, zn, f) if zn else [f.zero] * A.space.dim(deg))
+        k = ker.space.degree_of(i)
+        by_deg.setdefault(k, []).append(ncol)
+        by_deg.setdefault(k - 1, []).append(zn)
         if A.d_apply(zn) != ncol:
             retraction_ok = False
 
     dims_add_up = ker.space.total_dim * 2 == A.dim
     intersection_trivial = True
     for k in A.space.degrees():
-        kerk = [ker.inclusion.block(k).column(j) for j in range(ker.space.dim(k))]
-        zkk = zk_by_deg.get(k, [])
-        combined = Matrix.from_columns(f, kerk + zkk, A.space.dim(k))
-        if combined.rank() != len(kerk) + len(zkk):
+        vecs = by_deg.get(k, [])
+        if len(rref_rows(f, vecs)[1]) != len(vecs):
             intersection_trivial = False
-        if len(kerk) + len(zkk) != A.space.dim(k):
+        if len(vecs) != A.space.dim(k):
             dims_add_up = False
-    return ContractingElement(z, kdims, dims_add_up, intersection_trivial, retraction_ok)
+    return ContractingElement(z, dict(ker.space.dims), dims_add_up, intersection_trivial, retraction_ok)
 
 
 # -- center and semisimplicity -----------------------------------------------
@@ -731,11 +657,10 @@ def contracting_element(A: DgAlgebra):
 def center(A: DgAlgebra) -> Subspace:
     """The graded subspace of elements commuting with every basis element."""
     f = A.field
-    dims = {}
-    blocks = {}
-    labels = {}
+    by_degree: dict = {}
     for k in A.space.degrees():
         nk = A.space.dim(k)
+        base = A.space.flat_index(k, 0)
         rows = []
         for pos in range(nk):
             s = A.space.flat_index(k, pos)
@@ -750,14 +675,9 @@ def center(A: DgAlgebra) -> Subspace:
         mat = Matrix._raw(
             f, [[rows[pos].get(key, f.zero) for pos in range(nk)] for key in keys], nk
         )
-        basis = mat.kernel_basis()
-        if basis:
-            dims[k] = len(basis)
-            blocks[k] = Matrix.from_columns(f, basis, nk)
-            labels[k] = tuple(f"c{k}_{i}" for i in range(len(basis)))
-    space = GradedVectorSpace(dims, labels)
-    incl = HomogeneousMap(f, space, A.space, 0, blocks)
-    return Subspace(space, incl)
+        by_degree[k] = [{base + r: x for r, x in enumerate(v) if not f.is_zero(x)}
+                        for v in mat.kernel_basis()]
+    return span_of(f, A.space, by_degree, "c")
 
 
 @dataclass(frozen=True)
@@ -924,7 +844,7 @@ class KComplex:
         return apply(self.field, self.dcols, u)
 
     def differential_map(self) -> HomogeneousMap:
-        return HomogeneousMap.from_flat_columns(self.field, self.space, self.space, 1, self.dcols)
+        return HomogeneousMap(self.field, self.space, self.space, 1, self.dcols)
 
     def __eq__(self, other):
         return (

@@ -7,6 +7,8 @@ plain ints in ``[0, p)``.  All arithmetic in the package goes through a
 """
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 
 from .errors import DgError, FieldMismatch, ParseError
@@ -46,6 +48,15 @@ def _literal(text: str) -> str:
     if len(text) <= 40:
         return repr(text)
     return f"{text[:40]!r}... ({len(text)} characters)"
+
+
+def _too_long(text: str) -> str:
+    """``"longer than N digits"`` when a number in ``text`` is past the
+    interpreter's int conversion limit of N digits, else ``""``."""
+    limit = sys.get_int_max_str_digits()
+    if limit and any(len(run.replace("_", "")) > limit for run in re.findall(r"\d[\d_]*", text)):
+        return f"longer than {limit} digits"
+    return ""
 
 
 class Field:
@@ -128,7 +139,7 @@ class RationalField(Field):
         try:
             return _norm(Fraction(text))
         except (ValueError, ZeroDivisionError) as exc:
-            reason = str(exc).replace(repr(text), _literal(text))
+            reason = _too_long(text) or str(exc).replace(repr(text), _literal(text))
             raise ParseError(f"bad rational literal {_literal(text)}: {reason}") from None
 
     def format(self, a):
@@ -202,7 +213,8 @@ class PrimeField(Field):
         try:
             return int(text, 10) % self.p
         except ValueError:
-            raise ParseError(f"bad residue literal {_literal(text)}") from None
+            reason = _too_long(text)
+            raise ParseError(f"bad residue literal {_literal(text)}" + (reason and f": {reason}")) from None
 
     def format(self, a):
         return str(a % self.p)

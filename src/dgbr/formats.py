@@ -172,7 +172,7 @@ def complex_from_obj(obj: dict, where: str = "complex") -> KComplex:
 
 def map_from_obj(obj: dict, field, source: GradedVectorSpace,
                  target: GradedVectorSpace, where: str = "map") -> HomogeneousMap:
-    """A degree-0 map given by columns over the flat orders of two spaces."""
+    """A map of the given ``degree`` (0 when absent), by columns over the flat orders of two spaces."""
     _check_keys(obj, {"entries", "degree"}, {"entries"}, where)
     degree = obj.get("degree", 0)
     if not isinstance(degree, int) or isinstance(degree, bool):
@@ -193,7 +193,7 @@ def map_from_obj(obj: dict, field, source: GradedVectorSpace,
         if i in cols:
             raise ParseError(f"duplicate map entry {i}", here)
         cols[i] = _parse_sparse(field, entry["out"], nt, ident, f"{here}.out")
-    return HomogeneousMap.from_flat_columns(field, source, target, degree, cols)
+    return HomogeneousMap(field, source, target, degree, cols)
 
 
 # -- canonical serialization ---------------------------------------------------

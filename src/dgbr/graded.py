@@ -1,9 +1,17 @@
-"""Integer-graded vector spaces, homogeneous maps, and their calculus.
+"""Integer-graded vector spaces, linear maps between them, and their calculus.
 
 A space is a finite dict ``degree -> dimension`` (zero dimensions are never
 stored).  Basis elements get a canonical flat ordering: degrees ascending,
 positions within a degree in order.  Sparse coefficient dicts over flat
 indices ("coeffs") are the internal currency of the whole package.
+
+There is one map type, ``HomogeneousMap``.  It stores flat columns
+``{source index: {target index: value}}``, the form ``apply`` runs on, with a
+degree: an int that every entry shifts by, checked on construction, or None
+for a map that may mix shifts (a Hom-space element, its differential, or a
+multiplication by an inhomogeneous element).  Kernels, quotients and
+inverses eliminate these columns in flat order, which keeps the order inside
+each degree, so they come out as a per-degree elimination would give them.
 """
 from __future__ import annotations
 
@@ -11,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import FieldMismatch, ShapeMismatch
 from .fields import Field
-from .linalg import Matrix
+from .linalg import Factored, kernel_columns
 
 
 def clean_coeffs(field: Field, coeffs) -> dict:
@@ -216,30 +224,39 @@ class GradedVector:
 
 
 class HomogeneousMap:
-    """Degree-d linear map between graded spaces, as one block per source degree.
+    """A linear map between graded spaces, as sparse flat columns.
 
-    ``blocks[k]`` sends the degree-k slice of the source into degree k+d of
-    the target; absent blocks are zero.
+    ``cols[j]`` is the image of source basis vector j as target coeffs;
+    absent columns are zero.  ``degree`` is the shift of every entry (an int,
+    checked here), or None when the shifts may differ.
     """
 
-    __slots__ = ("field", "source", "target", "degree", "blocks")
+    __slots__ = ("field", "source", "target", "degree", "cols")
 
-    def __init__(self, field, source, target, degree, blocks):
+    def __init__(self, field, source, target, degree, cols):
+        if degree is not None:
+            degree = int(degree)
+        sdeg, tdeg = source.flat_degrees(), target.flat_degrees()
+        checked = {}
+        for j, col in cols.items():
+            j = int(j)
+            if not 0 <= j < len(sdeg):
+                raise ShapeMismatch(f"column index {j} outside the source space")
+            col = clean_coeffs(field, col)
+            for i in col:
+                if not 0 <= i < len(tdeg):
+                    raise ShapeMismatch(f"row index {i} outside the target space")
+                if degree is not None and tdeg[i] != sdeg[j] + degree:
+                    raise ShapeMismatch(
+                        f"column {j} (degree {sdeg[j]}) hits degree {tdeg[i]}, expected {sdeg[j] + degree}"
+                    )
+            if col:
+                checked[j] = col
         self.field = field
         self.source = source
         self.target = target
-        self.degree = int(degree)
-        checked = {}
-        for k, blk in blocks.items():
-            k = int(k)
-            want = (target.dim(k + self.degree), source.dim(k))
-            if blk.shape != want:
-                raise ShapeMismatch(f"block at degree {k} has shape {blk.shape}, expected {want}")
-            if blk.field != field:
-                raise FieldMismatch("block over the wrong field")
-            if not blk.is_zero():
-                checked[k] = blk
-        self.blocks = checked
+        self.degree = degree
+        self.cols = checked
 
     @classmethod
     def zero(cls, field, source, target, degree=0):
@@ -247,70 +264,43 @@ class HomogeneousMap:
 
     @classmethod
     def identity(cls, field, space):
-        blocks = {k: Matrix.identity(field, space.dim(k)) for k in space.degrees()}
-        return cls(field, space, space, 0, blocks)
-
-    def block(self, k: int) -> Matrix:
-        blk = self.blocks.get(k)
-        if blk is None:
-            blk = Matrix.zeros(self.field, self.target.dim(k + self.degree), self.source.dim(k))
-        return blk
+        return cls(field, space, space, 0, {i: {i: field.one} for i in range(space.total_dim)})
 
     def is_zero(self):
-        return not self.blocks
-
-    def apply(self, v: GradedVector) -> GradedVector:
-        if v.space != self.source:
-            raise ShapeMismatch("vector not in the source space")
-        comp = {}
-        for k, col in v.components.items():
-            out = self.block(k).apply(col)
-            if any(not self.field.is_zero(x) for x in out):
-                comp[k + self.degree] = out
-        return GradedVector(self.field, self.target, comp)
+        return not self.cols
 
     def apply_flat(self, coeffs: dict) -> dict:
-        return apply(self.field, {i: self._flat_column(i) for i in coeffs}, coeffs)
+        return apply(self.field, self.cols, coeffs)
 
-    def _flat_column(self, i: int) -> dict:
-        """Source basis vector i's image as target flat coeffs."""
-        k, pos = self.source.flat_info(i)
-        blk = self.blocks.get(k)
-        if blk is None:
-            return {}
-        base = self.target.flat_index(k + self.degree, 0)
-        return {base + r: x for r, x in enumerate(blk.column(pos)) if not self.field.is_zero(x)}
+    def flat_columns(self) -> dict:
+        """The columns ``{source index: {target index: value}}``, shared, not copied."""
+        return self.cols
 
     def compose(self, other: "HomogeneousMap") -> "HomogeneousMap":
-        """self after other (matrix product, blockwise; no signs)."""
+        """self after other (no signs)."""
         if other.target != self.source:
             raise ShapeMismatch("composition shape mismatch")
         if other.field != self.field:
             raise FieldMismatch("composition over different fields")
-        blocks = {}
-        for k in other.source.degrees():
-            blocks[k] = self.block(k + other.degree) * other.block(k)
-        return HomogeneousMap(self.field, other.source, self.target, self.degree + other.degree, blocks)
+        degree = None if None in (self.degree, other.degree) else self.degree + other.degree
+        return HomogeneousMap(self.field, other.source, self.target, degree,
+                              {j: self.apply_flat(c) for j, c in other.cols.items()})
 
     def __add__(self, other):
-        if (
-            not isinstance(other, HomogeneousMap)
-            or other.source != self.source
-            or other.target != self.target
-            or other.degree != self.degree
-        ):
-            raise ShapeMismatch("can only add maps with identical shape data")
-        keys = set(self.blocks) | set(other.blocks)
-        return HomogeneousMap(
-            self.field, self.source, self.target, self.degree,
-            {k: self.block(k) + other.block(k) for k in keys},
-        )
+        if not isinstance(other, HomogeneousMap) or other.source != self.source or other.target != self.target:
+            raise ShapeMismatch("can only add maps with the same spaces")
+        if other.field != self.field:
+            raise FieldMismatch("sum over different fields")
+        cols = {j: dict(c) for j, c in self.cols.items()}
+        for j, c in other.cols.items():
+            add_into(self.field, cols.setdefault(j, {}), c)
+        degree = self.degree if self.degree == other.degree else None
+        return HomogeneousMap(self.field, self.source, self.target, degree, cols)
 
     def __neg__(self):
-        return HomogeneousMap(
-            self.field, self.source, self.target, self.degree,
-            {k: -blk for k, blk in self.blocks.items()},
-        )
+        neg = self.field.neg
+        return HomogeneousMap(self.field, self.source, self.target, self.degree,
+                              {j: {i: neg(x) for i, x in c.items()} for j, c in self.cols.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -318,67 +308,24 @@ class HomogeneousMap:
     def __eq__(self, other):
         if not isinstance(other, HomogeneousMap):
             return NotImplemented
-        if self.source != other.source or self.target != other.target:
-            return False
-        if self.degree != other.degree:
-            # maps that are both zero agree regardless of declared degree
-            return self.is_zero() and other.is_zero()
-        keys = set(self.blocks) | set(other.blocks)
-        return all(self.block(k) == other.block(k) for k in keys)
-
-    def flat_columns(self) -> dict:
-        """Columns as flat-index coeff dicts: source index -> target coeffs."""
-        cols = {}
-        for k, blk in self.blocks.items():
-            sbase = self.source.flat_index(k, 0)
-            for j in range(blk.ncols):
-                col = self._flat_column(sbase + j)
-                if col:
-                    cols[sbase + j] = col
-        return cols
-
-    @classmethod
-    def from_flat_columns(cls, field, source, target, degree, cols):
-        for j, col in cols.items():
-            if not 0 <= j < source.total_dim:
-                raise ShapeMismatch(f"column index {j} outside the source space")
-            for i in col:
-                if not 0 <= i < target.total_dim:
-                    raise ShapeMismatch(f"row index {i} outside the target space")
-        blocks = {}
-        for k in source.degrees():
-            m, n = target.dim(k + degree), source.dim(k)
-            data = [[field.zero] * n for _ in range(m)]
-            sbase = source.flat_index(k, 0) if n else 0
-            for j in range(n):
-                for ti, c in cols.get(sbase + j, {}).items():
-                    tk, tpos = target.flat_info(ti)
-                    if tk != k + degree:
-                        raise ShapeMismatch(
-                            f"column {sbase + j} (degree {k}) hits degree {tk}, expected {k + degree}"
-                        )
-                    data[tpos][j] = field.coerce(c)
-            blocks[k] = Matrix._raw(field, data, n)
-        return cls(field, source, target, degree, blocks)
+        return self.source == other.source and self.target == other.target and self.cols == other.cols
 
     def inverse(self) -> "HomogeneousMap | None":
-        """Blockwise inverse of a degree-0 map; None when any block is singular."""
+        """Inverse of a degree-0 map, solved column by column; None when singular."""
         if self.degree != 0:
             raise ShapeMismatch("only degree-0 maps are inverted")
-        blocks = {}
-        for k in set(self.source.degrees()) | set(self.target.degrees()):
-            if self.source.dim(k) != self.target.dim(k):
-                return None
-            if self.source.dim(k) == 0:
-                continue
-            inv = self.block(k).inverse()
-            if inv is None:
-                return None
-            blocks[k] = inv
-        return HomogeneousMap(self.field, self.target, self.source, 0, blocks)
+        if self.source != self.target:
+            return None
+        n = self.source.total_dim
+        solver = Factored(self.field, [self.cols.get(j, {}) for j in range(n)])
+        if solver.pivots != tuple(range(n)):
+            return None
+        one = self.field.one
+        return HomogeneousMap(self.field, self.target, self.source, 0,
+                              {i: solver.solve({i: one}) for i in range(n)})
 
     def __repr__(self):
-        return f"HomogeneousMap(degree={self.degree}, blocks={sorted(self.blocks)})"
+        return f"HomogeneousMap(degree={self.degree}, {len(self.cols)} nonzero columns)"
 
 
 @dataclass(frozen=True)
@@ -398,82 +345,56 @@ class Quotient:
     section: HomogeneousMap
 
 
+def span_of(field, ambient: GradedVectorSpace, by_degree: dict, prefix: str) -> Subspace:
+    """The subspace with basis ``by_degree[k]``, independent flat vectors of degree k.
+
+    Its basis is labelled ``{prefix}{k}_{i}`` and ordered as listed, degrees ascending.
+    """
+    dims = {k: len(v) for k, v in by_degree.items() if v}
+    labels = {k: tuple(f"{prefix}{k}_{i}" for i in range(m)) for k, m in dims.items()}
+    space = GradedVectorSpace(dims, labels)
+    cols = [v for k in sorted(dims) for v in by_degree[k]]
+    return Subspace(space, HomogeneousMap(field, space, ambient, 0, dict(enumerate(cols))))
+
+
 def kernel_of(f: HomogeneousMap, label_prefix: str = "k") -> Subspace:
-    field = f.field
-    dims = {}
-    blocks = {}
-    labels = {}
-    for k in f.source.degrees():
-        basis = f.block(k).kernel_basis()
-        if not basis:
-            continue
-        dims[k] = len(basis)
-        blocks[k] = Matrix.from_columns(field, basis, f.source.dim(k))
-        labels[k] = tuple(f"{label_prefix}{k}_{i}" for i in range(len(basis)))
-    space = GradedVectorSpace(dims, labels)
-    incl = HomogeneousMap(field, space, f.source, 0, {k: blocks[k] for k in dims})
-    return Subspace(space, incl)
-
-
-def image_of(f: HomogeneousMap, label_prefix: str = "im") -> Subspace:
-    field = f.field
-    dims = {}
-    blocks = {}
-    labels = {}
-    for k in f.source.degrees():
-        blk = f.block(k)
-        pivots = blk.column_space_pivots()
-        if not pivots:
-            continue
-        tdeg = k + f.degree
-        cols = [blk.column(j) for j in pivots]
-        dims[tdeg] = len(cols)
-        blocks[tdeg] = Matrix.from_columns(field, cols, f.target.dim(tdeg))
-        labels[tdeg] = tuple(f"{label_prefix}{tdeg}_{i}" for i in range(len(cols)))
-    space = GradedVectorSpace(dims, labels)
-    incl = HomogeneousMap(field, space, f.target, 0, {k: blocks[k] for k in dims})
-    return Subspace(space, incl)
+    """ker(f), with one basis vector per free column of f's reduced form (free variable 1)."""
+    if f.degree is None:
+        raise ShapeMismatch("the kernel of a map that mixes degrees is not graded")
+    basis, _ = kernel_columns(f.field, f.cols, f.source.total_dim)
+    by_degree: dict = {}
+    for j, v in basis.items():
+        by_degree.setdefault(f.source.degree_of(j), []).append(v)
+    return span_of(f.field, f.source, by_degree, label_prefix)
 
 
 def quotient_by(space: GradedVectorSpace, inclusion: HomogeneousMap) -> Quotient:
-    """Quotient of ``space`` by the image of an injective degree-0 inclusion.
+    """Quotient of ``space`` by the image of an injective degree-0 inclusion W.
 
     Coset representatives are standard basis vectors of ``space`` chosen by
-    column pivoting, so the section lands on honest basis elements and the
-    quotient inherits their labels.
+    column pivoting of ``[W | I]``, so the section lands on honest basis
+    elements and the quotient inherits their labels.  The projection sends a
+    vector to its coordinates on the representatives in the basis W, R.
     """
     field = inclusion.field
     if inclusion.target != space or inclusion.degree != 0:
         raise ShapeMismatch("expected a degree-0 inclusion into the ambient space")
-    qdims = {}
-    proj_blocks = {}
-    sect_blocks = {}
-    qlabels = {}
-    for k in space.degrees():
-        n = space.dim(k)
-        W = inclusion.block(k)
-        if W.rank() != W.ncols:
-            raise ShapeMismatch(f"inclusion not injective in degree {k}")
-        aug = W.hstack(Matrix.identity(field, n))
-        pivots = aug.column_space_pivots()
-        if len([p for p in pivots if p < W.ncols]) != W.ncols:
-            raise ShapeMismatch(f"inclusion columns dependent in degree {k}")
-        rep_idx = [p - W.ncols for p in pivots if p >= W.ncols]
-        q = len(rep_idx)
-        if q == 0:
-            continue
-        R = Matrix.from_columns(field, [tuple(field.one if r == j else field.zero for r in range(n)) for j in rep_idx], n)
-        full = W.hstack(R)
-        inv = full.inverse()
-        assert inv is not None
-        proj = Matrix._raw(field, inv.rows[W.ncols:], n)
-        qdims[k] = q
-        proj_blocks[k] = proj
-        sect_blocks[k] = R
-        qlabels[k] = tuple(space.label_of(space.flat_index(k, j)) for j in rep_idx)
-    qspace = GradedVectorSpace(qdims, qlabels)
-    projection = HomogeneousMap(field, space, qspace, 0, {k: proj_blocks[k] for k in qdims})
-    section = HomogeneousMap(field, qspace, space, 0, {k: sect_blocks[k] for k in qdims})
+    w, n = inclusion.source.total_dim, space.total_dim
+    solver = Factored(field, [inclusion.cols.get(j, {}) for j in range(w)]
+                      + [{i: field.one} for i in range(n)])
+    if solver.pivots[:w] != tuple(range(w)):
+        lost = next(j for j in range(w) if j not in solver.pivots)
+        raise ShapeMismatch(f"inclusion not injective in degree {inclusion.source.degree_of(lost)}")
+    reps = [p - w for p in solver.pivots[w:]]
+    labels: dict = {}
+    for r in reps:
+        labels.setdefault(space.degree_of(r), []).append(space.label_of(r))
+    qspace = GradedVectorSpace({k: len(v) for k, v in labels.items()}, labels)
+    q_of = {w + r: q for q, r in enumerate(reps)}
+    proj = {i: {q_of[p]: c for p, c in solver.solve({i: field.one}).items() if p >= w}
+            for i in range(n)}
+    projection = HomogeneousMap(field, space, qspace, 0, proj)
+    section = HomogeneousMap(field, qspace, space, 0, {q: {r: field.one} for q, r in enumerate(reps)})
     return Quotient(qspace, projection, section)
 
 
@@ -505,104 +426,3 @@ class TensorBasis:
             pairs.extend(buckets[k])
         self.pairs = tuple(pairs)
         self.index = {pq: t for t, pq in enumerate(pairs)}
-
-
-class LinearMap:
-    """A not-necessarily-homogeneous linear map via sparse flat columns."""
-
-    __slots__ = ("field", "source", "target", "cols")
-
-    def __init__(self, field, source, target, cols):
-        self.field = field
-        self.source = source
-        self.target = target
-        self.cols = {int(j): clean_coeffs(field, c) for j, c in cols.items() if c}
-        self.cols = {j: c for j, c in self.cols.items() if c}
-        for j, c in self.cols.items():
-            if j < 0 or j >= source.total_dim:
-                raise ShapeMismatch(f"column index {j} outside the source space")
-            for i in c:
-                if i < 0 or i >= target.total_dim:
-                    raise ShapeMismatch(f"row index {i} outside the target space")
-
-    def apply_flat(self, coeffs: dict) -> dict:
-        return apply(self.field, self.cols, coeffs)
-
-    def compose(self, other: "LinearMap") -> "LinearMap":
-        if other.target != self.source:
-            raise ShapeMismatch("composition shape mismatch")
-        cols = {}
-        for j, c in other.cols.items():
-            out = self.apply_flat(c)
-            if out:
-                cols[j] = out
-        return LinearMap(self.field, other.source, self.target, cols)
-
-    def homogeneous_degree(self):
-        """The unique degree shift, or None for the zero map; mixed maps raise."""
-        deg = None
-        for j, col in self.cols.items():
-            sk = self.source.degree_of(j)
-            for i in col:
-                d = self.target.degree_of(i) - sk
-                if deg is None:
-                    deg = d
-                elif d != deg:
-                    raise ShapeMismatch(f"map mixes degree shifts {deg} and {d}")
-        return deg
-
-    def to_homogeneous(self, degree: int | None = None) -> HomogeneousMap:
-        d = self.homogeneous_degree()
-        if d is None:
-            d = 0 if degree is None else degree
-        if degree is not None and d != degree:
-            raise ShapeMismatch(f"map has degree {d}, not {degree}")
-        return HomogeneousMap.from_flat_columns(self.field, self.source, self.target, d, self.cols)
-
-    @classmethod
-    def from_homogeneous(cls, m: HomogeneousMap) -> "LinearMap":
-        return cls(m.field, m.source, m.target, m.flat_columns())
-
-    def __add__(self, other):
-        if not isinstance(other, LinearMap) or other.source != self.source or other.target != self.target:
-            raise ShapeMismatch("can only add maps with the same spaces")
-        cols = {j: dict(c) for j, c in self.cols.items()}
-        for j, c in other.cols.items():
-            acc = cols.setdefault(j, {})
-            add_into(self.field, acc, c)
-        return LinearMap(self.field, self.source, self.target, cols)
-
-    def scaled(self, c) -> "LinearMap":
-        c = self.field.coerce(c)
-        return LinearMap(
-            self.field, self.source, self.target,
-            {j: {i: self.field.mul(c, x) for i, x in col.items()} for j, col in self.cols.items()},
-        )
-
-    def __neg__(self):
-        return self.scaled(self.field.neg(self.field.one))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LinearMap)
-            and self.source == other.source
-            and self.target == other.target
-            and self.cols == other.cols
-        )
-
-    def is_zero(self):
-        return not self.cols
-
-    def rank(self) -> int:
-        cols = []
-        n = self.target.total_dim
-        for j in range(self.source.total_dim):
-            col = self.cols.get(j, {})
-            cols.append(tuple(col.get(i, self.field.zero) for i in range(n)))
-        return Matrix.from_columns(self.field, cols, n).rank()
-
-    def __repr__(self):
-        return f"LinearMap({len(self.cols)} nonzero columns)"

@@ -12,9 +12,9 @@ and composition makes Hom(C, C) a dg-algebra.
 from __future__ import annotations
 
 from .dg import DgAlgebra, DgModule, KComplex, ksign
-from .errors import AxiomViolation, ShapeMismatch, ValidationError
-from .graded import GradedVectorSpace, LinearMap, add_into, apply, clean_coeffs
-from .linalg import Matrix
+from .errors import AxiomViolation, FieldMismatch, ShapeMismatch, ValidationError
+from .graded import GradedVectorSpace, HomogeneousMap, add_into, apply, clean_coeffs
+from .linalg import Factored, kernel_columns
 
 
 class HomComplex:
@@ -25,6 +25,8 @@ class HomComplex:
     algebra-linear flavor ``coords`` expresses each basis vector of the
     (generally smaller) solution space in unit coordinates; for the base-field
     flavor the units themselves are the basis and ``coords`` is None.
+    Coordinates over the smaller space come from one factorization of the
+    ``coords`` columns, made on first use.
     """
 
     def __init__(self, field, source_space, target_space, space, units, unit_index,
@@ -40,6 +42,7 @@ class HomComplex:
         self.linearity = linearity
         self.source = source
         self.target = target
+        self._solver = None
 
     @property
     def dim(self):
@@ -54,47 +57,36 @@ class HomComplex:
             return dict(coeffs)
         return apply(self.field, self.coords, coeffs)
 
-    def basis_map(self, t: int) -> LinearMap:
+    def basis_map(self, t: int) -> HomogeneousMap:
         return self.to_map({t: self.field.one})
 
-    def to_map(self, coeffs: dict) -> LinearMap:
-        """The actual linear map with the given coefficients."""
+    def to_map(self, coeffs: dict) -> HomogeneousMap:
+        """The actual linear map with the given coefficients; its degree is None."""
         cols: dict = {}
         for u, c in self.unit_coords(clean_coeffs(self.field, coeffs)).items():
             mi, nj = self.units[u]  # units are distinct (source, target) pairs
             cols.setdefault(mi, {})[nj] = c
-        return LinearMap(self.field, self.source_space, self.target_space, cols)
+        return HomogeneousMap(self.field, self.source_space, self.target_space, None, cols)
 
-    def from_map(self, lm: LinearMap) -> dict:
+    def from_map(self, m: HomogeneousMap) -> dict:
         """Coefficients of a linear map; fails if it lies outside the space."""
-        ucoords: dict = {}
-        for mi, col in lm.cols.items():
-            for nj, c in col.items():
-                ucoords[self.unit_index[(mi, nj)]] = c
+        if m.field != self.field:
+            raise FieldMismatch("map over a different field from the Hom space")
+        if m.source != self.source_space or m.target != self.target_space:
+            raise ShapeMismatch("map between other spaces than those of the Hom space")
+        ucoords = {self.unit_index[(mi, nj)]: c for mi, col in m.cols.items() for nj, c in col.items()}
         if self.coords is None:
-            return clean_coeffs(self.field, ucoords)
-        out: dict = {}
-        f = self.field
-        by_deg: dict[int, dict] = {}
-        for u, c in ucoords.items():
-            by_deg.setdefault(self._unit_degree(u), {})[u] = c
-        for k, part in by_deg.items():
-            base = self.space.flat_index(k, 0) if self.space.dim(k) else None
-            cols = [self.coords[base + t] for t in range(self.space.dim(k))] if base is not None else []
-            order = sorted({u for col in cols for u in col} | set(part))
-            mat = Matrix(f, [[col.get(u, f.zero) for col in cols] for u in order],
-                         ncols=len(cols))
-            sol = mat.solve([part.get(u, f.zero) for u in order])
-            if sol is None:
-                raise ShapeMismatch("map is not algebra-linear")
-            for t, c in enumerate(sol):
-                if not f.is_zero(c):
-                    out[base + t] = c
+            return ucoords
+        out = self._coords_of(ucoords)
+        if out is None:
+            raise ShapeMismatch("map is not algebra-linear")
         return out
 
-    def _unit_degree(self, u: int) -> int:
-        mi, nj = self.units[u]
-        return self.target_space.degree_of(nj) - self.source_space.degree_of(mi)
+    def _coords_of(self, ucoords: dict):
+        """Coordinates over self.space of a vector in unit coordinates; None when outside."""
+        if self._solver is None:
+            self._solver = Factored(self.field, [self.coords[s] for s in range(len(self.coords))])
+        return self._solver.solve(ucoords)
 
     def __repr__(self):
         return f"HomComplex(dims={dict(self.space.dims)}, {self.linearity})"
@@ -176,12 +168,11 @@ def hom_complex(M: DgModule, N: DgModule, linearity: str = "base-field") -> HomC
     sub_dims: dict[int, int] = {}
     sub_labels: dict[int, tuple] = {}
     coords: dict[int, dict] = {}  # solution basis index -> unit coordinates
-    kernel_cols: dict[int, list] = {}
     for k in space.degrees():
         nk = space.dim(k)
         base = space.flat_index(k, 0)
         # unknown column per unit; equation rows keyed (module m, algebra a, output)
-        cols_entries: list[dict] = []
+        cols_entries: dict[int, dict] = {}
         for t in range(nk):
             mi, nj = units[base + t]
             entries: dict = {}
@@ -197,50 +188,31 @@ def hom_complex(M: DgModule, N: DgModule, linearity: str = "base-field") -> HomC
                         for out_n, c in N.action.get((nj, a), {}).items():
                             key = (m, a, out_n)
                             entries[key] = f.sub(entries.get(key, f.zero), c)
-            cols_entries.append({k: c for k, c in entries.items() if not f.is_zero(c)})
-        keys = sorted({key for e in cols_entries for key in e})
-        mat = Matrix(f, [[e.get(key, f.zero) for e in cols_entries] for key in keys],
-                     ncols=nk)
-        basis = mat.kernel_basis()
+            cols_entries[t] = {k: c for k, c in entries.items() if not f.is_zero(c)}
+        basis, _ = kernel_columns(f, cols_entries, nk)
         if basis:
-            kernel_cols[k] = basis
             sub_dims[k] = len(basis)
             sub_labels[k] = tuple(f"al{k}_{i}" for i in range(len(basis)))
-            for col in basis:
-                coords[len(coords)] = {base + t: c for t, c in enumerate(col) if not f.is_zero(c)}
+            for col in basis.values():
+                coords[len(coords)] = {base + t: c for t, c in col.items()}
 
     sub_space = GradedVectorSpace(sub_dims, sub_labels)
-    sub_dcols: dict = {}
+    H = HomComplex(f, M.space, N.space, sub_space, units, unit_index, {},
+                   coords=coords, linearity="algebra-linear", source=M, target=N)
     for s in range(sub_space.total_dim):
-        k = sub_space.degree_of(s)
         img = apply(f, dcols, coords[s])
         if not img:
             continue
-        tk = k + 1
-        if sub_space.dim(tk) == 0:
+        out = H._coords_of(img)
+        if out is None:
             raise ValidationError([AxiomViolation(
                 "hom-subcomplex", (s,), "differential leaves the linearity solution space")])
-        tbase = space.flat_index(tk, 0)
-        ntk = space.dim(tk)
-        cols = [
-            [coords[sub_space.flat_index(tk, q)].get(tbase + t, f.zero) for q in range(sub_space.dim(tk))]
-            for t in range(ntk)
-        ]
-        sol = Matrix(f, cols, ncols=sub_space.dim(tk)).solve(
-            [img.get(tbase + t, f.zero) for t in range(ntk)]
-        )
-        if sol is None:
-            raise ValidationError([AxiomViolation(
-                "hom-subcomplex", (s,), "differential leaves the linearity solution space")])
-        out = {sub_space.flat_index(tk, q): c for q, c in enumerate(sol) if not f.is_zero(c)}
         if out:
-            sub_dcols[s] = out
-
-    return HomComplex(f, M.space, N.space, sub_space, units, unit_index, sub_dcols,
-                      coords=coords, linearity="algebra-linear", source=M, target=N)
+            H.dcols[s] = out
+    return H
 
 
-def hom_differential(H: HomComplex, lm: LinearMap) -> LinearMap:
+def hom_differential(H: HomComplex, lm: HomogeneousMap) -> HomogeneousMap:
     """d_N o f - (-1)^{|f|} f o d_M, applied per homogeneous component of f."""
     f = H.field
     degM = H.source_space.flat_degrees()
@@ -259,7 +231,7 @@ def hom_differential(H: HomComplex, lm: LinearMap) -> LinearMap:
             add_into(f, out_cols.setdefault(mi, {}), apply(f, dN, col))
         for src, dcol in dM.items():  # f o d_M
             add_into(f, out_cols.setdefault(src, {}), apply(f, cols, dcol), scale=sign)
-    return LinearMap(f, H.source_space, H.target_space, out_cols)
+    return HomogeneousMap(f, H.source_space, H.target_space, None, out_cols)
 
 
 def end_dg_algebra(C: KComplex) -> DgAlgebra:

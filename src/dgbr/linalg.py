@@ -11,14 +11,14 @@ and coerces nothing.
 All elimination runs through one kernel, ``rref_rows``, which works on rows
 stored as sparse ``{col: value}`` dicts: structure matrices built from
 matrix units are mostly zero, and the kernel touches only their nonzeros.
-``Matrix.rref`` converts to sparse rows and back; ``rank``,
-``column_space_pivots`` and ``Factored`` read the sparse rows directly.
+``Matrix.rref`` converts to sparse rows and back; ``rank`` and
+``column_space_pivots`` read the sparse rows directly.
 
-``Matrix.solve`` eliminates afresh on every call.  When one matrix is solved
-against many right-hand sides, ``Matrix.factor()`` reduces ``[A | I]`` once
-and returns a ``Factored`` solver that keeps the pivots and the transform
-``T`` with ``T * A = rref(A)``.  Each of its solves is one sparse product
-``T * b``.  Both paths return the same canonical solution, entry for entry:
+Maps and subspaces are sparse flat columns, so their elimination never builds
+a ``Matrix``.  ``kernel_columns`` gives the kernel of sparse columns, and
+``Factored`` reduces sparse columns once and solves against many sparse
+right-hand sides, each solve one sparse product ``T * b``.  ``Matrix.solve``
+and ``Factored.solve`` return the same canonical solution, entry for entry:
 the reduced echelon form is unique, and free variables are set to zero.
 """
 from __future__ import annotations
@@ -89,6 +89,28 @@ def rref_rows(field: Field, rows, on_pivot=None):
     return [{c: one, **tails[c]} for c in pivots], tuple(pivots)
 
 
+def kernel_columns(field: Field, cols, n: int):
+    """Kernel of the sparse columns ``cols[j] = {row key: value}``, j in [0, n).
+
+    Returns ``(basis, pivots)``: ``basis[j]`` for each free column j ascending
+    is the kernel vector with 1 at j, zero at the other free columns and minus
+    the j entry of each pivot row at its pivot; ``pivots`` are the leftmost
+    independent columns.  Absent columns are zero.
+    """
+    rows: dict = {}
+    for j, col in cols.items():
+        for key, x in col.items():
+            rows.setdefault(key, {})[j] = x
+    reduced, pivots = rref_rows(field, rows.values())
+    is_pivot = set(pivots)
+    basis = {j: {j: field.one} for j in range(n) if j not in is_pivot}
+    for p, row in zip(pivots, reduced):
+        for j, x in row.items():
+            if j != p:
+                basis[j][p] = field.neg(x)
+    return basis, pivots
+
+
 class Matrix:
     __slots__ = ("field", "rows", "nrows", "ncols")
 
@@ -154,13 +176,6 @@ class Matrix:
     def columns(self):
         return [self.column(j) for j in range(self.ncols)]
 
-    def transpose(self):
-        return Matrix._raw(self.field, zip(*self.rows), self.nrows)
-
-    def is_zero(self):
-        zero = self.field.is_zero
-        return all(zero(x) for r in self.rows for x in r)
-
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
@@ -171,28 +186,6 @@ class Matrix:
 
     def __hash__(self):
         return hash((self.field, self.rows, self.ncols))
-
-    def __add__(self, other):
-        self._same_shape(other)
-        add = self.field.add
-        return Matrix._raw(
-            self.field,
-            [[add(a, b) for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)],
-            self.ncols,
-        )
-
-    def __sub__(self, other):
-        self._same_shape(other)
-        sub = self.field.sub
-        return Matrix._raw(
-            self.field,
-            [[sub(a, b) for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)],
-            self.ncols,
-        )
-
-    def __neg__(self):
-        neg = self.field.neg
-        return Matrix._raw(self.field, [[neg(x) for x in r] for r in self.rows], self.ncols)
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -219,12 +212,6 @@ class Matrix:
                         row[j] = add(row[j], mul(a, b))
             out.append(row)
         return Matrix._raw(self.field, out, other.ncols)
-
-    def _same_shape(self, other):
-        if not isinstance(other, Matrix) or self.field != other.field:
-            raise ShapeMismatch("matrix operands must share a field")
-        if self.shape != other.shape:
-            raise ShapeMismatch(f"shape mismatch {self.shape} vs {other.shape}")
 
     def hstack(self, other):
         if self.nrows != other.nrows:
@@ -321,10 +308,6 @@ class Matrix:
             sol[pc] = R.rows[r][self.ncols]
         return tuple(sol)
 
-    def factor(self) -> "Factored":
-        """Factor once for many ``solve`` calls; see ``Factored``."""
-        return Factored(self)
-
     def inverse(self):
         if self.nrows != self.ncols:
             raise ShapeMismatch("inverse of a non-square matrix")
@@ -341,54 +324,57 @@ class Matrix:
 
 
 class Factored:
-    """A matrix A reduced once, for solving A * x = b against many b.
+    """Sparse columns A reduced once, for solving A * x = b against many b.
 
-    One reduction of ``[A | I]`` yields the pivot columns of A and an invertible
-    transform T with ``T * A = rref(A)``.  T is kept column by column, with
-    only its nonzero entries, so a solve costs one pass over the nonzeros of
-    b.  The answer is the one ``Matrix.solve`` gives: None when a row of
-    ``T * b`` at or below the rank is nonzero, otherwise ``(T * b)[r]`` at
-    the r-th pivot column and zero at every free variable.
+    ``cols`` is a sequence of sparse columns ``{row key: value}``; the row keys
+    may be any hashable values, and a key in no column is a zero row.  One
+    reduction of the rows of ``[A | I]`` yields the pivot columns of A and an
+    invertible transform T with ``T * A = rref(A)``.  T is kept column by
+    column, with only its nonzero entries, so a solve costs one pass over the
+    nonzeros of b.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "pivots", "_tcols")
+    __slots__ = ("field", "pivots", "_tcols")
 
-    def __init__(self, A: Matrix):
-        f = A.field
-        m, n = A.nrows, A.ncols
-        rows = A._sparse_rows()
-        for i, row in enumerate(rows):
-            row[n + i] = f.one
-        reduced, pivots = rref_rows(f, rows)
-        self.field = f
-        self.nrows = m
-        self.ncols = n
+    def __init__(self, field: Field, cols):
+        n = len(cols)
+        rows: dict = {}  # row key -> that row of [A | I]
+        for j, col in enumerate(cols):
+            for key, x in col.items():
+                row = rows.get(key)
+                if row is None:
+                    row = rows[key] = {n + len(rows): field.one}
+                row[j] = x
+        reduced, pivots = rref_rows(field, rows.values())
+        self.field = field
         self.pivots = tuple(p for p in pivots if p < n)
-        self._tcols = [[] for _ in range(m)]
+        tcols: list = [[] for _ in rows]
         for i, row in enumerate(reduced):
             for k, x in row.items():
                 if k >= n:
-                    self._tcols[k - n].append((i, x))
+                    tcols[k - n].append((i, x))
+        self._tcols = dict(zip(rows, tcols))
 
-    def solve(self, rhs):
-        """Canonical solution of A * x = rhs, or None if inconsistent.
+    def solve(self, rhs: dict):
+        """Canonical solution ``{column: value}`` of A * x = rhs, or None if inconsistent.
 
-        rhs is a sequence of field values (trusted, not coerced).
+        rhs is a sparse ``{row key: value}`` dict of field values (trusted, not
+        coerced).  None when rhs is nonzero on a zero row of A or a row of
+        ``T * rhs`` past the rank is nonzero; otherwise x holds ``(T * rhs)[r]``
+        at the r-th pivot column and leaves out the free variables, which are zero.
         """
-        if len(rhs) != self.nrows:
-            raise ShapeMismatch(f"rhs length {len(rhs)} vs {self.nrows} rows")
         f = self.field
-        add, mul, is_zero, zero = f.add, f.mul, f.is_zero, f.zero
-        y = [zero] * self.nrows
-        for j, b in enumerate(rhs):
+        add, mul, is_zero = f.add, f.mul, f.is_zero
+        y: dict = {}
+        for key, b in rhs.items():
             if is_zero(b):
                 continue
-            for i, t in self._tcols[j]:
-                y[i] = add(y[i], mul(t, b))
+            tcol = self._tcols.get(key)
+            if tcol is None:
+                return None
+            for i, t in tcol:
+                y[i] = add(y.get(i, f.zero), mul(t, b))
         rank = len(self.pivots)
-        if not all(is_zero(x) for x in y[rank:]):
+        if any(i >= rank and not is_zero(x) for i, x in y.items()):
             return None
-        sol = [zero] * self.ncols
-        for r, pc in enumerate(self.pivots):
-            sol[pc] = y[r]
-        return tuple(sol)
+        return {self.pivots[i]: y[i] for i in sorted(y) if not is_zero(y[i])}

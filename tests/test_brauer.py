@@ -40,7 +40,7 @@ from dgbr.dg import (
     trivial_dg,
     unsigned_swap_map,
 )
-from dgbr.errors import NoSuitableIdempotent, NotCentralSimple, ShapeMismatch
+from dgbr.errors import FieldMismatch, NoSuitableIdempotent, NotCentralSimple, ShapeMismatch
 from dgbr.fields import GF, QQ
 from dgbr.graded import HomogeneousMap
 from dgbr.homs import end_dg_algebra
@@ -239,16 +239,21 @@ def test_verify_equivalence_rejects_dim_mismatch():
     A = mat2_inner(QQ)
     K = neutral(QQ)
     C1 = KComplex.point(QQ)
-    m = HomogeneousMap.from_flat_columns(QQ, KComplex.point(QQ).space,
-                                         KComplex.point(QQ).space, 0,
-                                         {0: {0: QQ.one}})
+    m = HomogeneousMap(QQ, KComplex.point(QQ).space, KComplex.point(QQ).space, 0,
+                       {0: {0: QQ.one}})
     with pytest.raises(ShapeMismatch):
         verify_equivalence(A, K, C1, C1, m)
 
 
+def test_verify_dg_iso_rejects_a_map_over_another_field():
+    A = mat2_inner(QQ)
+    with pytest.raises(FieldMismatch):
+        verify_dg_iso(A, A, HomogeneousMap.identity(GF(7), A.space))
+
+
 def test_verify_dg_iso_reports_failures_with_labels():
     A = dual_numbers(QQ)
-    sw = HomogeneousMap.from_flat_columns(
+    sw = HomogeneousMap(
         QQ, A.space, A.space, 0, {0: {0: QQ.coerce(2)}, 1: {1: QQ.one}}
     )
     w = verify_dg_iso(A, A, sw)

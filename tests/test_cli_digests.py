@@ -1,16 +1,25 @@
-"""CLI stdout pinned byte for byte over QQ.
+"""CLI stdout and witness maps pinned byte for byte over QQ.
 
 Each case runs ``dgbr.cli.main`` in process; a pipeline stage reads the
 previous stage's stdout from a file.  The SHA-256 digests of the last stage's
 stdout were recorded while every rational was still a ``Fraction``, so they
-pin that storing integral rationals as ``int`` changes no output byte.
+pin that storing integral rationals as ``int`` changes no output byte.  The
+``kernel`` and ``contracting`` cases, and the serialized structure and
+sandwich maps that no command prints, were recorded while maps still kept
+dense per-degree blocks, so they pin that sparse flat columns change no byte.
 """
 import hashlib
 import pathlib
 
 import pytest
 
+from dgbr.brauer import sandwich_map, structure_realize
 from dgbr.cli import main
+from dgbr.dg import opposite, tensor_product
+from dgbr.fields import QQ
+from dgbr.formats import serialize_map
+from dgbr.homs import end_dg_algebra
+from dgbr.matrix_algebras import good_grading_matrix_algebra, inner_differential
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "algebras"
 DUAL = str(SAMPLES / "dual_numbers.json")
@@ -49,6 +58,18 @@ CASES = {
         1,
         "fad76cc7084f455072ed67e51949914c953735ac5dbbacca261b176e8035860c",
     ),
+    # a 5-dim kernel algebra
+    "kernel": (
+        [MAT3, ["kernel", PREV]],
+        0,
+        "d8356ff57a59b082ae478d614251acc0e7e52e0ef39ed424fccb229b209248f0",
+    ),
+    # z is basis element 1
+    "contracting-json": (
+        [["tensor", DUAL, DUAL], ["contracting", "--json", PREV]],
+        0,
+        "6449fb8011fa96e8f914d5a9bcff145a83f305b786638454b34e80b6e4b9b067",
+    ),
 }
 
 
@@ -69,3 +90,16 @@ def test_cli_stdout_digest(name, tmp_path, capsys):
     rc, out = _run_pipeline(stages, tmp_path, capsys)
     assert rc == want_rc
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want_digest
+
+
+def test_structure_and_sandwich_map_digests():
+    """Good-graded Mat_3 with d = [e12, -]: both witness maps, serialized."""
+    A0 = good_grading_matrix_algebra(QQ, 3, (1, 0))
+    A = inner_differential(A0, A0.element({"e12": 1}))
+    T, E = tensor_product(A, opposite(A)), end_dg_algebra(A.complex())
+    digests = [hashlib.sha256(serialize_map(m).encode("utf-8")).hexdigest()
+               for m in (structure_realize(A).witness.map, sandwich_map(A, T, E))]
+    assert digests == [
+        "83c11aa6c17850e5087c96f4e594b740de86507b952afc7185c0077e75f99a37",
+        "55a5ad4361b72f56c1d0494adbcfd69708b43061834a38c1bbf684f49092b2ac",
+    ]

@@ -5,7 +5,7 @@ from dgbr.catalog import mat2_inner
 from dgbr.dg import DgModule, KComplex, ksign
 from dgbr.errors import ShapeMismatch, ValidationError
 from dgbr.fields import GF, QQ
-from dgbr.graded import GradedVectorSpace, LinearMap
+from dgbr.graded import GradedVectorSpace, HomogeneousMap
 from dgbr.homs import end_dg_algebra, hom_complex, hom_differential, hom_of_complexes
 
 
@@ -101,6 +101,13 @@ def test_to_map_from_map_roundtrip():
     lm = H.to_map(coeffs)
     assert H.from_map(lm) == coeffs
     assert H.to_map(H.from_map(lm)) == lm
+
+
+def test_from_map_rejects_a_map_between_other_spaces():
+    H = hom_of_complexes(two_step(), two_step())
+    A = mat2_inner(QQ)
+    with pytest.raises(ShapeMismatch):
+        H.from_map(HomogeneousMap.identity(QQ, A.space))
 
 
 def test_algebra_linear_hom_of_regular_module():

@@ -62,7 +62,7 @@ def test_complex_roundtrip_is_identity():
 
 def test_map_roundtrip_is_identity():
     A = dual_numbers(QQ)
-    m = HomogeneousMap.from_flat_columns(
+    m = HomogeneousMap(
         QQ, A.space, A.space, 0,
         {0: {0: QQ.coerce(3)}, 1: {1: QQ.one}},
     )
@@ -243,14 +243,14 @@ def test_cli_end_and_hom_on_complex_files(tmp_path):
 
 def test_cli_verify_iso_and_exit_codes(tmp_path):
     A = dual_numbers(QQ)
-    ident = HomogeneousMap.from_flat_columns(
+    ident = HomogeneousMap(
         QQ, A.space, A.space, 0, {i: {i: QQ.one} for i in range(A.dim)}
     )
     good = tmp_path / "id.json"
     good.write_text(serialize_map(ident))
     src = str(SAMPLES / "dual_numbers.json")
     assert run_cli("verify-iso", src, src, str(good)).returncode == 0
-    bad = HomogeneousMap.from_flat_columns(
+    bad = HomogeneousMap(
         QQ, A.space, A.space, 0, {0: {0: QQ.coerce(2)}, 1: {1: QQ.one}}
     )
     badf = tmp_path / "bad.json"
@@ -347,20 +347,24 @@ def test_cli_non_utf8_file_exits_two(tmp_path):
     assert r.stderr.count("\n") == 1
 
 
-@pytest.mark.parametrize("coeff, reason", [
-    ("1" + "0" * 5000, "integer literal longer than"),
-    ('"1' + "0" * 5000 + '/3"', "bad rational literal '1000"),
-], ids=["json-integer", "string"])
-def test_cli_overlong_coefficient_exits_two_with_one_short_line(tmp_path, coeff, reason):
+@pytest.mark.parametrize("field, coeff, reason", [
+    ('"rationals"', "1" + "0" * 5000, "integer literal longer than 4300 digits"),
+    ('"rationals"', '"1' + "0" * 5000 + '/3"', "bad rational literal '1000"),
+    ('"prime", "p": 7', '"1' + "0" * 5000 + '"', "bad residue literal '1000"),
+], ids=["json-integer", "string", "prime-string"])
+def test_cli_overlong_coefficient_exits_two_with_one_short_line(tmp_path, field, coeff, reason):
     """5,001 digits are past Python's int conversion limit; the literal is
-    not echoed in full."""
+    not echoed in full, and the message only says it is too long."""
     text = json.dumps(json.loads((SAMPLES / "dual_numbers.json").read_text()))
-    assert '"unit": [[1, "1"]]' in text
+    assert '"unit": [[1, "1"]]' in text and '"kind": "rationals"' in text
     path = tmp_path / "long.json"
+    text = text.replace('"kind": "rationals"', f'"kind": {field}')
     path.write_text(text.replace('"unit": [[1, "1"]]', f'"unit": [[1, {coeff}]]'))
     r = run_cli("validate", str(path))
     assert r.returncode == 2
     assert r.stderr.startswith(f"invalid input: {path}") and reason in r.stderr
+    assert "longer than 4300 digits" in r.stderr
+    assert "set_int_max_str_digits" not in r.stderr
     assert r.stderr.count("\n") == 1 and len(r.stderr) < 400
 
 

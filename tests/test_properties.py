@@ -4,7 +4,14 @@ import itertools
 import random
 
 import pytest
-from dense_oracle import dense_validate_module, dense_validate_structure
+from dense_oracle import (
+    dense_inverse,
+    dense_kernel_basis,
+    dense_rref,
+    dense_solve,
+    dense_validate_module,
+    dense_validate_structure,
+)
 from hypothesis import given, settings, strategies as st
 
 from dgbr.brauer import (
@@ -39,8 +46,9 @@ from dgbr.dg import (
 )
 from dgbr.fields import GF, QQ
 from dgbr.formats import parse_algebra_text, serialize_algebra
-from dgbr.graded import clean_coeffs
+from dgbr.graded import GradedVectorSpace, HomogeneousMap, clean_coeffs, kernel_of, quotient_by
 from dgbr.homs import end_dg_algebra, hom_differential, hom_of_complexes
+from dgbr.linalg import Factored
 from dgbr.matrix_algebras import good_grading_matrix_algebra, inner_differential
 
 FIELDS = [QQ, GF(2), GF(3), GF(5)]
@@ -301,3 +309,121 @@ def test_each_changed_d_entry_is_judged_as_by_the_dense_oracle(field):
             expected = dense_validate_structure(*args)
             for hint in (A.generators, [{0: field.one}]):
                 assert validate_structure(*args, generators=hint) == expected
+
+
+# -- the sparse map layer against the dense oracle ---------------------------------
+
+# mostly zero, so blocks are often rank deficient
+_MAP_ENTRIES = st.sampled_from((0,) * 5 + (1, -1, 2, 3))
+
+
+def _positions(space, k):
+    """Flat indices of degree k, in order; empty when the degree is."""
+    return [space.flat_index(k, p) for p in range(space.dim(k))]
+
+
+@st.composite
+def graded_maps(draw):
+    """A map over QQ or GF(7) of degree 0 or +-1; the spaces often have empty degrees."""
+    field = draw(st.sampled_from([QQ, GF(7)]))
+    degree = draw(st.sampled_from([0, 0, 1, -1]))
+
+    def space():
+        return GradedVectorSpace({k: draw(st.integers(0, 3)) for k in range(-1, 3)})
+
+    source = space()
+    target = source if degree == 0 and draw(st.booleans()) else space()
+    cols = {}
+    for j in range(source.total_dim):
+        rows = _positions(target, source.degree_of(j) + degree)
+        cols[j] = {i: field.coerce(draw(_MAP_ENTRIES)) for i in rows}
+    return HomogeneousMap(field, source, target, degree, cols)
+
+
+def _block(m, rows, cols):
+    """Dense entries of m with the given target rows and source columns."""
+    zero = m.field.zero
+    return [tuple(m.cols.get(j, {}).get(i, zero) for j in cols) for i in rows]
+
+
+def _image_inclusion(m):
+    """m's columns at the pivots of each dense block, included into m's target."""
+    picked = {}
+    for k in m.source.degrees():
+        src = _positions(m.source, k)
+        _, pivots = dense_rref(m.field, _block(m, _positions(m.target, k + m.degree), src),
+                               len(src))
+        if pivots:
+            picked[k + m.degree] = [m.cols[src[p]] for p in pivots]
+    image = GradedVectorSpace({k: len(v) for k, v in picked.items()})
+    cols = [v for k in sorted(picked) for v in picked[k]]
+    return HomogeneousMap(m.field, image, m.target, 0, dict(enumerate(cols)))
+
+
+def _check_quotient(space, inclusion):
+    """quotient_by against the per-degree oracle: pivots of [W | I], inverse of [W | R]."""
+    f = inclusion.field
+    q = quotient_by(space, inclusion)
+    for k in space.degrees():
+        amb, sub, quo = (_positions(space, k), _positions(inclusion.source, k),
+                         _positions(q.space, k))
+        W = _block(inclusion, amb, sub)
+        eye = [tuple(f.one if r == c else f.zero for c in amb) for r in amb]
+        _, pivots = dense_rref(f, [w + e for w, e in zip(W, eye)], len(sub) + len(amb))
+        assert pivots[:len(sub)] == tuple(range(len(sub)))
+        reps = [amb[p - len(sub)] for p in pivots[len(sub):]]
+        assert [i for c in quo for i in q.section.cols[c]] == reps
+        assert [q.space.label_of(c) for c in quo] == [space.label_of(r) for r in reps]
+        full = [w + tuple(f.one if i == r else f.zero for r in reps) for w, i in zip(W, amb)]
+        assert _block(q.projection, quo, amb) == list(dense_inverse(f, full)[len(sub):])
+    assert q.projection.compose(q.section) == HomogeneousMap.identity(f, q.space)
+    assert q.projection.compose(inclusion).is_zero()
+
+
+@given(m=graded_maps(), data=st.data())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_sparse_map_layer_matches_the_dense_oracle(m, data):
+    f, d = m.field, m.degree
+    ker = kernel_of(m)
+    full = Factored(f, [m.cols.get(j, {}) for j in range(m.source.total_dim)])
+    x = {j: f.coerce(data.draw(_MAP_ENTRIES)) for j in range(m.source.total_dim)}
+    anything = {i: f.coerce(data.draw(_MAP_ENTRIES)) for i in range(m.target.total_dim)}
+    want_any: dict = {}
+    for k in m.source.degrees():
+        src, tgt = _positions(m.source, k), _positions(m.target, k + d)
+        rows = _block(m, tgt, src)
+        # kernel_of: the kernel basis of each block, entry for entry
+        basis, _ = dense_kernel_basis(f, rows, len(src))
+        got = [tuple(ker.inclusion.cols[c].get(j, f.zero) for j in src)
+               for c in _positions(ker.space, k)]
+        assert got == basis
+        # Factored.solve on all columns at once: the canonical solution of each block
+        in_span = m.apply_flat({j: x[j] for j in src})
+        sol = full.solve(in_span)
+        assert sol is not None and all(j in src for j in sol)
+        assert tuple(sol.get(j, f.zero) for j in src) == \
+            dense_solve(f, rows, len(src), [in_span.get(i, f.zero) for i in tgt])
+        one = dense_solve(f, rows, len(src), [anything.get(i, f.zero) for i in tgt])
+        if want_any is not None:
+            want_any = None if one is None else {**want_any, **{
+                j: c for j, c in zip(src, one) if not f.is_zero(c)}}
+    # a degree of the target no column reaches is a zero block
+    reached = {k + d for k in m.source.degrees()}
+    if any(not f.is_zero(c) for i, c in anything.items() if m.target.degree_of(i) not in reached):
+        want_any = None
+    assert full.solve(anything) == want_any
+
+    if d == 0:
+        inv = m.inverse()
+        blocks = {k: dense_inverse(f, _block(m, _positions(m.target, k), _positions(m.source, k)))
+                  for k in m.source.degrees()} if m.source == m.target else None
+        if blocks is None or None in blocks.values():
+            assert inv is None
+        else:
+            for k, want in blocks.items():
+                pos = _positions(m.source, k)
+                assert tuple(_block(inv, pos, pos)) == want
+            assert inv.compose(m) == HomogeneousMap.identity(f, m.source)
+
+    _check_quotient(m.source, ker.inclusion)
+    _check_quotient(m.target, _image_inclusion(m))

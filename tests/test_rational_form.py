@@ -16,7 +16,7 @@ from dgbr.catalog import generators
 from dgbr.dg import DgAlgebra, homology, kernel_subalgebra, tensor_product, validate_structure
 from dgbr.fields import QQ
 from dgbr.formats import serialize_algebra
-from dgbr.linalg import Matrix, rref_rows
+from dgbr.linalg import Factored, Matrix, rref_rows
 
 FIELDS = (QQ, FRACTION_QQ)
 _GENS = {f: [A for _, A in generators(f)] for f in FIELDS}
@@ -98,12 +98,13 @@ def test_rref_and_factored_solve_match_the_fraction_field(system):
     for f in FIELDS:
         M = Matrix(f, rows)
         reduced, pivots = rref_rows(f, M._sparse_rows())
-        sol = M.factor().solve([f.coerce(b) for b in rhs])
+        cols = [{i: x for i, x in enumerate(col) if x} for col in M.columns()]
+        sol = Factored(f, cols).solve({i: f.coerce(b) for i, b in enumerate(rhs)})
         out[f] = (reduced, pivots, sol)
     assert out[QQ] == out[FRACTION_QQ]
     reduced, _, sol = out[QQ]
     _assert_normal([v for row in reduced for v in row.values()])
-    _assert_normal(sol or ())
+    _assert_normal((sol or {}).values())
 
 
 # -- algebras ------------------------------------------------------------------------
