@@ -28,7 +28,7 @@ from .errors import (
     ShapeMismatch,
     ValidationError,
 )
-from .graded import GradedVector, HomogeneousMap, TensorBasis, apply, operators, quotient_by, span_of
+from .graded import HomogeneousMap, TensorBasis, apply, operators, quotient_by, span_of
 from .homs import end_dg_algebra
 from .linalg import Factored, rref_rows
 
@@ -111,16 +111,6 @@ def verify_dg_iso(A: DgAlgebra, B: DgAlgebra, m: HomogeneousMap) -> IsoWitness:
 # -- left and right multiplication operators ----------------------------------
 
 
-def _flat_of(A: DgAlgebra, a) -> dict:
-    if isinstance(a, GradedVector):
-        if a.space != A.space:
-            raise ShapeMismatch("element lives in a different space")
-        return a.flat()
-    f = A.field
-    out = {int(i): f.coerce(c) for i, c in dict(a).items()}
-    return {i: c for i, c in out.items() if not f.is_zero(c)}
-
-
 def _shift(A: DgAlgebra, aflat: dict):
     """The degree of an element: 0 for zero, None when it mixes degrees."""
     degrees = {A.degree_of(i) for i in aflat} or {0}
@@ -129,7 +119,7 @@ def _shift(A: DgAlgebra, aflat: dict):
 
 def lambda_map(A: DgAlgebra, a) -> HomogeneousMap:
     """Left multiplication x -> a*x on the underlying complex of A."""
-    aflat = _flat_of(A, a)
+    aflat = A.coeffs(a)
     f = A.field
     one = f.one
     cols = {}
@@ -146,7 +136,7 @@ def rho_map(A: DgAlgebra, a) -> HomogeneousMap:
     This is left multiplication by a inside the opposite algebra, so
     a -> rho_a is multiplicative for the opposite product.
     """
-    aflat = _flat_of(A, a)
+    aflat = A.coeffs(a)
     f = A.field
     one = f.one
     deg = A.space.flat_degrees()
@@ -249,7 +239,7 @@ class IdempotentChoice:
     """The chosen diagonal idempotent index plus rejection certificates."""
 
     index: int
-    witness: GradedVector
+    witness: dict
     rejected: tuple
 
 
@@ -299,8 +289,8 @@ def idempotent_containment(A: DgAlgebra, i: int):
     """Decide whether A*e_{i,i} sits inside A*d(e_{i,i}), by exact elimination.
 
     Returns (certificate, witness): the certificate holds per-degree span
-    dimensions of both left ideals, and the witness is an element of the
-    difference when containment fails (None otherwise).
+    dimensions of both left ideals, and the witness is a sparse element of
+    A*e_{i,i} outside A*d(e_{i,i}) when containment fails (None otherwise).
     """
     cands = _diagonal_candidates(A)
     if not (1 <= i <= len(cands)):
@@ -311,12 +301,10 @@ def idempotent_containment(A: DgAlgebra, i: int):
     ae = _ideal_columns(A, [e])
     ade = _ideal_columns(A, [de]) if de else {}
     inside = Factored(f, [v for vs in ade.values() for v in vs])
-    witness_vec = next((v for d, vs in sorted(ae.items()) for v in vs if inside.solve(v) is None), None)
+    witness = next((v for d, vs in sorted(ae.items()) for v in vs if inside.solve(v) is None), None)
     ideal_dims = {d: len(rref_rows(f, vs)[1]) for d, vs in ae.items()}
     span_dims = {d: len(rref_rows(f, vs)[1]) for d, vs in ade.items()}
-    cert = ContainmentCertificate(i, ideal_dims, span_dims, witness_vec is None)
-    witness = None if witness_vec is None else GradedVector.from_flat(f, A.space, witness_vec)
-    return cert, witness
+    return ContainmentCertificate(i, ideal_dims, span_dims, witness is None), witness
 
 
 def choose_structure_idempotent(A: DgAlgebra) -> IdempotentChoice:
@@ -436,9 +424,12 @@ def structure_realize(A: DgAlgebra) -> StructureRealization:
 # -- equivalence witnesses -----------------------------------------------------
 
 
-def verify_equivalence(A: DgAlgebra, B: DgAlgebra, C1: KComplex, C2: KComplex,
-                       m: HomogeneousMap) -> IsoWitness:
-    """Verify A (x) End(C1) -> B (x) End(C2) as dg-algebras via the given map."""
+def equivalence_sides(A: DgAlgebra, B: DgAlgebra, C1: KComplex, C2: KComplex):
+    """The two sides (A (x) End(C1), B (x) End(C2)) of an equivalence witness.
+
+    Raises ShapeMismatch when the data lie over different fields or the sides
+    have different dimensions.
+    """
     if not (A.field == B.field == C1.field == C2.field):
         raise ShapeMismatch("equivalence data over different fields")
     lhs = tensor_product(A, end_dg_algebra(C1))
@@ -446,7 +437,13 @@ def verify_equivalence(A: DgAlgebra, B: DgAlgebra, C1: KComplex, C2: KComplex,
     if lhs.dim != rhs.dim:
         raise ShapeMismatch(
             f"sides have different dimensions: {lhs.dim} vs {rhs.dim}")
-    return verify_dg_iso(lhs, rhs, m)
+    return lhs, rhs
+
+
+def verify_equivalence(A: DgAlgebra, B: DgAlgebra, C1: KComplex, C2: KComplex,
+                       m: HomogeneousMap) -> IsoWitness:
+    """Verify A (x) End(C1) -> B (x) End(C2) as dg-algebras via the given map."""
+    return verify_dg_iso(*equivalence_sides(A, B, C1, C2), m)
 
 
 @dataclass(frozen=True)

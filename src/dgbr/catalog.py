@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 
 from .brauer import (
+    equivalence_sides,
     forget_descriptor,
     idempotent_containment,
     is_central_simple,
@@ -17,7 +18,6 @@ from .brauer import (
     sandwich_iso,
     structure_realize,
     verify_dg_iso,
-    verify_equivalence,
 )
 from .dg import (
     DgAlgebra,
@@ -313,11 +313,9 @@ def unit_equivalence_witness(A: DgAlgebra, sr) -> "IsoWitness":
     """
     field = A.field
     K = neutral(field)
-    C1 = KComplex.point(field)
-    T1 = tensor_product(A, end_dg_algebra(C1))
-    T2 = tensor_product(K, end_dg_algebra(sr.L))
+    T1, T2 = equivalence_sides(A, K, KComplex.point(field), sr.L)
     m = HomogeneousMap(field, T1.space, T2.space, 0, sr.witness.map.flat_columns())
-    return verify_equivalence(A, K, C1, sr.L, m)
+    return verify_dg_iso(T1, T2, m)
 
 
 def scenario_equivalence_unit():

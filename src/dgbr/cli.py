@@ -13,17 +13,18 @@ import sys
 
 from . import catalog
 from .brauer import (
+    equivalence_sides,
     forget_descriptor,
     is_central_simple,
     kunneth_check,
     sandwich_iso,
     structure_realize,
     verify_dg_iso,
-    verify_equivalence,
 )
 from .dg import (
     DgAlgebra,
     KComplex,
+    _show,
     center,
     contracting_element,
     homology,
@@ -81,16 +82,6 @@ def _dims_line(dims: dict) -> str:
     if not dims:
         return "(zero)"
     return ", ".join(f"{k}: {v}" for k, v in sorted(dims.items()))
-
-
-def _vector_line(v) -> str:
-    flat = v.flat()
-    if not flat:
-        return "0"
-    f = v.field
-    return " + ".join(
-        f"{f.format(c)}*{v.space.label_of(i)}" for i, c in sorted(flat.items())
-    )
 
 
 def _emit(args, ok: bool, lines, payload: dict) -> int:
@@ -210,7 +201,7 @@ def cmd_contracting(args) -> int:
                      ["no contracting element: d(z) = 1 has no degree -1 solution"],
                      {"found": False})
     lines = [
-        f"z = {_vector_line(r.z)}",
+        f"z = {_show(A.field, A.space, r.z)}",
         f"kernel dims: {_dims_line(r.kernel_dims)}",
         f"dimensions add up: {r.dims_add_up}",
         f"ker(d) and z*ker(d) meet trivially: {r.intersection_trivial}",
@@ -218,7 +209,7 @@ def cmd_contracting(args) -> int:
     ]
     payload = {
         "found": True,
-        "z": {str(i): A.field.format(c) for i, c in sorted(r.z.flat().items())},
+        "z": {str(i): A.field.format(c) for i, c in sorted(r.z.items())},
         "kernel_dims": _strkeys(r.kernel_dims),
         "certified": r.certified,
     }
@@ -332,11 +323,10 @@ def cmd_verify_equiv(args) -> int:
     C2 = _load_complex(args.right_complex)
     if A.field != B.field:
         raise FieldMismatch(f"{A.field} vs {B.field}")
-    lhs = tensor_product(A, end_dg_algebra(C1))
-    rhs = tensor_product(B, end_dg_algebra(C2))
+    lhs, rhs = equivalence_sides(A, B, C1, C2)
     obj = load_json(_read_text(args.map), args.map)
     m = map_from_obj(obj, A.field, lhs.space, rhs.space, args.map)
-    w = verify_equivalence(A, B, C1, C2, m)
+    w = verify_dg_iso(lhs, rhs, m)
     lines = [f"lhs dim {lhs.dim}, rhs dim {rhs.dim}"] + _witness_lines(w)
     return _emit(args, w.verified, lines, _witness_payload(w))
 

@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from .errors import AxiomViolation, ShapeMismatch, ValidationError
 from .fields import Field
 from .graded import (
-    GradedVector,
     GradedVectorSpace,
     HomogeneousMap,
     Subspace,
@@ -53,7 +52,7 @@ from .graded import (
     operators,
     span_of,
 )
-from .linalg import Factored, Matrix, kernel_columns, rref_rows
+from .linalg import Factored, kernel_columns, rref_rows
 
 
 def ksign(m: int, n: int) -> int:
@@ -174,8 +173,13 @@ class DgAlgebra:
             out[labels[lbl]] = self.field.coerce(c)
         return clean_coeffs(self.field, out)
 
-    def vector(self, coeffs) -> GradedVector:
-        return GradedVector.from_flat(self.field, self.space, coeffs)
+    def coeffs(self, u) -> dict:
+        """Sparse element from {flat index: coefficient}; the indices must lie in the basis."""
+        out = clean_coeffs(self.field, u)
+        for i in out:
+            if not 0 <= i < self.dim:
+                raise ShapeMismatch(f"element index {i} outside the basis")
+        return out
 
     # -- arithmetic on sparse elements --------------------------------------
 
@@ -599,7 +603,7 @@ def homology(A: DgAlgebra) -> DgAlgebra:
 class ContractingElement:
     """A degree -1 solution z of d(z) = 1 plus the decomposition certificate."""
 
-    z: GradedVector
+    z: dict
     kernel_dims: dict
     dims_add_up: bool
     intersection_trivial: bool
@@ -624,8 +628,7 @@ def contracting_element(A: DgAlgebra):
     sol = Factored(f, [A.dcols.get(base + t, {}) for t in range(A.space.dim(-1))]).solve(A.unit)
     if sol is None:
         return None
-    zvec = {base + t: c for t, c in sol.items()}
-    z = GradedVector.from_flat(f, A.space, zvec)
+    z = {base + t: c for t, c in sol.items()}
 
     ker = kernel_of(A.differential_map())
     kcols = ker.inclusion.flat_columns()
@@ -633,7 +636,7 @@ def contracting_element(A: DgAlgebra):
     by_deg: dict[int, list] = {}
     retraction_ok = True
     for i, ncol in kcols.items():
-        zn = A.mul(zvec, ncol)
+        zn = A.mul(z, ncol)
         k = ker.space.degree_of(i)
         by_deg.setdefault(k, []).append(ncol)
         by_deg.setdefault(k - 1, []).append(zn)
@@ -655,34 +658,38 @@ def contracting_element(A: DgAlgebra):
 
 
 def center(A: DgAlgebra) -> Subspace:
-    """The graded subspace of elements commuting with every basis element."""
+    """The graded subspace of elements commuting with every basis element.
+
+    Column s holds the e_m coefficient of e_s e_j - e_j e_s at row (j, m), and
+    the center is the kernel of these columns.  A homogeneous column meets only
+    rows with |m| - |j| = |s|, so the system is block diagonal by degree, and
+    its kernel in flat order is the kernel of each degree's block, entry for entry.
+    """
     f = A.field
+    L, R = operators(A.table)
+    minus = f.neg(f.one)
+    empty: dict = {}
+    cols: dict = {}
+    for s in range(A.dim):
+        Ls, Rs = L.get(s, empty), R.get(s, empty)
+        col = cols[s] = {}
+        for j in Ls.keys() | Rs.keys():
+            comm = dict(Ls.get(j, empty))
+            add_into(f, comm, Rs.get(j, empty), scale=minus)
+            col.update(((j, m), c) for m, c in comm.items())
+    basis, _ = kernel_columns(f, cols, A.dim)
     by_degree: dict = {}
-    for k in A.space.degrees():
-        nk = A.space.dim(k)
-        base = A.space.flat_index(k, 0)
-        rows = []
-        for pos in range(nk):
-            s = A.space.flat_index(k, pos)
-            col_entries = {}
-            for j in range(A.dim):
-                comm = A.mul({s: f.one}, {j: f.one})
-                add_into(f, comm, negate_coeffs(f, A.mul({j: f.one}, {s: f.one})))
-                for m, c in comm.items():
-                    col_entries[(j, m)] = c
-            rows.append(col_entries)
-        keys = sorted({key for r in rows for key in r})
-        mat = Matrix._raw(
-            f, [[rows[pos].get(key, f.zero) for pos in range(nk)] for key in keys], nk
-        )
-        by_degree[k] = [{base + r: x for r, x in enumerate(v) if not f.is_zero(x)}
-                        for v in mat.kernel_basis()]
+    for j, v in basis.items():
+        by_degree.setdefault(A.degree_of(j), []).append(v)
     return span_of(f, A.space, by_degree, "c")
 
 
 @dataclass(frozen=True)
 class SemisimplicityReport:
-    """verdict True/False, or None when the method cannot decide."""
+    """verdict True/False, or None when the method cannot decide.
+
+    ``radical`` holds sparse vectors forming a basis of the radical.
+    """
 
     verdict: bool | None
     method: str
@@ -707,26 +714,21 @@ def is_semisimple_ungraded(A: DgAlgebra) -> SemisimplicityReport:
     p = f.characteristic()
     if p == 0 or p > n:
         # tr(L_x L_y) = tr(L_{xy}); precompute traces of left multiplications
-        trvec = [f.zero] * n
-        for m in range(n):
-            acc = f.zero
-            for k in range(n):
-                c = A.table.get((m, k), {}).get(k)
-                if c is not None:
-                    acc = f.add(acc, c)
-            trvec[m] = acc
-        gram = [[f.zero] * n for _ in range(n)]
+        trace: dict = {}
+        for (m, k), out in A.table.items():
+            if k in out:
+                trace[m] = f.add(trace.get(m, f.zero), out[k])
+        # column j of the Gram matrix holds tr(L_{e_i e_j}) at row i
+        gram: dict = {}
         for (i, j), out in A.table.items():
             acc = f.zero
             for m, c in out.items():
-                acc = f.add(acc, f.mul(c, trvec[m]))
-            gram[i][j] = acc
-        rad = Matrix._raw(f, gram, n).kernel_basis()
-        radical = tuple(
-            GradedVector.from_flat(f, A.space, {i: c for i, c in enumerate(col) if not f.is_zero(c)})
-            for col in rad
-        )
-        return SemisimplicityReport(not rad, "trace-form", radical)
+                if m in trace:
+                    acc = f.add(acc, f.mul(c, trace[m]))
+            if not f.is_zero(acc):
+                gram.setdefault(j, {})[i] = acc
+        radical = tuple(kernel_columns(f, gram, n)[0].values())
+        return SemisimplicityReport(not radical, "trace-form", radical)
 
     if p ** n <= _EXHAUSTIVE_CAP:
         elems = [
@@ -752,13 +754,10 @@ def is_semisimple_ungraded(A: DgAlgebra) -> SemisimplicityReport:
                     return SemisimplicityReport(
                         None, "exhaustive", (), "nil candidates not closed under addition"
                     )
-        cols = [tuple(x.get(i, 0) for i in range(n)) for x in members]
-        mat = Matrix.from_columns(f, cols, n) if cols else Matrix.zeros(f, n, 0)
-        pivots = mat.column_space_pivots()
-        radical = tuple(
-            GradedVector.from_flat(f, A.space, members[j]) for j in pivots
-        )
-        return SemisimplicityReport(not radical, "exhaustive", radical)
+        # the members independent of those before them span the radical
+        radical: list = []
+        rref_rows(f, members, radical.append)
+        return SemisimplicityReport(not radical, "exhaustive", tuple(radical))
 
     return SemisimplicityReport(
         None, "indeterminate", (),

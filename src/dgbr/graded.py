@@ -159,70 +159,6 @@ class GradedVectorSpace:
         return f"GradedVectorSpace({self.dims})"
 
 
-class GradedVector:
-    """An element of a graded space, stored per degree."""
-
-    __slots__ = ("field", "space", "components")
-
-    def __init__(self, field: Field, space: GradedVectorSpace, components):
-        comp = {}
-        for k, col in components.items():
-            k = int(k)
-            if len(col) != space.dim(k):
-                raise ShapeMismatch(f"component length {len(col)} in degree {k} of dim {space.dim(k)}")
-            col = tuple(field.coerce(x) for x in col)
-            if any(not field.is_zero(x) for x in col):
-                comp[k] = col
-        self.field = field
-        self.space = space
-        self.components = comp
-
-    @classmethod
-    def from_flat(cls, field, space, coeffs):
-        comp = {}
-        for i, c in clean_coeffs(field, coeffs).items():
-            k, pos = space.flat_info(i)
-            if k not in comp:
-                comp[k] = [field.zero] * space.dim(k)
-            comp[k][pos] = c
-        return cls(field, space, comp)
-
-    def flat(self) -> dict:
-        out = {}
-        for k, col in self.components.items():
-            base = self.space.flat_index(k, 0) if col else 0
-            for pos, x in enumerate(col):
-                if not self.field.is_zero(x):
-                    out[base + pos] = x
-        return out
-
-    def is_zero(self):
-        return not self.components
-
-    @property
-    def degree(self):
-        """Degree of a homogeneous nonzero vector."""
-        if len(self.components) != 1:
-            raise ShapeMismatch("degree of a non-homogeneous or zero vector")
-        return next(iter(self.components))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GradedVector)
-            and self.field == other.field
-            and self.space == other.space
-            and self.components == other.components
-        )
-
-    def __repr__(self):
-        f = self.field
-        terms = []
-        for i, c in sorted(self.flat().items()):
-            lbl = self.space.label_of(i)
-            terms.append(lbl if c == f.one else f"{f.format(c)}*{lbl}")
-        return " + ".join(terms) if terms else "0"
-
-
 class HomogeneousMap:
     """A linear map between graded spaces, as sparse flat columns.
 

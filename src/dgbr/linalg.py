@@ -1,25 +1,16 @@
-"""Exact matrices over a Field: stored dense, eliminated sparse.
+"""Exact sparse elimination over a Field.
 
-Entries are raw field values: for QQ an int when integral and a reduced
-Fraction otherwise, for GF(p) a residue int.  The public
-``Matrix(field, rows)`` constructor coerces every entry, because it is where
-outside values enter.  Everything computed inside the
-package (elimination results, arithmetic, stacking, inverses) is built with
-the trusted ``Matrix._raw``, which takes rows that already hold field values
-and coerces nothing.
+Every subspace, map and system in the package is held as sparse dicts, and
+all elimination runs through one kernel, ``rref_rows``, a Gauss-Jordan on
+rows stored as ``{col: value}`` dicts of field values: structure matrices
+built from matrix units are mostly zero, and it touches only their nonzeros.
+``kernel_columns`` gives the kernel of sparse columns, and ``Factored``
+reduces sparse columns once and solves against many sparse right-hand sides,
+each solve one sparse product ``T * b``.
 
-All elimination runs through one kernel, ``rref_rows``, which works on rows
-stored as sparse ``{col: value}`` dicts: structure matrices built from
-matrix units are mostly zero, and the kernel touches only their nonzeros.
-``Matrix.rref`` converts to sparse rows and back; ``rank`` and
-``column_space_pivots`` read the sparse rows directly.
-
-Maps and subspaces are sparse flat columns, so their elimination never builds
-a ``Matrix``.  ``kernel_columns`` gives the kernel of sparse columns, and
-``Factored`` reduces sparse columns once and solves against many sparse
-right-hand sides, each solve one sparse product ``T * b``.  ``Matrix.solve``
-and ``Factored.solve`` return the same canonical solution, entry for entry:
-the reduced echelon form is unique, and free variables are set to zero.
+No dense path is left in the library.  ``Matrix`` keeps dense rows only for
+the benchmark harness, which patches its ``__init__``, ``rref`` and
+``solve`` by name; the package never builds one.
 """
 from __future__ import annotations
 
@@ -112,6 +103,13 @@ def kernel_columns(field: Field, cols, n: int):
 
 
 class Matrix:
+    """Dense rows of field values, eliminated through ``rref_rows``.
+
+    Nothing in the package builds one.  It stays because the benchmark
+    harness patches ``__init__``, ``rref`` and ``solve`` by name and reads
+    ``nrows`` and ``ncols``; the tests check it against the dense oracle.
+    """
+
     __slots__ = ("field", "rows", "nrows", "ncols")
 
     def __init__(self, field: Field, rows, ncols: int | None = None):
@@ -127,120 +125,6 @@ class Matrix:
         self.nrows = len(rows)
         self.ncols = ncols
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def _raw(cls, field, rows, ncols: int):
-        """Trusted constructor: rows already hold field values of one length.
-
-        Nothing is coerced or checked, so only code that computed the entries
-        with ``field`` itself may call it.
-        """
-        self = object.__new__(cls)
-        self.field = field
-        self.rows = tuple(map(tuple, rows))
-        self.nrows = len(self.rows)
-        self.ncols = ncols
-        return self
-
-    @classmethod
-    def zeros(cls, field, m, n):
-        z = field.zero
-        return cls._raw(field, [(z,) * n] * m, n)
-
-    @classmethod
-    def identity(cls, field, n):
-        z, o = field.zero, field.one
-        return cls._raw(field, [[o if i == j else z for j in range(n)] for i in range(n)], n)
-
-    @classmethod
-    def from_columns(cls, field, cols, nrows: int):
-        z = field.zero
-        rows = [[z] * len(cols) for _ in range(nrows)]
-        for j, col in enumerate(cols):
-            if len(col) != nrows:
-                raise ShapeMismatch(f"column {j} has length {len(col)}, expected {nrows}")
-            for i, x in enumerate(col):
-                rows[i][j] = field.coerce(x)
-        return cls._raw(field, rows, len(cols))
-
-    # -- basics ------------------------------------------------------------
-
-    @property
-    def shape(self):
-        return (self.nrows, self.ncols)
-
-    def column(self, j):
-        return tuple(r[j] for r in self.rows)
-
-    def columns(self):
-        return [self.column(j) for j in range(self.ncols)]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.field == other.field
-            and self.shape == other.shape
-            and self.rows == other.rows
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.rows, self.ncols))
-
-    def __mul__(self, other):
-        if not isinstance(other, Matrix):
-            c = self.field.coerce(other)
-            mul = self.field.mul
-            return Matrix._raw(self.field, [[mul(c, x) for x in r] for r in self.rows], self.ncols)
-        if self.field != other.field:
-            raise ShapeMismatch("matrix operands must share a field")
-        if self.ncols != other.nrows:
-            raise ShapeMismatch(f"cannot multiply {self.shape} by {other.shape}")
-        f = self.field
-        add, mul, zero, is_zero = f.add, f.mul, f.zero, f.is_zero
-        cols = other.rows
-        out = []
-        for r in self.rows:
-            row = [zero] * other.ncols
-            for k, a in enumerate(r):
-                if is_zero(a):
-                    continue
-                ck = cols[k]
-                for j in range(other.ncols):
-                    b = ck[j]
-                    if not is_zero(b):
-                        row[j] = add(row[j], mul(a, b))
-            out.append(row)
-        return Matrix._raw(self.field, out, other.ncols)
-
-    def hstack(self, other):
-        if self.nrows != other.nrows:
-            raise ShapeMismatch("hstack needs equal row counts")
-        if self.field != other.field:
-            raise ShapeMismatch("matrix operands must share a field")
-        return Matrix._raw(
-            self.field,
-            [a + b for a, b in zip(self.rows, other.rows)],
-            self.ncols + other.ncols,
-        )
-
-    def apply(self, vec):
-        """Matrix times a column given as a sequence; returns a tuple."""
-        if len(vec) != self.ncols:
-            raise ShapeMismatch(f"vector length {len(vec)} vs {self.ncols} columns")
-        f = self.field
-        vec = [f.coerce(x) for x in vec]
-        out = []
-        for r in self.rows:
-            acc = f.zero
-            for a, x in zip(r, vec):
-                if not f.is_zero(a) and not f.is_zero(x):
-                    acc = f.add(acc, f.mul(a, x))
-            out.append(acc)
-        return tuple(out)
-
-    # -- elimination -------------------------------------------------------
-
     def _sparse_rows(self):
         """The rows as ``{col: value}`` dicts of their nonzero entries."""
         is_zero = self.field.is_zero
@@ -248,79 +132,33 @@ class Matrix:
 
     def rref(self):
         """Reduced row echelon form; returns (matrix, pivot column indices)."""
-        f = self.field
+        f, n = self.field, self.ncols
         reduced, pivots = rref_rows(f, self._sparse_rows())
-        zero, n = f.zero, self.ncols
-        rows = []
-        for row in reduced:
-            dense = [zero] * n
-            for j, x in row.items():
-                dense[j] = x
-            rows.append(dense)
-        rows += [(zero,) * n] * (self.nrows - len(rows))
-        return Matrix._raw(f, rows, n), pivots
-
-    def rank(self):
-        return len(self.column_space_pivots())
-
-    def kernel_basis(self):
-        """Basis of the right kernel, as column tuples (free variables = 1)."""
-        return self.kernel_basis_and_pivots()[0]
-
-    def kernel_basis_and_pivots(self):
-        """``(kernel_basis(), column_space_pivots())`` from a single rref."""
-        f = self.field
-        R, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [j for j in range(self.ncols) if j not in pivot_set]
-        basis = []
-        for j in free:
-            col = [f.zero] * self.ncols
-            col[j] = f.one
-            for r, pc in enumerate(pivots):
-                col[pc] = f.neg(R.rows[r][j])
-            basis.append(tuple(col))
-        return basis, pivots
-
-    def column_space_pivots(self):
-        """Indices of a maximal independent set of columns (leftmost first)."""
-        return rref_rows(self.field, self._sparse_rows())[1]
+        rows = [[row.get(j, f.zero) for j in range(n)] for row in reduced]
+        rows += [[f.zero] * n] * (self.nrows - len(rows))
+        return Matrix(f, rows, n), pivots
 
     def solve(self, rhs):
         """One exact solution of self * x = rhs, or None if inconsistent.
 
         Free variables are set to zero, which makes the answer canonical for
-        the fixed column order.  rhs may be a sequence or a 1-column Matrix.
+        the fixed column order.
         """
-        if isinstance(rhs, Matrix):
-            if rhs.ncols != 1:
-                raise ShapeMismatch("solve expects a single column")
-            rhs = rhs.column(0)
         if len(rhs) != self.nrows:
             raise ShapeMismatch(f"rhs length {len(rhs)} vs {self.nrows} rows")
-        f = self.field
-        aug = Matrix._raw(f, [r + (f.coerce(b),) for r, b in zip(self.rows, rhs)], self.ncols + 1)
-        R, pivots = aug.rref()
-        if self.ncols in pivots:
+        f, n = self.field, self.ncols
+        rows = self._sparse_rows()
+        for row, b in zip(rows, rhs):
+            b = f.coerce(b)
+            if not f.is_zero(b):
+                row[n] = b
+        reduced, pivots = rref_rows(f, rows)
+        if n in pivots:
             return None
-        sol = [f.zero] * self.ncols
-        for r, pc in enumerate(pivots):
-            sol[pc] = R.rows[r][self.ncols]
+        sol = [f.zero] * n
+        for row, p in zip(reduced, pivots):
+            sol[p] = row.get(n, f.zero)
         return tuple(sol)
-
-    def inverse(self):
-        if self.nrows != self.ncols:
-            raise ShapeMismatch("inverse of a non-square matrix")
-        n = self.nrows
-        R, pivots = self.hstack(Matrix.identity(self.field, n)).rref()
-        if tuple(pivots[:n]) != tuple(range(n)):
-            return None
-        return Matrix._raw(self.field, [r[n:] for r in R.rows], n)
-
-    def __repr__(self):
-        fmt = self.field.format
-        body = "; ".join(" ".join(fmt(x) for x in r) for r in self.rows)
-        return f"Matrix({self.nrows}x{self.ncols}: {body})"
 
 
 class Factored:

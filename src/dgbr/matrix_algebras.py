@@ -11,10 +11,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .dg import DgAlgebra, MatrixPresentation, ksign
+from .dg import DgAlgebra, MatrixPresentation, _show, ksign
 from .errors import AxiomViolation, ShapeMismatch, ValidationError
 from .fields import Field
-from .graded import GradedVector, GradedVectorSpace
+from .graded import GradedVectorSpace, add_into
 
 
 @dataclass(frozen=True)
@@ -95,13 +95,7 @@ def inner_differential(A: DgAlgebra, z) -> DgAlgebra:
     d(d(a)) = z^2 a - a z^2.
     """
     f = A.field
-    if isinstance(z, GradedVector):
-        if z.space != A.space:
-            raise ShapeMismatch("element lives in a different space")
-        zvec = z.flat()
-    else:
-        zvec = {int(i): f.coerce(c) for i, c in dict(z).items()}
-        zvec = {i: c for i, c in zvec.items() if not f.is_zero(c)}
+    zvec = A.coeffs(z)
     deg = A.space.flat_degrees()
     if any(deg[i] != 1 for i in zvec):
         bad = sorted({deg[i] for i in zvec})
@@ -109,36 +103,21 @@ def inner_differential(A: DgAlgebra, z) -> DgAlgebra:
 
     z2 = A.mul(zvec, zvec)
     one = f.one
+    minus = f.neg(one)
     for a in range(A.dim):
         left = A.mul(z2, {a: one})
         right = A.mul({a: one}, z2)
         if left != right:
-            diff = dict(left)
-            for m, c in right.items():
-                v = f.sub(diff.get(m, f.zero), c)
-                if f.is_zero(v):
-                    diff.pop(m, None)
-                else:
-                    diff[m] = v
-            shown = " + ".join(
-                f"{f.format(c)}*{A.space.label_of(m)}" for m, c in sorted(diff.items())
-            )
+            add_into(f, left, right, scale=minus)
             raise ValidationError([AxiomViolation(
                 "inner-square", (a,),
-                f"z^2 is not central: d(d({A.space.label_of(a)})) = {shown}",
+                f"z^2 is not central: d(d({A.space.label_of(a)})) = {_show(f, A.space, left)}",
             )])
 
     dcols = {}
     for a in range(A.dim):
         col = A.mul(zvec, {a: one})
-        sgn = ksign(deg[a], 1)
-        right = A.mul({a: one}, zvec)
-        for m, c in right.items():
-            v = f.sub(col.get(m, f.zero), c) if sgn > 0 else f.add(col.get(m, f.zero), c)
-            if f.is_zero(v):
-                col.pop(m, None)
-            else:
-                col[m] = v
+        add_into(f, col, A.mul({a: one}, zvec), scale=minus if ksign(deg[a], 1) > 0 else None)
         if col:
             dcols[a] = col
     return DgAlgebra.build(

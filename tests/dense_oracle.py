@@ -3,7 +3,10 @@
 ``dense_rref`` is the column-by-column Gauss-Jordan loop on dense rows that
 ``Matrix.rref`` ran before elimination moved to sparse rows, and
 ``dense_is_central_simple`` is the dense n^2 x n^2 sandwich rank that
-``is_central_simple`` took before it built sparse rows.
+``is_central_simple`` took before it built sparse rows.  ``dense_center``
+and ``dense_trace_radical`` are the per-degree dense commutator kernel and
+the dense Gram-matrix kernel that ``center`` and ``is_semisimple_ungraded``
+took before they eliminated sparse columns.
 ``dense_validate_structure`` and ``dense_validate_module`` are the
 validators as they were before associativity and Leibniz were checked only
 on the support of the tables: they visit every basis triple and pair.
@@ -102,6 +105,47 @@ def dense_is_central_simple(A):
     """Center of dimension 1 and a sandwich map of full rank n^2."""
     n = A.dim
     return n > 0 and center(A).space.total_dim == 1 and dense_sandwich_rank(A) == n * n
+
+
+def dense_center(A):
+    """Basis of the center as flat sparse vectors, degree by degree.
+
+    Column s of the degree-k system holds the e_m coefficient of
+    e_s e_j - e_j e_s at row (j, m); the center in degree k is its dense
+    kernel (free variables 1), read back at the flat indices of degree k.
+    """
+    f, n = A.field, A.dim
+    out = []
+    for k in A.space.degrees():
+        base, nk = A.space.flat_index(k, 0), A.space.dim(k)
+        cols = []
+        for s in range(base, base + nk):
+            col: dict = {}
+            for j in range(n):
+                comm = dict(A.table.get((s, j), {}))
+                add_into(f, comm, A.table.get((j, s), {}), scale=f.neg(f.one))
+                col.update(((j, m), c) for m, c in comm.items())
+            cols.append(col)
+        keys = sorted({key for col in cols for key in col})
+        rows = [[col.get(key, f.zero) for col in cols] for key in keys]
+        basis, _ = dense_kernel_basis(f, rows, nk)
+        out += [{base + r: x for r, x in enumerate(v) if not f.is_zero(x)} for v in basis]
+    return out
+
+
+def dense_trace_radical(A):
+    """Kernel of the dense Gram matrix tr(L_{e_i e_j}), as flat sparse vectors."""
+    f, n = A.field, A.dim
+    tr = [f.zero] * n
+    for (m, k), out in A.table.items():
+        if k in out:
+            tr[m] = f.add(tr[m], out[k])
+    gram = [[f.zero] * n for _ in range(n)]
+    for (i, j), out in A.table.items():
+        for m, c in out.items():
+            gram[i][j] = f.add(gram[i][j], f.mul(c, tr[m]))
+    basis, _ = dense_kernel_basis(f, gram, n)
+    return [{i: x for i, x in enumerate(v) if not f.is_zero(x)} for v in basis]
 
 
 def dense_validate_structure(field, space, unit, table, dcols):

@@ -245,6 +245,15 @@ def test_verify_equivalence_rejects_dim_mismatch():
         verify_equivalence(A, K, C1, C1, m)
 
 
+@pytest.mark.parametrize("build, index", [
+    (inner_differential, -1), (inner_differential, 7), (lambda_map, -2), (rho_map, 4),
+], ids=["inner-negative", "inner-past-end", "lambda-negative", "rho-past-end"])
+def test_element_indices_outside_the_basis_are_shape_mismatches(build, index):
+    A = good_grading_matrix_algebra(QQ, 2, (1,))
+    with pytest.raises(ShapeMismatch, match="outside the basis"):
+        build(A, {index: 1})
+
+
 def test_verify_dg_iso_rejects_a_map_over_another_field():
     A = mat2_inner(QQ)
     with pytest.raises(FieldMismatch):

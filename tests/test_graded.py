@@ -3,7 +3,6 @@ import pytest
 from dgbr.errors import ShapeMismatch
 from dgbr.fields import QQ
 from dgbr.graded import (
-    GradedVector,
     GradedVectorSpace,
     HomogeneousMap,
     TensorBasis,
@@ -36,12 +35,6 @@ def test_space_equality_ignores_labels():
 def test_label_mismatch_rejected():
     with pytest.raises(ShapeMismatch):
         GradedVectorSpace({0: 2}, {0: ("x",)})
-
-
-def test_graded_vector_flat_roundtrip():
-    v = GradedVector.from_flat(QQ, V, {0: QQ.one, 2: QQ.coerce(3)})
-    assert v.flat() == {0: QQ.one, 2: QQ.coerce(3)}
-    assert v.components[-1] == (QQ.one,)
 
 
 def test_homogeneous_map_blocks_and_apply():

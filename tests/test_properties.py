@@ -5,10 +5,12 @@ import random
 
 import pytest
 from dense_oracle import (
+    dense_center,
     dense_inverse,
     dense_kernel_basis,
     dense_rref,
     dense_solve,
+    dense_trace_radical,
     dense_validate_module,
     dense_validate_structure,
 )
@@ -36,6 +38,7 @@ from dgbr.dg import (
     KComplex,
     center,
     homology,
+    is_semisimple_ungraded,
     kernel_subalgebra,
     ksign,
     opposite,
@@ -177,6 +180,31 @@ def test_elimination_dims_agree_over_qq_and_a_large_prime(left, right):
 
 
 _ORACLE_GENS = {f: [A for _, A in generators(f)] for f in (QQ, GF(7))}
+
+
+def _basis_cases(field):
+    """The catalog generators, their pairwise tensor products and twenty random constructions."""
+    gens = [A for _, A in generators(field)]
+    cases = gens + [tensor_product(A, B) for A in gens for B in gens]
+    rng = random.Random(7)
+    return cases + [random_algebra(rng, field) for _ in range(20)]
+
+
+def _sparse(v):
+    """A radical vector as a sparse dict; a per-degree vector is read through ``flat``."""
+    return v.flat() if hasattr(v, "flat") else v
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(7)], ids=str)
+def test_center_and_trace_radical_bases_match_the_dense_oracle(field):
+    traced = 0
+    for A in _basis_cases(field):
+        assert center(A).inclusion.flat_columns() == dict(enumerate(dense_center(A)))
+        rep = is_semisimple_ungraded(A)
+        if rep.method == "trace-form" and A.dim:
+            assert [_sparse(v) for v in rep.radical] == dense_trace_radical(A)
+            traced += 1
+    assert traced
 DEFECTS = ("new-product", "coefficient", "delete", "d-column", "d-entry")
 
 

@@ -16,7 +16,7 @@ from dgbr.catalog import generators
 from dgbr.dg import DgAlgebra, homology, kernel_subalgebra, tensor_product, validate_structure
 from dgbr.fields import QQ
 from dgbr.formats import serialize_algebra
-from dgbr.linalg import Factored, Matrix, rref_rows
+from dgbr.linalg import Factored, rref_rows
 
 FIELDS = (QQ, FRACTION_QQ)
 _GENS = {f: [A for _, A in generators(f)] for f in FIELDS}
@@ -96,9 +96,8 @@ def test_rref_and_factored_solve_match_the_fraction_field(system):
     rows, rhs = system
     out = {}
     for f in FIELDS:
-        M = Matrix(f, rows)
-        reduced, pivots = rref_rows(f, M._sparse_rows())
-        cols = [{i: x for i, x in enumerate(col) if x} for col in M.columns()]
+        reduced, pivots = rref_rows(f, [{j: f.coerce(x) for j, x in enumerate(r) if x} for r in rows])
+        cols = [{i: f.coerce(r[j]) for i, r in enumerate(rows) if r[j]} for j in range(len(rows[0]))]
         sol = Factored(f, cols).solve({i: f.coerce(b) for i, b in enumerate(rhs)})
         out[f] = (reduced, pivots, sol)
     assert out[QQ] == out[FRACTION_QQ]
