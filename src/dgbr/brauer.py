@@ -13,6 +13,8 @@ from .dg import (
     DgAlgebra,
     KComplex,
     center,
+    coords,
+    degree_dims,
     homology,
     ksign,
     opposite,
@@ -28,9 +30,9 @@ from .errors import (
     ShapeMismatch,
     ValidationError,
 )
-from .graded import HomogeneousMap, TensorBasis, apply, operators, quotient_by, span_of
+from .graded import GradedVectorSpace, HomogeneousMap, TensorBasis, apply, operators
 from .homs import end_dg_algebra
-from .linalg import Factored, rref_rows
+from .linalg import coset_basis, rref_rows
 
 
 @dataclass(frozen=True)
@@ -155,18 +157,22 @@ def rho_map(A: DgAlgebra, a) -> HomogeneousMap:
 def is_central_simple(A: DgAlgebra) -> bool:
     """Center of dimension 1 and bijective sandwich map A (x) A^op -> End_K(A).
 
+    The criterion is exact in every characteristic.
+    """
+    return A.dim > 0 and center(A).space.total_dim == 1 and _sandwich_bijective(A)
+
+
+def _sandwich_bijective(A: DgAlgebra) -> bool:
+    """Whether the sandwich map A (x) A^op -> End_K(A) is bijective.
+
     The sandwich map sends e_i (x) e_j to x -> e_i x e_j, ungraded and with
     no signs.  Both sides have dimension n^2, so it is bijective exactly when
     these n^2 maps are independent.  Each map is one sparse row, whose entry
     x*n + t is the e_t coefficient of e_i e_x e_j, read off the left and right
     operators of the table; the rank comes from the sparse elimination
-    kernel.  The criterion is exact in every characteristic.
+    kernel.
     """
     n = A.dim
-    if n == 0:
-        return False
-    if center(A).space.total_dim != 1:
-        return False
     f = A.field
     L, R = operators(A.table)
     empty: dict = {}
@@ -193,7 +199,9 @@ class UngradedDescriptor:
 
 
 def forget_descriptor(A: DgAlgebra) -> UngradedDescriptor:
-    return UngradedDescriptor(A.dim, center(A).space.total_dim, is_central_simple(A))
+    """Dimension, center dimension and central simplicity, with the center computed once."""
+    c = center(A).space.total_dim
+    return UngradedDescriptor(A.dim, c, c == 1 and _sandwich_bijective(A))
 
 
 # -- the sandwich isomorphism --------------------------------------------------
@@ -243,43 +251,26 @@ class IdempotentChoice:
     rejected: tuple
 
 
-def _ideal_columns(A: DgAlgebra, gens) -> dict:
-    """Per degree, the nonzero products e_k * g spanning sum of A*g over the given elements."""
-    one = A.field.one
-    by_deg: dict[int, list] = {}
-    for g in gens:
-        for k in range(A.dim):
-            p = A.mul({k: one}, g)
-            if p:
-                by_deg.setdefault(A.space.degree_of(next(iter(p))), []).append(p)
-    return by_deg
+def _cosets(A: DgAlgebra, e: dict):
+    """L = M/N for M = A*e + A*d(e) and N = A*d(e): ``(basis, n, picks, project)``.
 
-
-def _pivot_subspace(A: DgAlgebra, by_deg: dict, prefix: str):
-    """The vectors of each degree independent of those before them, as a graded subspace."""
-    picked: dict = {}
-    for d, vecs in sorted(by_deg.items()):
-        rref_rows(A.field, vecs, picked.setdefault(d, []).append)
-    return span_of(A.field, A.space, picked, prefix)
+    ``n`` holds the nonzero e_k * d(e), k ascending, and ``basis`` the e_k * e
+    independent of those before them, so M = span(n + basis); ``picks`` and
+    ``project`` are the ``coset_basis`` of ``basis`` modulo N.
+    """
+    f, one = A.field, A.field.one
+    de = A.d_apply(e)
+    ae = [p for p in (A.mul({k: one}, e) for k in range(A.dim)) if p]
+    n = [p for p in (A.mul({k: one}, de) for k in range(A.dim)) if p] if de else []
+    basis = [ae[p] for p in coset_basis(f, [], ae)[0]]
+    return (basis, n, *coset_basis(f, n, basis))
 
 
 def _diagonal_candidates(A: DgAlgebra):
-    """Diagonal idempotents to try, in index order.
-
-    With a matrix-unit presentation these are the e_{i,i}; otherwise every
-    degree-0 basis element squaring to itself, in flat order.  On an algebra
-    built by the matrix constructor the two lists coincide.
-    """
-    pres = A.presentation
-    f = A.field
-    if pres is not None:
-        return [{pres.flat(i, i): f.one} for i in range(1, pres.n + 1)]
-    out = []
-    for i in range(A.dim):
-        if A.degree_of(i) != 0:
-            continue
-        if A.mul({i: f.one}, {i: f.one}) == {i: f.one}:
-            out.append({i: f.one})
+    """Degree-0 basis elements squaring to themselves, in flat order: the e_{i,i} of Mat_n."""
+    one = A.field.one
+    out = [{i: one} for i in range(A.dim)
+           if A.degree_of(i) == 0 and A.mul({i: one}, {i: one}) == {i: one}]
     if not out:
         raise ShapeMismatch("no diagonal idempotents among the degree-0 basis")
     return out
@@ -290,21 +281,17 @@ def idempotent_containment(A: DgAlgebra, i: int):
 
     Returns (certificate, witness): the certificate holds per-degree span
     dimensions of both left ideals, and the witness is a sparse element of
-    A*e_{i,i} outside A*d(e_{i,i}) when containment fails (None otherwise).
+    A*e_{i,i} outside A*d(e_{i,i}) when containment fails (None otherwise):
+    the first product e_k * e_{i,i} outside, which is the first coset
+    representative of L = M/N.
     """
     cands = _diagonal_candidates(A)
     if not (1 <= i <= len(cands)):
         raise ShapeMismatch(f"diagonal index {i} out of range for {len(cands)} idempotents")
-    f = A.field
-    e = cands[i - 1]
-    de = A.d_apply(e)
-    ae = _ideal_columns(A, [e])
-    ade = _ideal_columns(A, [de]) if de else {}
-    inside = Factored(f, [v for vs in ade.values() for v in vs])
-    witness = next((v for d, vs in sorted(ae.items()) for v in vs if inside.solve(v) is None), None)
-    ideal_dims = {d: len(rref_rows(f, vs)[1]) for d, vs in ae.items()}
-    span_dims = {d: len(rref_rows(f, vs)[1]) for d, vs in ade.items()}
-    return ContainmentCertificate(i, ideal_dims, span_dims, witness is None), witness
+    basis, n, picks, _ = _cosets(A, cands[i - 1])
+    witness = basis[picks[0]] if picks else None
+    span_dims = degree_dims(A, [n[p] for p in coset_basis(A.field, [], n)[0]])
+    return ContainmentCertificate(i, degree_dims(A, basis), span_dims, witness is None), witness
 
 
 def choose_structure_idempotent(A: DgAlgebra) -> IdempotentChoice:
@@ -334,10 +321,13 @@ def structure_realize(A: DgAlgebra) -> StructureRealization:
     """Split a central simple dg matrix algebra as endomorphisms of a complex.
 
     With e the chosen idempotent, M = A*e + A*d(e) and N = A*d(e) are
-    d-stable left ideals and L = M/N inherits a differential; left
-    multiplication on coset representatives gives the verified isomorphism
-    onto End(L) under composition.  The same underlying map, read between the
-    opposite algebras, is an isomorphism of those as well.
+    d-stable left ideals and L = M/N inherits a differential.  One coset
+    elimination gives L: its basis is the e_k * e of M's basis outside
+    span(N) and those before them, labelled m{k}_{i} by their position i in
+    M's basis, and dL and left multiplication by e_a are projections.  Left
+    multiplication gives the verified isomorphism onto End(L) under
+    composition.  The same underlying map, read between the opposite
+    algebras, is an isomorphism of those as well.
     """
     f = A.field
     one = f.one
@@ -345,48 +335,26 @@ def structure_realize(A: DgAlgebra) -> StructureRealization:
         raise NotCentralSimple("structure theorem applies to central simple algebras")
     choice = choose_structure_idempotent(A)
     e = _diagonal_candidates(A)[choice.index - 1]
-    de = A.d_apply(e)
+    basis, n, picks, project = _cosets(A, e)
 
-    M = _pivot_subspace(A, _ideal_columns(A, [e, de] if de else [e]), "m")
-    N = _pivot_subspace(A, _ideal_columns(A, [de]) if de else {}, "n")
-    # coordinates in M and N: their inclusion columns are their bases, in order
-    m_cols, n_cols = M.inclusion.flat_columns(), N.inclusion.flat_columns()
-    m_solver, n_solver = Factored(f, list(m_cols.values())), Factored(f, list(n_cols.values()))
-
-    # d restricted to M, in M coordinates; also certify d(N) <= N
-    dM: dict = {}
-    for s in range(M.space.total_dim):
-        img = A.d_apply(m_cols.get(s, {}))
-        if not img:
-            continue
-        coords = m_solver.solve(img)
-        if coords is None:
-            raise ValidationError([AxiomViolation(
-                "structure", (s,), "differential does not preserve M")])
-        dM[s] = coords
-    for s in range(N.space.total_dim):
-        img = A.d_apply(n_cols.get(s, {}))
-        if img and n_solver.solve(img) is None:
+    # d preserves M = span(N + basis) and N: project is None outside M, {} on N
+    q_of = {p: q for q, p in enumerate(picks)}
+    dL_cols = {}
+    for s, v in enumerate(basis):
+        img = coords(project, A.d_apply(v), "structure", (s,), "differential does not preserve M")
+        if img and s in q_of:
+            dL_cols[q_of[s]] = img
+    for s, v in enumerate(n):
+        if project(A.d_apply(v)) != {}:
             raise ValidationError([AxiomViolation(
                 "structure", (s,), "differential does not preserve N")])
 
-    # N in M coordinates, then the quotient L = M/N
-    n_in_m_cols = {}
-    for s in range(N.space.total_dim):
-        coords = m_solver.solve(n_cols.get(s, {}))
-        if coords is None:
-            raise ValidationError([AxiomViolation("structure", (s,), "N is not inside M")])
-        n_in_m_cols[s] = coords
-    n_in_m = HomogeneousMap(f, N.space, M.space, 0, n_in_m_cols)
-    Q = quotient_by(M.space, n_in_m)
-
-    dM_map = HomogeneousMap(f, M.space, M.space, 1, dM)
-    dL_cols = {}
-    for s in range(Q.space.total_dim):
-        img = Q.projection.apply_flat(dM_map.apply_flat(Q.section.apply_flat({s: one})))
-        if img:
-            dL_cols[s] = img
-    L = KComplex(f, Q.space, dL_cols)
+    # M's basis lists the e_k * e first in each degree, so i counts among those
+    deg = [A.degree_of(next(iter(v))) for v in basis]
+    labels: dict = {}
+    for p in picks:
+        labels.setdefault(deg[p], []).append(f"m{deg[p]}_{p - deg.index(deg[p])}")
+    L = KComplex(f, GradedVectorSpace({k: len(v) for k, v in labels.items()}, labels), dL_cols)
     # A -> End(L) can be bijective only if dim A = (dim L)^2; an idempotent
     # that is not primitive (the unit of a split quaternion algebra), or any
     # idempotent of a division algebra, fails here, before End(L) is built
@@ -395,22 +363,18 @@ def structure_realize(A: DgAlgebra) -> StructureRealization:
             choice.index, A.label_of(next(iter(e))), dict(L.space.dims), A.dim))
     E = end_dg_algebra(L)
 
+    reps = [basis[p] for p in picks]
     cols = {}
     for a in range(A.dim):
         lcols = {}
-        for s in range(Q.space.total_dim):
-            v = M.inclusion.apply_flat(Q.section.apply_flat({s: one}))
+        for s, v in enumerate(reps):
             p = A.mul({a: one}, v)
             if not p:
                 continue
-            coords = m_solver.solve(p)
-            if coords is None:
-                raise ValidationError([AxiomViolation(
-                    "structure", (a, s), "left multiplication leaves M")])
-            img = Q.projection.apply_flat(coords)
+            img = coords(project, p, "structure", (a, s), "left multiplication leaves M")
             if img:
                 lcols[s] = img
-        coeffs = E.hom.from_map(HomogeneousMap(f, Q.space, Q.space, A.degree_of(a), lcols))
+        coeffs = E.hom.from_map(HomogeneousMap(f, L.space, L.space, A.degree_of(a), lcols))
         if coeffs:
             cols[a] = coeffs
     m = HomogeneousMap(f, A.space, E.space, 0, cols)

@@ -52,7 +52,7 @@ from .graded import (
     operators,
     span_of,
 )
-from .linalg import Factored, kernel_columns, rref_rows
+from .linalg import Factored, coset_basis, kernel_columns, rref_rows
 
 
 def ksign(m: int, n: int) -> int:
@@ -499,9 +499,18 @@ def _cycle_and_boundary_columns(A: DgAlgebra):
     return cycles, bounds
 
 
-def _coords(solver: Factored, vec: dict, axiom: str, witness: tuple, detail: str) -> dict:
-    """``solver.solve(vec)``, raising a one-violation ValidationError when vec is outside."""
-    sol = solver.solve(vec)
+def degree_dims(A: DgAlgebra, vecs) -> dict:
+    """How many of the given nonzero homogeneous vectors lie in each degree."""
+    dims: dict[int, int] = {}
+    for v in vecs:
+        k = A.degree_of(next(iter(v)))
+        dims[k] = dims.get(k, 0) + 1
+    return dims
+
+
+def coords(project, vec: dict, axiom: str, witness: tuple, detail: str) -> dict:
+    """``project(vec)`` from ``coset_basis``, raising a one-violation ValidationError on None."""
+    sol = project(vec)
     if sol is None:
         raise ValidationError([AxiomViolation(axiom, witness, detail)])
     return sol
@@ -513,16 +522,16 @@ def kernel_subalgebra(A: DgAlgebra) -> "KernelAlgebra":
     cycles, _ = _cycle_and_boundary_columns(A)
     sub = span_of(f, A.space, cycles, "z")
     zcols = [v for vs in cycles.values() for v in vs]
-    solver = Factored(f, zcols)
+    _, project = coset_basis(f, [], zcols)
     table: dict = {}
     for i, zi in enumerate(zcols):
         for j, zj in enumerate(zcols):
             p = A.mul(zi, zj)
             if p:
-                out = _coords(solver, p, "kernel-closure", (i, j), "product of cycles leaves the kernel")
+                out = coords(project, p, "kernel-closure", (i, j), "product of cycles leaves the kernel")
                 if out:
                     table[(i, j)] = out
-    unit = _coords(solver, A.unit, "kernel-closure", (), "unit is not a cycle") if A.unit else {}
+    unit = coords(project, A.unit, "kernel-closure", (), "unit is not a cycle") if A.unit else {}
     alg = DgAlgebra.build(f, sub.space, unit, table, {})
     return KernelAlgebra(alg, sub.inclusion)
 
@@ -537,62 +546,46 @@ def homology(A: DgAlgebra) -> DgAlgebra:
     """H(A) with its induced product, as a dg-algebra with zero differential.
 
     Well-definedness of the product (boundaries times cycles stay boundaries)
-    is checked rather than assumed.  The representatives of each degree are
-    the cycles independent of the boundaries and of the cycles before them.
+    is checked rather than assumed.  One ``coset_basis`` call gives H = Z/B:
+    the representatives of each degree are the cycles independent of the
+    boundaries and of the cycles before them, and a cycle's coordinates on
+    them modulo B are zero exactly when it is a boundary.
     """
     f = A.field
     cycles, bounds = _cycle_and_boundary_columns(A)
-
-    reps: dict[int, list] = {}
-    for k in sorted(set(cycles) | set(bounds)):
-        bc = bounds.get(k, [])
-        picked: list = []
-        rref_rows(f, bc + cycles.get(k, []), picked.append)
-        if picked[:len(bc)] != bc:
-            raise ValidationError([AxiomViolation(
-                "homology", (k,), "boundary columns are dependent")])
-        if len(picked) > len(bc):
-            reps[k] = picked[len(bc):]
+    zcols = [v for vs in cycles.values() for v in vs]
+    picks, project = coset_basis(f, [v for vs in bounds.values() for v in vs], zcols)
 
     # boundaries form an ideal inside the cycles: check it on basis columns
-    bcols = [v for vs in bounds.values() for v in vs]
-    bsolver = Factored(f, bcols)
     for kb, bc in bounds.items():
         for kz, zc in cycles.items():
             for bvec in bc:
                 for zvec in zc:
                     for prod in (A.mul(bvec, zvec), A.mul(zvec, bvec)):
-                        if prod:
-                            _coords(bsolver, prod, "homology", (kb, kz),
-                                    "boundary times cycle is not a boundary")
+                        if prod and project(prod) != {}:
+                            raise ValidationError([AxiomViolation(
+                                "homology", (kb, kz), "boundary times cycle is not a boundary")])
 
-    dims = {k: len(v) for k, v in reps.items()}
+    reps = [zcols[p] for p in picks]
+    dims = degree_dims(A, reps)
     labels = {k: tuple(f"h{k}_{i}" for i in range(m)) for k, m in dims.items()}
     space = GradedVectorSpace(dims, labels)
     if space.is_zero():
         return DgAlgebra.zero_algebra(f)
 
-    rep_flat = [v for vs in reps.values() for v in vs]
-    nb = len(bcols)
-    solver = Factored(f, bcols + rep_flat)
-
-    def project(degree, vec):
-        """Coordinates of a cycle in the chosen representatives, mod boundaries."""
-        sol = _coords(solver, vec, "homology", (degree,), "product of cycles is not a cycle")
-        return {t - nb: c for t, c in sol.items() if t >= nb}
-
     table: dict = {}
-    nh = space.total_dim
-    for i in range(nh):
-        for j in range(nh):
-            p = A.mul(rep_flat[i], rep_flat[j])
+    for i, u in enumerate(reps):
+        for j, v in enumerate(reps):
+            p = A.mul(u, v)
             if not p:
                 continue
-            out = project(space.degree_of(i) + space.degree_of(j), p)
+            out = coords(project, p, "homology", (space.degree_of(i) + space.degree_of(j),),
+                         "product of cycles is not a cycle")
             if out:
                 table[(i, j)] = out
 
-    unit = project(0, A.unit) if A.unit else {}
+    unit = coords(project, A.unit, "homology", (0,),
+                  "product of cycles is not a cycle") if A.unit else {}
     return DgAlgebra.build(f, space, unit, table, {})
 
 

@@ -12,6 +12,8 @@ for a map that may mix shifts (a Hom-space element, its differential, or a
 multiplication by an inhomogeneous element).  Kernels, quotients and
 inverses eliminate these columns in flat order, which keeps the order inside
 each degree, so they come out as a per-degree elimination would give them.
+A quotient is one ``coset_basis`` call: its representatives are the vectors
+it picks and its projection is the coordinates it gives.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 from .errors import FieldMismatch, ShapeMismatch
 from .fields import Field
-from .linalg import Factored, kernel_columns
+from .linalg import Factored, coset_basis, kernel_columns
 
 
 def clean_coeffs(field: Field, coeffs) -> dict:
@@ -130,9 +132,6 @@ class GradedVectorSpace:
         if pos < 0 or pos >= self.dim(degree):
             raise ShapeMismatch(f"no basis slot {pos} in degree {degree}")
         return self._offsets[degree] + pos
-
-    def flat_info(self, i: int):
-        return self._flat[i]
 
     def degree_of(self, i: int) -> int:
         return self._flat[i][0]
@@ -316,18 +315,17 @@ def quotient_by(space: GradedVectorSpace, inclusion: HomogeneousMap) -> Quotient
     if inclusion.target != space or inclusion.degree != 0:
         raise ShapeMismatch("expected a degree-0 inclusion into the ambient space")
     w, n = inclusion.source.total_dim, space.total_dim
-    solver = Factored(field, [inclusion.cols.get(j, {}) for j in range(w)]
-                      + [{i: field.one} for i in range(n)])
-    if solver.pivots[:w] != tuple(range(w)):
-        lost = next(j for j in range(w) if j not in solver.pivots)
+    picks, project = coset_basis(field, [], [inclusion.cols.get(j, {}) for j in range(w)]
+                                 + [{i: field.one} for i in range(n)])
+    if picks[:w] != tuple(range(w)):
+        lost = next(j for j in range(w) if j not in picks)
         raise ShapeMismatch(f"inclusion not injective in degree {inclusion.source.degree_of(lost)}")
-    reps = [p - w for p in solver.pivots[w:]]
+    reps = [p - w for p in picks[w:]]
     labels: dict = {}
     for r in reps:
         labels.setdefault(space.degree_of(r), []).append(space.label_of(r))
     qspace = GradedVectorSpace({k: len(v) for k, v in labels.items()}, labels)
-    q_of = {w + r: q for q, r in enumerate(reps)}
-    proj = {i: {q_of[p]: c for p, c in solver.solve({i: field.one}).items() if p >= w}
+    proj = {i: {q - w: c for q, c in project({i: field.one}).items() if q >= w}
             for i in range(n)}
     projection = HomogeneousMap(field, space, qspace, 0, proj)
     section = HomogeneousMap(field, qspace, space, 0, {q: {r: field.one} for q, r in enumerate(reps)})

@@ -246,17 +246,12 @@ def end_dg_algebra(C: KComplex) -> DgAlgebra:
     H = hom_of_complexes(C, C)
     f = C.field
     one = f.one
-    n = H.dim
-    units = H.units
     idx = H.unit_index
     table: dict = {}
-    for t1 in range(n):
-        mi1, nj1 = units[t1]
-        for t2 in range(n):
-            mi2, nj2 = units[t2]
-            # compose: t2 first, then t1; nonzero only when they chain
-            if nj2 == mi1:
-                table[(t1, t2)] = {idx[(mi2, nj1)]: one}
+    for t1, (mi1, nj1) in enumerate(H.units):
+        # compose: t2 = (mi2 -> mi1) first, then t1; only those pairs chain
+        for mi2 in range(C.space.total_dim):
+            table[(t1, idx[(mi2, mi1)])] = {idx[(mi2, nj1)]: one}
     unit = {}
     for mi in range(C.space.total_dim):
         unit[idx[(mi, mi)]] = one

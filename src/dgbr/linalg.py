@@ -4,9 +4,12 @@ Every subspace, map and system in the package is held as sparse dicts, and
 all elimination runs through one kernel, ``rref_rows``, a Gauss-Jordan on
 rows stored as ``{col: value}`` dicts of field values: structure matrices
 built from matrix units are mostly zero, and it touches only their nonzeros.
-``kernel_columns`` gives the kernel of sparse columns, and ``Factored``
-reduces sparse columns once and solves against many sparse right-hand sides,
-each solve one sparse product ``T * b``.
+The entry points are ``rref_rows`` itself, ``kernel_columns`` for the kernel
+of sparse columns, ``Factored``, which reduces sparse columns once and solves
+against many sparse right-hand sides, each solve one sparse product
+``T * b``, and ``coset_basis``, which takes span(mod + sub) modulo span(mod)
+from one ``Factored``: every quotient in the package (a homology, the
+structure theorem's L = M/N, ``quotient_by``) is one call of it.
 
 No dense path is left in the library.  ``Matrix`` keeps dense rows only for
 the benchmark harness, which patches its ``__init__``, ``rref`` and
@@ -216,3 +219,29 @@ class Factored:
         if any(i >= rank and not is_zero(x) for i, x in y.items()):
             return None
         return {self.pivots[i]: y[i] for i in sorted(y) if not is_zero(y[i])}
+
+
+def coset_basis(field: Field, mod, sub):
+    """span(mod + sub) modulo span(mod), from one elimination of sparse vectors.
+
+    ``mod`` and ``sub`` are sequences of sparse vectors ``{key: value}``.
+    Returns ``(picks, project)``.  ``picks`` are the positions in ``sub`` of
+    the vectors independent of ``mod`` and of the vectors of ``sub`` before
+    them, ascending; their cosets are a basis of the quotient.
+    ``project(v)`` gives the coordinates ``{q: value}`` of v on
+    ``sub[picks[q]]`` modulo span(mod), q ascending, or None when v lies
+    outside span(mod + sub).  Those coordinates are unique, so they do not
+    depend on which vectors of ``mod`` the elimination keeps.
+    """
+    m = len(mod)
+    solver = Factored(field, [*mod, *sub])
+    picks = tuple(p - m for p in solver.pivots if p >= m)
+    q_of = {m + p: q for q, p in enumerate(picks)}
+
+    def project(v: dict):
+        sol = solver.solve(v)
+        if sol is None:
+            return None
+        return {q_of[p]: c for p, c in sol.items() if p >= m}
+
+    return picks, project

@@ -10,6 +10,11 @@ took before they eliminated sparse columns.
 ``dense_validate_structure`` and ``dense_validate_module`` are the
 validators as they were before associativity and Leibniz were checked only
 on the support of the tables: they visit every basis triple and pair.
+``dense_realization`` and ``dense_homology`` are the structure theorem and
+homology as they ran before one coset elimination replaced their subspace
+solvers: dense per-degree picks of M = A*e + A*d(e) and N = A*d(e), the
+quotient M/N from the pivots of [W | I] in M coordinates, and H = Z/B from
+the pivots of [B | Z].
 ``FractionField`` is the rational field as it was before integral values
 became ``int``: every value it makes is a ``Fraction``.  All of them are kept
 only as oracles for the tests.
@@ -299,6 +304,164 @@ def dense_validate_module(M: DgModule):
                     "module-leibniz", (m, a),
                     "d(m*a) differs from d(m)*a + (-1)^{|m|} m*d(a)"))
     return v
+
+
+def _positions(space, k):
+    """Flat indices of degree k, in order."""
+    return [space.flat_index(k, p) for p in range(space.dim(k))]
+
+
+def _by_degree(space, vecs):
+    """Nonzero homogeneous flat vectors grouped by degree, in order; degrees ascending."""
+    out: dict = {}
+    for v in vecs:
+        if v:
+            out.setdefault(space.degree_of(min(v)), []).append(v)
+    return dict(sorted(out.items()))
+
+
+def _dense_cols(field, space, k, vecs):
+    """The degree-k rows of the matrix whose columns are the given flat vectors."""
+    return [tuple(v.get(i, field.zero) for v in vecs) for i in _positions(space, k)]
+
+
+def _dense_picks(field, space, k, vecs):
+    """The degree-k vectors independent of those before them: the column pivots."""
+    _, pivots = dense_rref(field, _dense_cols(field, space, k, vecs), len(vecs))
+    return [vecs[p] for p in pivots]
+
+
+def _dense_coords(field, space, k, basis, v):
+    """Coordinates of a degree-k vector on the given columns by ``dense_solve``, or None."""
+    rhs = [v.get(i, field.zero) for i in _positions(space, k)]
+    return dense_solve(field, _dense_cols(field, space, k, basis), len(basis), rhs)
+
+
+def _dense_candidates(A):
+    """The degree-0 basis elements that square to themselves, in flat order."""
+    one = A.field.one
+    return [{i: one} for i in range(A.dim)
+            if A.degree_of(i) == 0 and A.mul({i: one}, {i: one}) == {i: one}]
+
+
+def _ideal(A, g):
+    """Nonzero products e_k * g grouped by degree, k ascending within a degree."""
+    one = A.field.one
+    return _by_degree(A.space, [A.mul({k: one}, g) for k in range(A.dim)] if g else [])
+
+
+def dense_containment(A, e):
+    """(ideal_dims, span_dims, contained, witness) for A*e against A*d(e), densely."""
+    f = A.field
+    ae, ade = _ideal(A, e), _ideal(A, A.d_apply(e))
+    witness = next((v for k, vs in ae.items() for v in vs
+                    if _dense_coords(f, A.space, k, ade.get(k, []), v) is None), None)
+    ideal_dims = {k: len(_dense_picks(f, A.space, k, vs)) for k, vs in ae.items()}
+    span_dims = {k: len(_dense_picks(f, A.space, k, vs)) for k, vs in ade.items()}
+    return ideal_dims, span_dims, witness is None, witness
+
+
+def dense_realization(A):
+    """The structure theorem's data for A, by the route it took with subspace solvers.
+
+    Returns a dict: every candidate's containment result, the chosen index
+    (None when every candidate is contained), and for that choice L's dims,
+    labels and d columns plus ``lmaps[a]``, the columns of left
+    multiplication by e_a on L.
+    """
+    f, one = A.field, A.field.one
+    cands = _dense_candidates(A)
+    certs = [dense_containment(A, e) for e in cands]
+    index = next((i for i, c in enumerate(certs, 1) if not c[2]), None)
+    out = {"certs": certs, "index": index}
+    if index is None:
+        return out
+    e = cands[index - 1]
+    ae, ade = _ideal(A, e), _ideal(A, A.d_apply(e))
+    cosets: dict = {}  # degree -> (N's basis, (M position, vector) of each representative)
+    for k in sorted(set(ae) | set(ade)):
+        M = _dense_picks(f, A.space, k, ae.get(k, []) + ade.get(k, []))
+        N = _dense_picks(f, A.space, k, ade.get(k, []))
+        W = [_dense_coords(f, A.space, k, M, v) for v in N]  # N in M coordinates
+        rows = [tuple(w[r] for w in W) + tuple(one if c == r else f.zero for c in range(len(M)))
+                for r in range(len(M))]
+        _, pivots = dense_rref(f, rows, len(N) + len(M))
+        cosets[k] = (N, [(p - len(N), M[p - len(N)]) for p in pivots if p >= len(N)])
+    flat = [(k, r, v) for k, (_, rs) in cosets.items() for r, v in rs]
+    start = {k: next((s for s, x in enumerate(flat) if x[0] == k), None) for k in cosets}
+
+    def project(v):
+        """Coordinates of v in M on the representatives, modulo N."""
+        if not v:
+            return {}
+        k = A.space.degree_of(min(v))
+        N, rs = cosets.get(k, ([], []))
+        sol = _dense_coords(f, A.space, k, N + [r for _, r in rs], v)
+        assert sol is not None, "outside M"
+        return {start[k] + q: c for q, c in enumerate(sol[len(N):]) if not f.is_zero(c)}
+
+    dcols = {}
+    for s, (_, _, v) in enumerate(flat):
+        img = project(A.d_apply(v))
+        if img:
+            dcols[s] = img
+    lmaps = {}
+    for a in range(A.dim):
+        lmaps[a] = {}
+        for s, (_, _, v) in enumerate(flat):
+            img = project(A.mul({a: one}, v))
+            if img:
+                lmaps[a][s] = img
+    out.update(dims={k: len(rs) for k, (_, rs) in cosets.items() if rs},
+               labels=tuple(f"m{k}_{r}" for k, r, _ in flat), dcols=dcols, lmaps=lmaps)
+    return out
+
+
+def dense_homology(A):
+    """(dims, table, unit) of H(A) from the pivots of [B | Z] per degree.
+
+    Z is the dense kernel basis of each block of d (free variables 1), B the
+    images d(e_j) at the pivot columns j of the block below; the product of
+    two representatives is solved on [B | reps] by ``dense_solve``.
+    """
+    f = A.field
+    Z: dict = {}
+    B: dict = {}
+    for k in A.space.degrees():
+        src = _positions(A.space, k)
+        tgt = _positions(A.space, k + 1)
+        rows = [tuple(A.dcols.get(j, {}).get(i, f.zero) for j in src) for i in tgt]
+        basis, pivots = dense_kernel_basis(f, rows, len(src))
+        Z[k] = [{src[r]: x for r, x in enumerate(v) if not f.is_zero(x)} for v in basis]
+        if pivots:
+            B[k + 1] = [A.dcols[src[p]] for p in pivots]
+    reps: dict = {}
+    for k, zs in Z.items():
+        bs = B.get(k, [])
+        _, pivots = dense_rref(f, _dense_cols(f, A.space, k, bs + zs), len(bs) + len(zs))
+        picked = [zs[p - len(bs)] for p in pivots if p >= len(bs)]
+        if picked:
+            reps[k] = picked
+    flat = [(k, v) for k, vs in reps.items() for v in vs]
+    start = {k: next(s for s, x in enumerate(flat) if x[0] == k) for k in reps}
+
+    def project(v):
+        if not v:
+            return {}
+        k = A.space.degree_of(min(v))
+        bs = B.get(k, [])
+        sol = _dense_coords(f, A.space, k, bs + reps.get(k, []), v)
+        assert sol is not None, "not a cycle"
+        return {start[k] + q: c for q, c in enumerate(sol[len(bs):]) if not f.is_zero(c)}
+
+    table = {}
+    for i, (_, u) in enumerate(flat):
+        for j, (_, v) in enumerate(flat):
+            img = project(A.mul(u, v))
+            if img:
+                table[(i, j)] = img
+    unit = project(A.unit) if flat else {}
+    return {k: len(v) for k, v in reps.items()}, table, unit
 
 
 class FractionField(Field):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from dgbr.errors import FieldMismatch, ShapeMismatch
 from dgbr.fields import GF, QQ
 from dgbr.graded import GradedVectorSpace, HomogeneousMap
-from dgbr.linalg import Factored, Matrix, kernel_columns, rref_rows
+from dgbr.linalg import Factored, Matrix, coset_basis, kernel_columns, rref_rows
 
 
 def mat(rows, field=QQ):
@@ -250,3 +250,27 @@ def test_rref_rows_does_not_depend_on_row_order(data):
     shuffled = data.draw(st.permutations(rows))
     assert rref_rows(f, shuffled) == rref_rows(f, rows)
     assert rows == copies  # the input rows are left alone
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_coset_basis_matches_the_dense_oracle(data):
+    """Columns split into mod and sub: the picks are the sub pivots of [mod | sub],
+    and a vector's coordinates on them modulo span(mod) are its unique solution
+    on [mod pivots | picks], whatever the order of mod."""
+    f, rows, n = data.draw(matrices(sparse_entries, 8))
+    k = data.draw(st.integers(0, n))
+    cols = sparse_columns(f, rows, n)
+    picks, project = coset_basis(f, cols[:k], cols[k:])
+    _, pivots = dense_rref(f, rows, n)
+    assert picks == tuple(p - k for p in pivots if p >= k)
+    kept = [p for p in pivots if p < k] + [k + q for q in picks]
+    in_span = matvec(f, rows, [f.coerce(data.draw(sparse_entries)) for _ in range(n)])
+    anything = tuple(f.coerce(data.draw(sparse_entries)) for _ in range(len(rows)))
+    _, reshuffled = coset_basis(f, data.draw(st.permutations(cols[:k])), cols[k:])
+    for rhs in (in_span, anything):
+        want = dense_solve(f, [[r[p] for p in kept] for r in rows], len(kept), rhs)
+        if want is not None:
+            want = {q: c for q, c in enumerate(want[len(kept) - len(picks):]) if not f.is_zero(c)}
+        assert project(sparse(f, rhs)) == reshuffled(sparse(f, rhs)) == want
+    assert project(sparse(f, in_span)) is not None

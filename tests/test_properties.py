@@ -6,8 +6,10 @@ import random
 import pytest
 from dense_oracle import (
     dense_center,
+    dense_homology,
     dense_inverse,
     dense_kernel_basis,
+    dense_realization,
     dense_rref,
     dense_solve,
     dense_trace_radical,
@@ -17,7 +19,9 @@ from dense_oracle import (
 from hypothesis import given, settings, strategies as st
 
 from dgbr.brauer import (
+    choose_structure_idempotent,
     forget_descriptor,
+    idempotent_containment,
     lambda_map,
     rho_map,
     verify_dg_iso,
@@ -34,6 +38,7 @@ from dgbr.catalog import (
 )
 from dgbr.brauer import structure_realize
 from dgbr.dg import (
+    DgAlgebra,
     DgModule,
     KComplex,
     center,
@@ -47,6 +52,7 @@ from dgbr.dg import (
     validate_module,
     validate_structure,
 )
+from dgbr.errors import NoSuitableIdempotent
 from dgbr.fields import GF, QQ
 from dgbr.formats import parse_algebra_text, serialize_algebra
 from dgbr.graded import GradedVectorSpace, HomogeneousMap, clean_coeffs, kernel_of, quotient_by
@@ -205,6 +211,86 @@ def test_center_and_trace_radical_bases_match_the_dense_oracle(field):
             assert [_sparse(v) for v in rep.radical] == dense_trace_radical(A)
             traced += 1
     assert traced
+# -- cosets: the structure theorem and homology against the dense oracle ------------
+
+
+def _rebased(A, s, v):
+    """A in the basis whose slot s holds v, of the same degree, in place of e_s."""
+    basis = [v if t == s else {t: A.field.one} for t in range(A.dim)]
+    solve = Factored(A.field, basis).solve
+    table = {(i, j): solve(A.mul(x, y)) for i, x in enumerate(basis) for j, y in enumerate(basis)}
+    dcols = {i: solve(A.d_apply(x)) for i, x in enumerate(basis)}
+    return DgAlgebra.build(A.field, A.space, solve(A.unit), table, dcols)
+
+
+def _inner_matrix_cases(field):
+    """Good-graded Mat_2-Mat_4 (superdiagonal degrees -1..2) with d = [u, -] for
+    each degree-1 unit u, and their opposites.  Mat_4 keeps every fourth grading.
+    When e12 has degree 0, the Mat_3 cases also come with e12 replaced by
+    e11 + e12 in the basis, so that e21 * e11 and (e11 + e12) * e11 coincide."""
+    out = []
+    for n in (2, 3, 4):
+        grads = list(itertools.product(range(-1, 3), repeat=n - 1))
+        for f in grads[::4] if n == 4 else grads:
+            A = good_grading_matrix_algebra(field, n, f)
+            for (i, j), u in sorted(A.presentation.unit_index.items()):
+                if i != j and A.degree_of(u) == 1:
+                    B = inner_differential(A, {u: field.one})
+                    out += [B, opposite(B)]
+                    if n == 3 and f[0] == 0:
+                        e11, e12 = A.presentation.flat(1, 1), A.presentation.flat(1, 2)
+                        out.append(_rebased(B, e12, {e11: field.one, e12: field.one}))
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(7)], ids=str)
+def test_structure_realization_matches_the_dense_oracle(field):
+    """L's dims, labels and d, the witness map, the chosen idempotent and every
+    candidate's containment certificate, entry for entry."""
+    cases = _inner_matrix_cases(field)
+    realized = 0
+    for A in cases:
+        want = dense_realization(A)
+        for i, (ideal_dims, span_dims, contained, witness) in enumerate(want["certs"], 1):
+            cert, wit = idempotent_containment(A, i)
+            assert (cert.index, cert.ideal_dims, cert.span_dims, cert.contained) == \
+                (i, ideal_dims, span_dims, contained)
+            assert wit == witness
+        if want["index"] is None:
+            with pytest.raises(NoSuitableIdempotent):
+                choose_structure_idempotent(A)
+            continue
+        sr = structure_realize(A)
+        choice = sr.idempotent
+        assert choice.index == want["index"]
+        assert choice.witness == want["certs"][choice.index - 1][3]
+        assert [c.index for c in choice.rejected] == list(range(1, choice.index))
+        assert sr.L.space.dims == want["dims"]
+        assert sr.L.space.all_labels() == want["labels"]
+        assert sr.L.dcols == want["dcols"]
+        E = sr.witness.target
+        for a in range(A.dim):
+            assert E.hom.to_map(sr.witness.map.cols.get(a, {})).cols == want["lmaps"][a]
+        realized += 1
+    assert realized == len(cases)
+
+
+def _homology_cases(field):
+    gens = [A for _, A in generators(field)]
+    rng = random.Random(11)
+    return [tensor_product(A, B) for A, B in itertools.combinations_with_replacement(gens, 2)] \
+        + [random_algebra(rng, field) for _ in range(30)]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(7)], ids=str)
+def test_homology_matches_the_dense_oracle(field):
+    """Representatives from the pivots of [B | Z] and the product table by dense solves."""
+    for A in _homology_cases(field):
+        dims, table, unit = dense_homology(A)
+        H = homology(A)
+        assert (H.space.dims, H.table, H.unit) == (dims, table, unit)
+
+
 DEFECTS = ("new-product", "coefficient", "delete", "d-column", "d-entry")
 
 
