@@ -24,6 +24,7 @@ from .dg import (
 from .errors import (
     AxiomViolation,
     ContainmentCertificate,
+    DgError,
     FieldMismatch,
     NoSuitableIdempotent,
     NotCentralSimple,
@@ -328,11 +329,25 @@ def structure_realize(A: DgAlgebra) -> StructureRealization:
     multiplication gives the verified isomorphism onto End(L) under
     composition.  The same underlying map, read between the opposite
     algebras, is an isomorphism of those as well.
+
+    A map that passes ``verify_dg_iso`` is, forgetting grading and d, an
+    algebra isomorphism A = End_K(L) with L nonzero, so the witness proves A
+    central simple and nothing is checked up front.  Only a failed
+    realization decides ``is_central_simple``: NotCentralSimple when it is
+    False, else the failure is re-raised as it came.
     """
-    f = A.field
-    one = f.one
-    if not is_central_simple(A):
-        raise NotCentralSimple("structure theorem applies to central simple algebras")
+    try:
+        return _realize(A)
+    except DgError:
+        if not is_central_simple(A):
+            raise NotCentralSimple(
+                "structure theorem applies to central simple algebras") from None
+        raise
+
+
+def _realize(A: DgAlgebra) -> StructureRealization:
+    """The construction of ``structure_realize``, raising whenever a step fails."""
+    f, one = A.field, A.field.one
     choice = choose_structure_idempotent(A)
     e = _diagonal_candidates(A)[choice.index - 1]
     basis, n, picks, project = _cosets(A, e)

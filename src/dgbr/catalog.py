@@ -37,6 +37,8 @@ from .graded import GradedVectorSpace, HomogeneousMap, add_into
 from .homs import end_dg_algebra
 from .linalg import kernel_columns
 from .matrix_algebras import (
+    GoodGrading,
+    _unit_label,
     enumerate_good_gradings,
     good_grading_matrix_algebra,
     inner_differential,
@@ -136,19 +138,19 @@ def random_complex(rng: random.Random, field, max_total: int = 3,
 def random_square_zero_inner(rng: random.Random, field, n: int = None) -> DgAlgebra:
     """A good-graded matrix algebra with a random single-unit inner differential."""
     n = n or rng.choice([2, 3])
-    f = tuple(rng.randint(-1, 1) for _ in range(n - 1))
-    A = good_grading_matrix_algebra(field, n, f)
+    g = GoodGrading(n, tuple(rng.randint(-1, 1) for _ in range(n - 1)))
+    A = good_grading_matrix_algebra(field, n, g.f)
     deg1 = [
         (i, j)
         for i in range(1, n + 1)
         for j in range(1, n + 1)
-        if i != j and A.degree_of(A.presentation.flat(i, j)) == 1
+        if i != j and g.degree(i, j) == 1
     ]
     if not deg1 or rng.random() < 0.25:
         return A
     i, j = rng.choice(deg1)
     # a single off-diagonal unit squares to zero, so d_z is always accepted
-    return inner_differential(A, {A.presentation.flat(i, j): field.one})
+    return inner_differential(A, A.element({_unit_label(n, i, j): 1}))
 
 
 def random_algebra(rng: random.Random, field) -> DgAlgebra:

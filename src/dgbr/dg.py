@@ -86,26 +86,11 @@ def _clean_dcols(field, dcols, n: int) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class MatrixPresentation:
-    """Records that an algebra's basis is a family of matrix units.
-
-    ``unit_index[(i, j)]`` is the flat basis slot of the unit sending column j
-    to column i, with 1-based matrix indices.
-    """
-
-    n: int
-    unit_index: dict
-
-    def flat(self, i: int, j: int) -> int:
-        return self.unit_index[(i, j)]
-
-
 class DgAlgebra:
     """A validated dg-algebra over an exact field."""
 
-    def __init__(self, field, space, unit, table, dcols, *, presentation=None, hom=None,
-                 generators=None, _validated=False):
+    def __init__(self, field, space, unit, table, dcols, *, hom=None, generators=None,
+                 _validated=False):
         if not _validated:
             raise ShapeMismatch("use DgAlgebra.build so the axioms get checked")
         self.field = field
@@ -113,7 +98,6 @@ class DgAlgebra:
         self.unit = unit
         self.table = table
         self.dcols = dcols
-        self.presentation = presentation
         self.hom = hom
         self.generators = generators
         self._dmap = None
@@ -121,8 +105,7 @@ class DgAlgebra:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def build(cls, field, space, unit, table, diff, *, presentation=None, hom=None,
-              generators=None):
+    def build(cls, field, space, unit, table, diff, *, hom=None, generators=None):
         """Validate structure data and wrap it; raises ValidationError when bad.
 
         ``generators`` is passed on to ``validate_structure`` and kept.
@@ -144,8 +127,8 @@ class DgAlgebra:
         violations = validate_structure(field, space, unit, tbl, dc, generators=generators)
         if violations:
             raise ValidationError(violations)
-        return cls(field, space, unit, tbl, dc, presentation=presentation, hom=hom,
-                   generators=generators, _validated=True)
+        return cls(field, space, unit, tbl, dc, hom=hom, generators=generators,
+                   _validated=True)
 
     @classmethod
     def zero_algebra(cls, field):

@@ -110,6 +110,10 @@ class GradedVectorSpace:
                 if len(names) != norm.get(k, 0):
                     raise ShapeMismatch(f"{len(names)} labels for degree {k} of dimension {norm.get(k, 0)}")
         self.labels = labels
+        # labels name basis elements in files, so two slots may not share one
+        names = self.all_labels() if labels else ()
+        if len(set(names)) < len(names):
+            raise ShapeMismatch(f"duplicate label {next(x for x in names if names.count(x) > 1)!r}")
 
     @classmethod
     def zero(cls):

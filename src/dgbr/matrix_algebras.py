@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .dg import DgAlgebra, MatrixPresentation, _show, ksign
+from .dg import DgAlgebra, _show, ksign
 from .errors import AxiomViolation, ShapeMismatch, ValidationError
 from .fields import Field
 from .graded import GradedVectorSpace, add_into
@@ -81,10 +81,7 @@ def good_grading_matrix_algebra(field: Field, n: int, f=()) -> DgAlgebra:
                 table[(s, t)] = {unit_index[(i, l)]: one}
     unit = {unit_index[(i, i)]: one for i in range(1, n + 1)}
     adjacent = [{unit_index[u]: one} for i in range(1, n) for u in ((i, i + 1), (i + 1, i))]
-    return DgAlgebra.build(
-        field, space, unit, table, {},
-        presentation=MatrixPresentation(n, unit_index), generators=adjacent,
-    )
+    return DgAlgebra.build(field, space, unit, table, {}, generators=adjacent)
 
 
 def inner_differential(A: DgAlgebra, z) -> DgAlgebra:
@@ -120,10 +117,7 @@ def inner_differential(A: DgAlgebra, z) -> DgAlgebra:
         add_into(f, col, A.mul({a: one}, zvec), scale=minus if ksign(deg[a], 1) > 0 else None)
         if col:
             dcols[a] = col
-    return DgAlgebra.build(
-        f, A.space, A.unit, A.table, dcols, presentation=A.presentation,
-        generators=A.generators,
-    )
+    return DgAlgebra.build(f, A.space, A.unit, A.table, dcols, generators=A.generators)
 
 
 def enumerate_good_gradings(n: int, bound: int) -> list:

@@ -4,6 +4,7 @@ import itertools
 import pytest
 from dense_oracle import dense_is_central_simple
 
+from dgbr import brauer
 from dgbr.brauer import (
     _diagonal_candidates,
     choose_structure_idempotent,
@@ -30,6 +31,7 @@ from dgbr.catalog import (
     unit_equivalence_witness,
 )
 from dgbr.dg import (
+    DgAlgebra,
     KComplex,
     center,
     ksign,
@@ -175,7 +177,6 @@ def test_idempotent_certificates_frozen():
 def test_idempotent_search_falls_back_without_presentation():
     A = mat2_inner(QQ)
     rebuilt = regrade_trivial(A)
-    assert rebuilt.presentation is None
     assert len(_diagonal_candidates(rebuilt)) == 2
 
 
@@ -223,9 +224,34 @@ def test_structure_realize_trivially_graded_mat3():
     assert sr.witness.verified
 
 
-def test_structure_realize_rejects_non_central_simple():
+@pytest.mark.parametrize("make", [
+    DgAlgebra.zero_algebra,
+    dual_numbers,
+    split_pair,
+    lambda f: tensor_product(split_pair(f), split_pair(f)),
+], ids=["zero", "dual-numbers", "split-pair", "split-pair-squared"])
+def test_structure_realize_rejects_non_central_simple(make):
+    with pytest.raises(NotCentralSimple,
+                       match="^structure theorem applies to central simple algebras$"):
+        structure_realize(make(QQ))
+
+
+def test_structure_realize_decides_central_simplicity_only_on_failure(monkeypatch):
+    # a verified witness A = End(L) proves A central simple, so success needs no check
+    calls = []
+
+    def spy(A):
+        calls.append(A)
+        return is_central_simple(A)
+
+    monkeypatch.setattr(brauer, "is_central_simple", spy)
+    field = GF(10007)
+    M = good_grading_matrix_algebra(field, 4, (1, 0, 1))
+    assert structure_realize(inner_differential(M, M.element({"e12": 1}))).witness.verified
+    assert calls == []
     with pytest.raises(NotCentralSimple):
-        structure_realize(split_pair(QQ))
+        structure_realize(split_pair(field))
+    assert len(calls) == 1
 
 
 def test_unit_equivalence_from_structure_witness():

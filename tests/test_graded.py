@@ -37,6 +37,16 @@ def test_label_mismatch_rejected():
         GradedVectorSpace({0: 2}, {0: ("x",)})
 
 
+@pytest.mark.parametrize("labels", [
+    {0: ("x", "y"), 1: ("x",)},
+    {0: ("x", "x"), 1: ("y",)},
+    {0: ("b1_0", "y")},  # the default label of the unlabelled degree-1 slot
+], ids=["across-degrees", "within-a-degree", "default-label"])
+def test_duplicate_labels_rejected(labels):
+    with pytest.raises(ShapeMismatch, match="duplicate label"):
+        GradedVectorSpace({0: 2, 1: 1}, labels)
+
+
 def test_homogeneous_map_blocks_and_apply():
     W = GradedVectorSpace({0: 1, 1: 2})
     m = HomogeneousMap(

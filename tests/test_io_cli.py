@@ -7,7 +7,8 @@ import sys
 import pytest
 
 from dgbr.catalog import dual_numbers, mat2_inner, mat3_inner, split_pair
-from dgbr.dg import KComplex
+from dgbr.cli import main
+from dgbr.dg import KComplex, trivial_dg
 from dgbr.errors import ParseError
 from dgbr.fields import GF, QQ
 from dgbr.formats import (
@@ -328,6 +329,21 @@ def test_cli_exit_code_bad_input():
     r2 = run_cli("tensor", str(SAMPLES / "dual_numbers.json"),
                  str(SAMPLES / "dual_numbers_f2.json"))
     assert r2.returncode == 2
+
+
+def test_cli_tensor_with_colliding_labels_exits_two_before_writing(tmp_path, capsys):
+    # x (x) y@z and x@y (x) z would both be labelled x@y@z
+    paths = []
+    for labels in (("x", "x@y"), ("z", "y@z")):
+        one = QQ.one
+        D = trivial_dg(QQ, labels, {0: one}, {(0, 0): {0: one}, (0, 1): {1: one},
+                                             (1, 0): {1: one}})
+        paths.append(tmp_path / f"{labels[0]}.json")
+        paths[-1].write_text(serialize_algebra(D))
+    assert main(["tensor", *map(str, paths)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "invalid input: duplicate label 'x@y@z'\n"
 
 
 def test_cli_deeply_nested_json_exits_two(tmp_path):

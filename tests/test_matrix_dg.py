@@ -39,11 +39,11 @@ def test_mat3_dims_frozen():
 
 def test_matrix_units_multiply_by_composition():
     A = good_grading_matrix_algebra(QQ, 3, (1, 1))
-    p = A.presentation
+    unit = {A.label_of(i): i for i in range(A.dim)}
     one = QQ.one
-    assert A.mul({p.flat(1, 2): one}, {p.flat(2, 3): one}) == {p.flat(1, 3): one}
-    assert A.mul({p.flat(1, 2): one}, {p.flat(1, 2): one}) == {}
-    assert A.unit == {p.flat(i, i): one for i in (1, 2, 3)}
+    assert A.mul({unit["e12"]: one}, {unit["e23"]: one}) == {unit["e13"]: one}
+    assert A.mul({unit["e12"]: one}, {unit["e12"]: one}) == {}
+    assert A.unit == {unit[f"e{i}{i}"]: one for i in (1, 2, 3)}
 
 
 def test_trivial_grading_by_default():

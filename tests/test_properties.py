@@ -22,6 +22,7 @@ from dgbr.brauer import (
     choose_structure_idempotent,
     forget_descriptor,
     idempotent_containment,
+    is_central_simple,
     lambda_map,
     rho_map,
     verify_dg_iso,
@@ -52,7 +53,7 @@ from dgbr.dg import (
     validate_module,
     validate_structure,
 )
-from dgbr.errors import NoSuitableIdempotent
+from dgbr.errors import DgError, NoSuitableIdempotent, NotCentralSimple
 from dgbr.fields import GF, QQ
 from dgbr.formats import parse_algebra_text, serialize_algebra
 from dgbr.graded import GradedVectorSpace, HomogeneousMap, clean_coeffs, kernel_of, quotient_by
@@ -233,12 +234,14 @@ def _inner_matrix_cases(field):
         grads = list(itertools.product(range(-1, 3), repeat=n - 1))
         for f in grads[::4] if n == 4 else grads:
             A = good_grading_matrix_algebra(field, n, f)
-            for (i, j), u in sorted(A.presentation.unit_index.items()):
+            unit = {A.label_of(u): u for u in range(A.dim)}
+            for i, j in itertools.product(range(1, n + 1), repeat=2):
+                u = unit[f"e{i}{j}"]
                 if i != j and A.degree_of(u) == 1:
                     B = inner_differential(A, {u: field.one})
                     out += [B, opposite(B)]
                     if n == 3 and f[0] == 0:
-                        e11, e12 = A.presentation.flat(1, 1), A.presentation.flat(1, 2)
+                        e11, e12 = unit["e11"], unit["e12"]
                         out.append(_rebased(B, e12, {e11: field.one, e12: field.one}))
     return out
 
@@ -273,6 +276,28 @@ def test_structure_realization_matches_the_dense_oracle(field):
             assert E.hom.to_map(sr.witness.map.cols.get(a, {})).cols == want["lmaps"][a]
         realized += 1
     assert realized == len(cases)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(7)], ids=str)
+def test_structure_realize_refuses_exactly_the_non_central_simple(field):
+    """NotCentralSimple exactly when is_central_simple is False; any other
+    outcome, a realization or another refusal, is on a central simple algebra."""
+    gens = [A for _, A in generators(field)]
+    rng = random.Random(12)
+    cases = [tensor_product(A, B) for A, B in itertools.combinations_with_replacement(gens, 2)] \
+        + [random_algebra(rng, field) for _ in range(40)]
+    outcomes = []
+    for A in cases:
+        try:
+            structure_realize(A)
+            outcome = "realized"
+        except NotCentralSimple:
+            outcome = "not central simple"
+        except DgError:
+            outcome = "refused"
+        assert (outcome == "not central simple") == (not is_central_simple(A))
+        outcomes.append(outcome)
+    assert {"realized", "not central simple"} <= set(outcomes)
 
 
 def _homology_cases(field):
