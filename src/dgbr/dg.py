@@ -22,7 +22,10 @@ S: the words s1(s2(...(sk*1))) over S, grown by elimination, must span A, and
 both axioms must hold with x a basis term of S, against every basis y and z.
 If that fails, or the hint is empty, out of range, not homogeneous or has
 basis terms in over half the basis, the complete enumeration runs unchanged,
-so the list never depends on the hint.
+so the list never depends on the hint.  The algebra records in
+``generators_certified`` whether the certificate succeeded: only then is S
+known to generate A, so only then may ``brauer.verify_dg_iso`` check an
+isomorphism on S alone; a kept hint that fell back proves nothing.
 
 The certificate is exact.  N = {x : (xy)z = x(yz) for all y, z} is a
 subspace holding S, and 1 by the unit laws.  It is closed under products:
@@ -90,7 +93,7 @@ class DgAlgebra:
     """A validated dg-algebra over an exact field."""
 
     def __init__(self, field, space, unit, table, dcols, *, hom=None, generators=None,
-                 _validated=False):
+                 _validated=False, _certified=False):
         if not _validated:
             raise ShapeMismatch("use DgAlgebra.build so the axioms get checked")
         self.field = field
@@ -100,6 +103,9 @@ class DgAlgebra:
         self.dcols = dcols
         self.hom = hom
         self.generators = generators
+        # whether validation certified associativity and Leibniz from the words
+        # over ``generators``, which proves that they generate the algebra
+        self.generators_certified = _certified
         self._dmap = None
 
     # -- construction ------------------------------------------------------
@@ -108,7 +114,8 @@ class DgAlgebra:
     def build(cls, field, space, unit, table, diff, *, hom=None, generators=None):
         """Validate structure data and wrap it; raises ValidationError when bad.
 
-        ``generators`` is passed on to ``validate_structure`` and kept.
+        ``generators`` is passed on to ``validate_structure`` and kept, and
+        ``generators_certified`` records whether they certified the algebra.
         """
         n = space.total_dim
         unit = clean_coeffs(field, unit)
@@ -128,7 +135,7 @@ class DgAlgebra:
         if violations:
             raise ValidationError(violations)
         return cls(field, space, unit, tbl, dc, hom=hom, generators=generators,
-                   _validated=True)
+                   _validated=True, _certified=violations.certified)
 
     @classmethod
     def zero_algebra(cls, field):
@@ -299,6 +306,12 @@ def _generators_certify(field, deg, unit, table, dcols, L, R, generators) -> boo
             and next(_leibniz_failures(field, L, R, dcols, dcols, deg, support), None) is None)
 
 
+class _Violations(list):
+    """A list of violations that also records whether generators certified it."""
+
+    certified = False
+
+
 def validate_structure(field, space, unit, table, dcols, *, generators=None):
     """Complete axiom check; returns every violation found.
 
@@ -307,9 +320,10 @@ def validate_structure(field, space, unit, table, dcols, *, generators=None):
     Associativity and Leibniz skip only tuples whose two sides are both zero.
     ``generators`` (a list of sparse vectors, or None) may certify those two
     axioms from fewer checks, as the module docstring explains; the list
-    returned is the same with or without it.
+    returned is the same with or without it, and its ``certified`` tells
+    whether the generators certified the two axioms.
     """
-    v: list[AxiomViolation] = []
+    v = _Violations()
     n = space.total_dim
     deg = space.flat_degrees()
 
@@ -354,6 +368,7 @@ def validate_structure(field, space, unit, table, dcols, *, generators=None):
     du = apply(field, dcols, unit)
     if (generators is not None and not v and not complex_v and not du
             and _generators_certify(field, deg, unit, table, dcols, L, R, generators)):
+        v.certified = True
         return v
 
     for i, j, k, left, right in _associativity_failures(field, L, R, table):

@@ -15,12 +15,15 @@ homology as they ran before one coset elimination replaced their subspace
 solvers: dense per-degree picks of M = A*e + A*d(e) and N = A*d(e), the
 quotient M/N from the pivots of [W | I] in M coordinates, and H = Z/B from
 the pivots of [B | Z].
+``full_iso_checks`` is ``verify_dg_iso`` as it was before multiplicativity
+could be checked on certified generators: it multiplies out every basis pair.
 ``FractionField`` is the rational field as it was before integral values
 became ``int``: every value it makes is a ``Fraction``.  All of them are kept
 only as oracles for the tests.
 """
 from fractions import Fraction
 
+from dgbr.brauer import IsoChecks
 from dgbr.dg import DgModule, _show, center, ksign, validate_complex
 from dgbr.errors import AxiomViolation, DgError, ParseError
 from dgbr.fields import Field
@@ -529,3 +532,39 @@ class FractionField(Field):
 
 
 FRACTION_QQ = FractionField()
+
+
+def full_iso_checks(A, B, m):
+    """The ``IsoChecks`` of a degree-0 map, with every basis pair multiplied out."""
+    f = A.field
+    cols = m.flat_columns()
+    empty: dict = {}
+    failures = []
+
+    is_hom = True
+    for i in range(A.dim):
+        ci = cols.get(i, empty)
+        for j in range(A.dim):
+            lhs = apply(f, cols, A.table.get((i, j), empty))
+            rhs = B.mul(ci, cols.get(j, empty))
+            if lhs != rhs:
+                is_hom = False
+                if len(failures) < 8:
+                    failures.append(("product", A.label_of(i), A.label_of(j)))
+
+    is_unital = apply(f, cols, A.unit) == B.unit
+    if not is_unital and len(failures) < 8:
+        failures.append(("unit",))
+
+    commutes = True
+    for i in range(A.dim):
+        if apply(f, cols, A.dcols.get(i, empty)) != B.d_apply(cols.get(i, empty)):
+            commutes = False
+            if len(failures) < 8:
+                failures.append(("differential", A.label_of(i)))
+
+    bijective = m.inverse() is not None
+    if not bijective and len(failures) < 8:
+        failures.append(("bijectivity",))
+
+    return IsoChecks(is_hom, is_unital, commutes, bijective, tuple(failures))

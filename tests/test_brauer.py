@@ -297,6 +297,55 @@ def test_verify_dg_iso_reports_failures_with_labels():
     assert ("differential", "X") in w.checks.failures
 
 
+def _count_mul(monkeypatch):
+    """Count DgAlgebra.mul calls per algebra, keyed by id."""
+    calls: dict = {}
+    mul = DgAlgebra.mul
+
+    def spy(self, u, v):
+        calls[id(self)] = calls.get(id(self), 0) + 1
+        return mul(self, u, v)
+
+    monkeypatch.setattr(DgAlgebra, "mul", spy)
+    return calls
+
+
+def _mat3_inner(field):
+    M = good_grading_matrix_algebra(field, 3, (1, 1))
+    return inner_differential(M, M.element({"e12": 1}))
+
+
+def test_sandwich_iso_checks_products_only_on_the_hint_rows(monkeypatch):
+    """T = A (x) A^op of Mat_3 has a certified hint with 24 basis terms, so the
+    target multiplies 24 * 81 pairs instead of all 81 * 81."""
+    A = _mat3_inner(GF(10007))
+    calls = _count_mul(monkeypatch)
+    w = sandwich_iso(A)
+    assert w.verified and w.source.generators_certified
+    assert len({i for s in w.source.generators for i in s}) == 4 * 3 * 2
+    assert calls[id(w.target)] == 24 * 81
+
+
+def test_verify_dg_iso_falls_back_to_every_pair(monkeypatch):
+    """A hint that does not generate Mat_3 is kept but not certified, and a map
+    that is not unital is never checked on the hint alone: either way all
+    9 * 9 product pairs are multiplied out.  The identity on the certified
+    algebra takes only its 4 hint rows."""
+    A = _mat3_inner(GF(10007))
+    e12 = A.element({"e12": 1})
+    partial = DgAlgebra.build(A.field, A.space, A.unit, A.table, A.dcols, generators=[e12])
+    assert A.generators_certified and not partial.generators_certified
+    assert partial.generators == [e12]
+    ident = HomogeneousMap.identity(A.field, A.space)
+    zero = HomogeneousMap.zero(A.field, A.space, A.space)
+    calls = _count_mul(monkeypatch)
+    for B, m, products in ((partial, ident, 81), (A, zero, 81), (A, ident, 4 * 9)):
+        calls.clear()
+        w = verify_dg_iso(B, B, m)
+        assert calls == {id(B): products}
+        assert w.checks.is_algebra_hom and w.checks.is_unital == (m is ident)
+
+
 def test_swap_iso_and_unsigned_failure():
     A = dual_numbers(QQ)
     B = mat2_inner(QQ)

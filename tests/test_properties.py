@@ -15,6 +15,7 @@ from dense_oracle import (
     dense_trace_radical,
     dense_validate_module,
     dense_validate_structure,
+    full_iso_checks,
 )
 from hypothesis import given, settings, strategies as st
 
@@ -25,12 +26,15 @@ from dgbr.brauer import (
     is_central_simple,
     lambda_map,
     rho_map,
+    sandwich_map,
     verify_dg_iso,
     verify_equivalence,
 )
 from dgbr.catalog import (
+    dual_numbers,
     generators,
     mat2_inner,
+    mat3_inner,
     neutral,
     random_algebra,
     random_complex,
@@ -48,15 +52,24 @@ from dgbr.dg import (
     kernel_subalgebra,
     ksign,
     opposite,
+    regrade_trivial,
     swap_map,
     tensor_product,
+    unsigned_swap_map,
     validate_module,
     validate_structure,
 )
 from dgbr.errors import DgError, NoSuitableIdempotent, NotCentralSimple
 from dgbr.fields import GF, QQ
 from dgbr.formats import parse_algebra_text, serialize_algebra
-from dgbr.graded import GradedVectorSpace, HomogeneousMap, clean_coeffs, kernel_of, quotient_by
+from dgbr.graded import (
+    GradedVectorSpace,
+    HomogeneousMap,
+    add_into,
+    clean_coeffs,
+    kernel_of,
+    quotient_by,
+)
 from dgbr.homs import end_dg_algebra, hom_differential, hom_of_complexes
 from dgbr.linalg import Factored
 from dgbr.matrix_algebras import good_grading_matrix_algebra, inner_differential
@@ -314,6 +327,72 @@ def test_homology_matches_the_dense_oracle(field):
         dims, table, unit = dense_homology(A)
         H = homology(A)
         assert (H.space.dims, H.table, H.unit) == (dims, table, unit)
+
+
+# -- isomorphism checks against the complete loop --------------------------------
+
+
+def _iso_cases(field):
+    """(A, B, m): signed and unsigned swaps of the pairwise tensor products of
+    the catalog and the ungraded dual numbers, structure witnesses against
+    End(L), its opposite and between the two opposites, and the sandwich maps
+    of good-graded Mat_2 and Mat_3, with and without d = [e12, -]."""
+    gens = [A for _, A in generators(field)] + [regrade_trivial(dual_numbers(field))]
+    out = []
+    for A, B in itertools.product(gens, repeat=2):
+        T1, T2 = tensor_product(A, B), tensor_product(B, A)
+        out += [(T1, T2, swap_map(A, B)), (T1, T2, unsigned_swap_map(A, B))]
+    for A in (mat2_inner(field), mat3_inner(field), good_grading_matrix_algebra(field, 3, (0, 1))):
+        w = structure_realize(A).witness
+        E, m = w.target, w.map
+        out += [(A, E, m), (A, opposite(E), m), (opposite(A), opposite(E), m)]
+    for n in (2, 3):
+        M = good_grading_matrix_algebra(field, n, (1,) * (n - 1))
+        for A in (M, inner_differential(M, M.element({"e12": 1}))):
+            T, E = tensor_product(A, opposite(A)), end_dg_algebra(A.complex())
+            out.append((T, E, sandwich_map(A, T, E)))
+    return out
+
+
+def _broken(A, m):
+    """m with the column of the first hint term doubled, with the image of the
+    first degree-0 hint term added to the column of the unit's first term, with
+    the last column outside the hint zeroed, and the zero map, which is not
+    unital.  On the ungraded dual numbers, 1 -> 1 + X and X -> X is not unital
+    but multiplicative on the hint row X."""
+    f = A.field
+    cols = m.flat_columns()
+    hint = sorted({i for s in A.generators or () for i in s})
+    rest = [i for i in range(A.dim) if i not in hint]
+    out = [{}]
+    if hint:
+        out.append({**cols, hint[0]: {k: f.add(c, c) for k, c in cols.get(hint[0], {}).items()}})
+    h = next((i for i in hint if A.degree_of(i) == 0), None)
+    if h is not None:
+        u = min(A.unit)
+        shifted = dict(cols.get(u, {}))
+        add_into(f, shifted, cols.get(h, {}))
+        out.append({**cols, u: shifted})
+    if rest:
+        out.append({k: v for k, v in cols.items() if k != rest[-1]})
+    return [HomogeneousMap(f, m.source, m.target, 0, c) for c in out]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(7)], ids=str)
+def test_iso_checks_match_the_complete_loop(field):
+    """Every field of IsoChecks, the failures tuple included, equals the loop
+    over all basis pairs, on verified maps and on maps broken on and off the hint."""
+    hinted = verified = 0
+    for A, B, m in _iso_cases(field):
+        w = verify_dg_iso(A, B, m)
+        assert w.checks == full_iso_checks(A, B, m)
+        if not w.verified:
+            continue
+        verified += 1
+        hinted += A.generators_certified
+        for bad in _broken(A, m):
+            assert verify_dg_iso(A, B, bad).checks == full_iso_checks(A, B, bad)
+    assert verified and hinted
 
 
 DEFECTS = ("new-product", "coefficient", "delete", "d-column", "d-entry")
