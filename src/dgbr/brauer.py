@@ -15,7 +15,6 @@ from .dg import (
     KComplex,
     center,
     coords,
-    degree_dims,
     homology,
     ksign,
     opposite,
@@ -284,7 +283,7 @@ def _diagonal_candidates(A: DgAlgebra):
     """Degree-0 basis elements squaring to themselves, in flat order: the e_{i,i} of Mat_n."""
     one = A.field.one
     out = [{i: one} for i in range(A.dim)
-           if A.degree_of(i) == 0 and A.mul({i: one}, {i: one}) == {i: one}]
+           if A.degree_of(i) == 0 and A.table.get((i, i)) == {i: one}]
     if not out:
         raise ShapeMismatch("no diagonal idempotents among the degree-0 basis")
     return out
@@ -304,8 +303,11 @@ def idempotent_containment(A: DgAlgebra, i: int):
         raise ShapeMismatch(f"diagonal index {i} out of range for {len(cands)} idempotents")
     basis, n, picks, _ = _cosets(A, cands[i - 1])
     witness = basis[picks[0]] if picks else None
-    span_dims = degree_dims(A, [n[p] for p in coset_basis(A.field, [], n)[0]])
-    return ContainmentCertificate(i, degree_dims(A, basis), span_dims, witness is None), witness
+
+    def dims(vecs):
+        return GradedVectorSpace.numbered("", [(A.degree_of(next(iter(v))), v) for v in vecs])[0].dims
+    span_dims = dims([n[p] for p in coset_basis(A.field, [], n)[0]])
+    return ContainmentCertificate(i, dims(basis), span_dims, witness is None), witness
 
 
 def choose_structure_idempotent(A: DgAlgebra) -> IdempotentChoice:
@@ -379,10 +381,9 @@ def _realize(A: DgAlgebra) -> StructureRealization:
 
     # M's basis lists the e_k * e first in each degree, so i counts among those
     deg = [A.degree_of(next(iter(v))) for v in basis]
-    labels: dict = {}
-    for p in picks:
-        labels.setdefault(deg[p], []).append(f"m{deg[p]}_{p - deg.index(deg[p])}")
-    L = KComplex(f, GradedVectorSpace({k: len(v) for k, v in labels.items()}, labels), dL_cols)
+    space, _ = GradedVectorSpace.from_entries(
+        (deg[p], f"m{deg[p]}_{p - deg.index(deg[p])}", p) for p in picks)
+    L = KComplex(f, space, dL_cols)
     # A -> End(L) can be bijective only if dim A = (dim L)^2; an idempotent
     # that is not primitive (the unit of a split quaternion algebra), or any
     # idempotent of a division algebra, fails here, before End(L) is built

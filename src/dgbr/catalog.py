@@ -108,12 +108,8 @@ def random_complex(rng: random.Random, field, max_total: int = 3,
     """
     total = rng.randint(1, max_total)
     lo, hi = degree_window
-    degs = sorted(rng.randint(lo, hi) for _ in range(total))
-    dims: dict = {}
-    for d in degs:
-        dims[d] = dims.get(d, 0) + 1
-    labels = {k: tuple(f"v{k}_{t}" for t in range(m)) for k, m in dims.items()}
-    space = GradedVectorSpace(dims, labels)
+    space, _ = GradedVectorSpace.numbered("v", [(rng.randint(lo, hi), None) for _ in range(total)])
+    dims = space.dims
 
     dcols: dict = {}
     kernel: dict = {}  # degree -> flat vectors of that degree killed by d

@@ -486,24 +486,9 @@ def unsigned_swap_map(A: DgAlgebra, B: DgAlgebra) -> HomogeneousMap:
 
 
 def _cycle_and_boundary_columns(A: DgAlgebra):
-    """Per degree, in flat order: the kernel basis of d and the images d(e_j) at its pivots j."""
+    """In flat order: the kernel basis of d and the images d(e_j) at its pivots j."""
     basis, pivots = kernel_columns(A.field, A.dcols, A.dim)
-    cycles: dict[int, list] = {}
-    for j, v in basis.items():
-        cycles.setdefault(A.degree_of(j), []).append(v)
-    bounds: dict[int, list] = {}
-    for j in pivots:
-        bounds.setdefault(A.degree_of(j) + 1, []).append(A.dcols[j])
-    return cycles, bounds
-
-
-def degree_dims(A: DgAlgebra, vecs) -> dict:
-    """How many of the given nonzero homogeneous vectors lie in each degree."""
-    dims: dict[int, int] = {}
-    for v in vecs:
-        k = A.degree_of(next(iter(v)))
-        dims[k] = dims.get(k, 0) + 1
-    return dims
+    return list(basis.values()), [A.dcols[j] for j in pivots]
 
 
 def coords(project, vec: dict, axiom: str, witness: tuple, detail: str) -> dict:
@@ -517,9 +502,8 @@ def coords(project, vec: dict, axiom: str, witness: tuple, detail: str) -> dict:
 def kernel_subalgebra(A: DgAlgebra) -> "KernelAlgebra":
     """ker(d) with its inherited product; closed by the Leibniz rule."""
     f = A.field
-    cycles, _ = _cycle_and_boundary_columns(A)
-    sub = span_of(f, A.space, cycles, "z")
-    zcols = [v for vs in cycles.values() for v in vs]
+    zcols, _ = _cycle_and_boundary_columns(A)
+    sub = span_of(f, A.space, zcols, "z")
     _, project = coset_basis(f, [], zcols)
     table: dict = {}
     for i, zi in enumerate(zcols):
@@ -550,24 +534,20 @@ def homology(A: DgAlgebra) -> DgAlgebra:
     them modulo B are zero exactly when it is a boundary.
     """
     f = A.field
-    cycles, bounds = _cycle_and_boundary_columns(A)
-    zcols = [v for vs in cycles.values() for v in vs]
-    picks, project = coset_basis(f, [v for vs in bounds.values() for v in vs], zcols)
+    zcols, bcols = _cycle_and_boundary_columns(A)
+    picks, project = coset_basis(f, bcols, zcols)
 
     # boundaries form an ideal inside the cycles: check it on basis columns
-    for kb, bc in bounds.items():
-        for kz, zc in cycles.items():
-            for bvec in bc:
-                for zvec in zc:
-                    for prod in (A.mul(bvec, zvec), A.mul(zvec, bvec)):
-                        if prod and project(prod) != {}:
-                            raise ValidationError([AxiomViolation(
-                                "homology", (kb, kz), "boundary times cycle is not a boundary")])
+    for bvec in bcols:
+        for zvec in zcols:
+            for prod in (A.mul(bvec, zvec), A.mul(zvec, bvec)):
+                if prod and project(prod) != {}:
+                    raise ValidationError([AxiomViolation(
+                        "homology", (A.degree_of(next(iter(bvec))), A.degree_of(next(iter(zvec)))),
+                        "boundary times cycle is not a boundary")])
 
     reps = [zcols[p] for p in picks]
-    dims = degree_dims(A, reps)
-    labels = {k: tuple(f"h{k}_{i}" for i in range(m)) for k, m in dims.items()}
-    space = GradedVectorSpace(dims, labels)
+    space, reps = GradedVectorSpace.numbered("h", [(A.degree_of(next(iter(v))), v) for v in reps])
     if space.is_zero():
         return DgAlgebra.zero_algebra(f)
 
@@ -669,10 +649,7 @@ def center(A: DgAlgebra) -> Subspace:
             add_into(f, comm, Rs.get(j, empty), scale=minus)
             col.update(((j, m), c) for m, c in comm.items())
     basis, _ = kernel_columns(f, cols, A.dim)
-    by_degree: dict = {}
-    for j, v in basis.items():
-        by_degree.setdefault(A.degree_of(j), []).append(v)
-    return span_of(f, A.space, by_degree, "c")
+    return span_of(f, A.space, list(basis.values()), "c")
 
 
 @dataclass(frozen=True)

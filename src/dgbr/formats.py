@@ -67,15 +67,8 @@ def _parse_basis(items, where):
         seen.add(label)
         if not isinstance(degree, int) or isinstance(degree, bool):
             raise ParseError("degree must be an integer", here)
-        rows.append((degree, t, label))
-    order = sorted(range(len(rows)), key=lambda t: rows[t][0])  # stable
-    dims: dict = {}
-    labels: dict = {}
-    for t in order:
-        degree, _, label = rows[t]
-        dims[degree] = dims.get(degree, 0) + 1
-        labels.setdefault(degree, []).append(label)
-    space = GradedVectorSpace(dims, {k: tuple(v) for k, v in labels.items()})
+        rows.append((degree, label, t))
+    space, order = GradedVectorSpace.from_entries(rows)
     perm = {fi: flat for flat, fi in enumerate(order)}
     return space, perm
 

@@ -3,7 +3,12 @@
 A space is a finite dict ``degree -> dimension`` (zero dimensions are never
 stored).  Basis elements get a canonical flat ordering: degrees ascending,
 positions within a degree in order.  Sparse coefficient dicts over flat
-indices ("coeffs") are the internal currency of the whole package.
+indices ("coeffs") are the internal currency of the whole package.  Every
+built basis (a tensor product, a Hom space, a graded matrix algebra, a parsed
+file, a kernel, a quotient, a homology) gets that order in one place,
+``GradedVectorSpace.from_entries``, which sorts (degree, label, key) entries
+stably by degree; ``GradedVectorSpace.numbered`` is the same with the labels
+``{prefix}{k}_{i}``.
 
 There is one map type, ``HomogeneousMap``.  It stores flat columns
 ``{source index: {target index: value}}``, the form ``apply`` runs on, with a
@@ -17,7 +22,10 @@ it picks and its projection is the coordinates it gives.
 """
 from __future__ import annotations
 
+import itertools
+from collections import defaultdict
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import FieldMismatch, ShapeMismatch
 from .fields import Field
@@ -118,6 +126,28 @@ class GradedVectorSpace:
     @classmethod
     def zero(cls):
         return cls({})
+
+    @classmethod
+    def from_entries(cls, entries):
+        """The space of ``(degree, label, key)`` entries and their keys, in flat order.
+
+        Entries are sorted stably by degree, so the given order is kept within
+        a degree; flat index t of the space is the entry of ``keys[t]``.
+        """
+        entries = sorted(entries, key=itemgetter(0))
+        labels: dict = {}
+        for k, label, _ in entries:
+            labels.setdefault(k, []).append(label)
+        return cls({k: len(v) for k, v in labels.items()}, labels), [key for _, _, key in entries]
+
+    @classmethod
+    def numbered(cls, prefix: str, entries):
+        """``from_entries`` of ``(degree, key)`` entries, labelled ``{prefix}{k}_{i}``.
+
+        i counts the entries of degree k in the given order, which flat order keeps.
+        """
+        count = defaultdict(itertools.count)
+        return cls.from_entries([(k, f"{prefix}{k}_{next(count[k])}", key) for k, key in entries])
 
     def degrees(self):
         return tuple(self.dims)
@@ -284,15 +314,13 @@ class Quotient:
     section: HomogeneousMap
 
 
-def span_of(field, ambient: GradedVectorSpace, by_degree: dict, prefix: str) -> Subspace:
-    """The subspace with basis ``by_degree[k]``, independent flat vectors of degree k.
+def span_of(field, ambient: GradedVectorSpace, vecs, prefix: str) -> Subspace:
+    """The subspace with basis ``vecs``, independent homogeneous flat vectors.
 
-    Its basis is labelled ``{prefix}{k}_{i}`` and ordered as listed, degrees ascending.
+    ``vecs`` must be in flat order (degrees ascending), so that ``vecs[i]`` is
+    basis element i of the span; it is labelled ``{prefix}{k}_{i}``.
     """
-    dims = {k: len(v) for k, v in by_degree.items() if v}
-    labels = {k: tuple(f"{prefix}{k}_{i}" for i in range(m)) for k, m in dims.items()}
-    space = GradedVectorSpace(dims, labels)
-    cols = [v for k in sorted(dims) for v in by_degree[k]]
+    space, cols = GradedVectorSpace.numbered(prefix, [(ambient.degree_of(next(iter(v))), v) for v in vecs])
     return Subspace(space, HomogeneousMap(field, space, ambient, 0, dict(enumerate(cols))))
 
 
@@ -301,10 +329,7 @@ def kernel_of(f: HomogeneousMap, label_prefix: str = "k") -> Subspace:
     if f.degree is None:
         raise ShapeMismatch("the kernel of a map that mixes degrees is not graded")
     basis, _ = kernel_columns(f.field, f.cols, f.source.total_dim)
-    by_degree: dict = {}
-    for j, v in basis.items():
-        by_degree.setdefault(f.source.degree_of(j), []).append(v)
-    return span_of(f.field, f.source, by_degree, label_prefix)
+    return span_of(f.field, f.source, list(basis.values()), label_prefix)
 
 
 def quotient_by(space: GradedVectorSpace, inclusion: HomogeneousMap) -> Quotient:
@@ -324,11 +349,8 @@ def quotient_by(space: GradedVectorSpace, inclusion: HomogeneousMap) -> Quotient
     if picks[:w] != tuple(range(w)):
         lost = next(j for j in range(w) if j not in picks)
         raise ShapeMismatch(f"inclusion not injective in degree {inclusion.source.degree_of(lost)}")
-    reps = [p - w for p in picks[w:]]
-    labels: dict = {}
-    for r in reps:
-        labels.setdefault(space.degree_of(r), []).append(space.label_of(r))
-    qspace = GradedVectorSpace({k: len(v) for k, v in labels.items()}, labels)
+    qspace, reps = GradedVectorSpace.from_entries(
+        (space.degree_of(r), space.label_of(r), r) for r in (p - w for p in picks[w:]))
     proj = {i: {q - w: c for q, c in project({i: field.one}).items() if q >= w}
             for i in range(n)}
     projection = HomogeneousMap(field, space, qspace, 0, proj)
@@ -339,28 +361,17 @@ def quotient_by(space: GradedVectorSpace, inclusion: HomogeneousMap) -> Quotient
 class TensorBasis:
     """The tensor product of two graded spaces with its basis bookkeeping.
 
-    Basis vectors are ordered pairs, left factor major; ``pairs[t]`` gives the
-    flat factor indices of tensor slot t and ``index`` inverts that.
+    Basis vectors are ordered pairs, left factor major within a degree;
+    ``pairs[t]`` gives the flat factor indices of tensor slot t and ``index``
+    inverts that.
     """
 
-    __slots__ = ("left", "right", "space", "pairs", "index")
+    __slots__ = ("space", "pairs", "index")
 
     def __init__(self, left: GradedVectorSpace, right: GradedVectorSpace):
-        buckets: dict[int, list] = {}
-        for i in range(left.total_dim):
-            di = left.degree_of(i)
-            for j in range(right.total_dim):
-                buckets.setdefault(di + right.degree_of(j), []).append((i, j))
-        dims = {k: len(v) for k, v in buckets.items()}
-        labels = {
-            k: tuple(f"{left.label_of(i)}@{right.label_of(j)}" for i, j in v)
-            for k, v in buckets.items()
-        }
-        self.left = left
-        self.right = right
-        self.space = GradedVectorSpace(dims, labels)
-        pairs = []
-        for k in sorted(buckets):
-            pairs.extend(buckets[k])
+        ldeg, rdeg = left.flat_degrees(), right.flat_degrees()
+        self.space, pairs = GradedVectorSpace.from_entries(
+            (ldeg[i] + rdeg[j], f"{left.label_of(i)}@{right.label_of(j)}", (i, j))
+            for i in range(len(ldeg)) for j in range(len(rdeg)))
         self.pairs = tuple(pairs)
         self.index = {pq: t for t, pq in enumerate(pairs)}

@@ -96,19 +96,9 @@ def _full_hom_data(field, Ms: GradedVectorSpace, Ns: GradedVectorSpace, dM: dict
     """Unit basis and d columns for the base-field Hom of two complexes."""
     degM = Ms.flat_degrees()
     degN = Ns.flat_degrees()
-    buckets: dict[int, list] = {}
-    for mi in range(Ms.total_dim):
-        for nj in range(Ns.total_dim):
-            buckets.setdefault(degN[nj] - degM[mi], []).append((mi, nj))
-    dims = {k: len(v) for k, v in buckets.items()}
-    labels = {
-        k: tuple(f"{Ms.label_of(mi)}>{Ns.label_of(nj)}" for mi, nj in v)
-        for k, v in buckets.items()
-    }
-    space = GradedVectorSpace(dims, labels)
-    units: list = []
-    for k in sorted(buckets):
-        units.extend(buckets[k])
+    space, units = GradedVectorSpace.from_entries(
+        (degN[nj] - degM[mi], f"{Ms.label_of(mi)}>{Ns.label_of(nj)}", (mi, nj))
+        for mi in range(len(degM)) for nj in range(len(degN)))
     unit_index = {pair: t for t, pair in enumerate(units)}
 
     # transpose of the source differential: which basis vectors map onto mi
@@ -165,9 +155,7 @@ def hom_complex(M: DgModule, N: DgModule, linearity: str = "base-field") -> HomC
         return full
 
     A = M.algebra
-    sub_dims: dict[int, int] = {}
-    sub_labels: dict[int, tuple] = {}
-    coords: dict[int, dict] = {}  # solution basis index -> unit coordinates
+    solutions = []  # (degree, unit coordinates) of each solution basis vector
     for k in space.degrees():
         nk = space.dim(k)
         base = space.flat_index(k, 0)
@@ -190,13 +178,10 @@ def hom_complex(M: DgModule, N: DgModule, linearity: str = "base-field") -> HomC
                             entries[key] = f.sub(entries.get(key, f.zero), c)
             cols_entries[t] = {k: c for k, c in entries.items() if not f.is_zero(c)}
         basis, _ = kernel_columns(f, cols_entries, nk)
-        if basis:
-            sub_dims[k] = len(basis)
-            sub_labels[k] = tuple(f"al{k}_{i}" for i in range(len(basis)))
-            for col in basis.values():
-                coords[len(coords)] = {base + t: c for t, c in col.items()}
+        solutions += [(k, {base + t: c for t, c in col.items()}) for col in basis.values()]
 
-    sub_space = GradedVectorSpace(sub_dims, sub_labels)
+    sub_space, coords = GradedVectorSpace.numbered("al", solutions)
+    coords = dict(enumerate(coords))  # solution basis index -> unit coordinates
     H = HomComplex(f, M.space, N.space, sub_space, units, unit_index, {},
                    coords=coords, linearity="algebra-linear", source=M, target=N)
     for s in range(sub_space.total_dim):

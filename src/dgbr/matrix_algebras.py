@@ -60,19 +60,10 @@ def good_grading_matrix_algebra(field: Field, n: int, f=()) -> DgAlgebra:
     """
     f = tuple(f)
     g = GoodGrading(n, f if f or n <= 1 else (0,) * (n - 1))
-    buckets: dict[int, list] = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            buckets.setdefault(g.degree(i, j), []).append((i, j))
-    dims = {k: len(v) for k, v in buckets.items()}
-    labels = {k: tuple(_unit_label(n, i, j) for i, j in v) for k, v in buckets.items()}
-    space = GradedVectorSpace(dims, labels)
-    unit_index = {}
-    flat = 0
-    for k in sorted(buckets):
-        for i, j in buckets[k]:
-            unit_index[(i, j)] = flat
-            flat += 1
+    space, units = GradedVectorSpace.from_entries(
+        (g.degree(i, j), _unit_label(n, i, j), (i, j))
+        for i in range(1, n + 1) for j in range(1, n + 1))
+    unit_index = {u: t for t, u in enumerate(units)}
     one = field.one
     table = {}
     for (i, j), s in unit_index.items():

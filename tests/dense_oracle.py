@@ -17,6 +17,11 @@ quotient M/N from the pivots of [W | I] in M coordinates, and H = Z/B from
 the pivots of [B | Z].
 ``full_iso_checks`` is ``verify_dg_iso`` as it was before multiplicativity
 could be checked on certified generators: it multiplies out every basis pair.
+``dense_candidates`` is the structure theorem's list of diagonal idempotents
+as it was found before it read squares from the table: by ``A.mul``.
+``bucketed_space`` and ``bucketed_numbered`` are the bucket-and-sort loop
+that each constructor of a graded basis ran before they all went through
+``GradedVectorSpace.from_entries`` and ``GradedVectorSpace.numbered``.
 ``FractionField`` is the rational field as it was before integral values
 became ``int``: every value it makes is a ``Fraction``.  All of them are kept
 only as oracles for the tests.
@@ -27,7 +32,7 @@ from dgbr.brauer import IsoChecks
 from dgbr.dg import DgModule, _show, center, ksign, validate_complex
 from dgbr.errors import AxiomViolation, DgError, ParseError
 from dgbr.fields import Field
-from dgbr.graded import add_into, apply, operators
+from dgbr.graded import GradedVectorSpace, add_into, apply, operators
 
 
 def dense_rref(field, rows, ncols):
@@ -340,11 +345,31 @@ def _dense_coords(field, space, k, basis, v):
     return dense_solve(field, _dense_cols(field, space, k, basis), len(basis), rhs)
 
 
-def _dense_candidates(A):
+def dense_candidates(A):
     """The degree-0 basis elements that square to themselves, in flat order."""
     one = A.field.one
     return [{i: one} for i in range(A.dim)
             if A.degree_of(i) == 0 and A.mul({i: one}, {i: one}) == {i: one}]
+
+
+def bucketed_space(entries):
+    """``(space, keys)`` for ``(degree, label, key)`` entries: buckets by degree, laid out ascending."""
+    buckets: dict = {}
+    for k, label, key in entries:
+        buckets.setdefault(k, []).append((label, key))
+    space = GradedVectorSpace({k: len(v) for k, v in buckets.items()},
+                              {k: tuple(label for label, _ in v) for k, v in buckets.items()})
+    return space, [key for k in sorted(buckets) for _, key in buckets[k]]
+
+
+def bucketed_numbered(prefix, entries):
+    """``(space, keys)`` for ``(degree, key)`` entries, labelled ``{prefix}{k}_{i}`` per bucket."""
+    buckets: dict = {}
+    for k, key in entries:
+        buckets.setdefault(k, []).append(key)
+    dims = {k: len(v) for k, v in buckets.items()}
+    labels = {k: tuple(f"{prefix}{k}_{i}" for i in range(m)) for k, m in dims.items()}
+    return GradedVectorSpace(dims, labels), [key for k in sorted(buckets) for key in buckets[k]]
 
 
 def _ideal(A, g):
@@ -373,7 +398,7 @@ def dense_realization(A):
     multiplication by e_a on L.
     """
     f, one = A.field, A.field.one
-    cands = _dense_candidates(A)
+    cands = dense_candidates(A)
     certs = [dense_containment(A, e) for e in cands]
     index = next((i for i, c in enumerate(certs, 1) if not c[2]), None)
     out = {"certs": certs, "index": index}

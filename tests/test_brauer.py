@@ -1,8 +1,9 @@
 """Sandwich isomorphism, structure realization, equivalence witnesses, quaternions."""
 import itertools
+import random
 
 import pytest
-from dense_oracle import dense_is_central_simple
+from dense_oracle import dense_candidates, dense_is_central_simple
 
 from dgbr import brauer
 from dgbr.brauer import (
@@ -27,6 +28,7 @@ from dgbr.catalog import (
     mat2_inner,
     mat3_inner,
     neutral,
+    random_algebra,
     split_pair,
     unit_equivalence_witness,
 )
@@ -178,6 +180,31 @@ def test_idempotent_search_falls_back_without_presentation():
     A = mat2_inner(QQ)
     rebuilt = regrade_trivial(A)
     assert len(_diagonal_candidates(rebuilt)) == 2
+
+
+def test_diagonal_candidates_read_squares_from_the_table(monkeypatch):
+    """The same list as squaring by ``A.mul``, with no ``A.mul`` call."""
+    rng = random.Random(20)
+    algebras = [A for F in (QQ, GF(2), GF(7)) for _, A in generators(F)]
+    algebras += [random_algebra(rng, F) for F in (QQ, GF(3)) for _ in range(15)]
+    for f in ((1, 0, 1), (1, 0, 1, 0)):
+        A = good_grading_matrix_algebra(GF(10007), len(f) + 1, f)
+        algebras.append(inner_differential(A, A.element({"e12": 1})))
+    # the field on the basis a = 2: a * a = 2a, so no basis element is idempotent
+    algebras.append(trivial_dg(QQ, ("a",), {0: QQ.inv(QQ.coerce(2))}, {(0, 0): {0: 2}}))
+
+    def no_mul(self, u, v):
+        raise AssertionError("DgAlgebra.mul called")
+
+    for A in algebras:
+        want = dense_candidates(A)
+        with monkeypatch.context() as m:
+            m.setattr(DgAlgebra, "mul", no_mul)
+            if want:
+                assert _diagonal_candidates(A) == want
+            else:
+                with pytest.raises(ShapeMismatch, match="no diagonal idempotents"):
+                    _diagonal_candidates(A)
 
 
 def test_no_suitable_idempotent_carries_certificates():

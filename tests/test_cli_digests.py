@@ -7,6 +7,9 @@ pin that storing integral rationals as ``int`` changes no output byte.  The
 ``kernel`` and ``contracting`` cases, and the serialized structure and
 sandwich maps that no command prints, were recorded while maps still kept
 dense per-degree blocks, so they pin that sparse flat columns change no byte.
+The ``hom`` case was recorded while each graded basis was still laid out by
+its own bucket-and-sort loop, so it pins that building them all through
+``GradedVectorSpace.from_entries`` changes no byte.
 """
 import hashlib
 import pathlib
@@ -24,6 +27,7 @@ from dgbr.matrix_algebras import good_grading_matrix_algebra, inner_differential
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "algebras"
 DUAL = str(SAMPLES / "dual_numbers.json")
 PREV = object()  # stands for the file holding the previous stage's stdout
+FIRST = object()  # stands for the file holding the first stage's stdout
 # good-graded Mat_3 with d = [2*e12 + 3*e13, -]: its homology has a -3/2 product
 MAT3 = ["matrix", "-n", "3", "--good-grading", "1,0", "--inner", "e12:2,e13:3"]
 
@@ -64,6 +68,13 @@ CASES = {
         0,
         "d8356ff57a59b082ae478d614251acc0e7e52e0ef39ed424fccb229b209248f0",
     ),
+    # Hom(L2, L3) for the complexes that realize two different matrix algebras
+    "hom": (
+        [["structure", str(SAMPLES / "mat2_f1_z12.json"), "--emit-complex"], MAT3,
+         ["structure", PREV, "--emit-complex"], ["hom", FIRST, PREV]],
+        0,
+        "7b5d682d9c7181183c4a3fe68bd22c4a3bd0d9336e6cc4961588cc8126c4f484",
+    ),
     # z is basis element 1
     "contracting-json": (
         [["tensor", DUAL, DUAL], ["contracting", "--json", PREV]],
@@ -74,13 +85,14 @@ CASES = {
 
 
 def _run_pipeline(stages, tmp_path, capsys):
-    prev = None
+    first = prev = None
     for n, stage in enumerate(stages):
-        argv = [str(prev) if a is PREV else a for a in stage]
+        argv = [str(prev) if a is PREV else str(first) if a is FIRST else a for a in stage]
         rc = main(argv)
         out = capsys.readouterr().out
         prev = tmp_path / f"stage{n}.out"
         prev.write_text(out, encoding="utf-8")
+        first = first or prev
     return rc, out
 
 
