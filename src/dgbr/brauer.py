@@ -365,19 +365,16 @@ def _realize(A: DgAlgebra) -> StructureRealization:
     f, one = A.field, A.field.one
     choice = choose_structure_idempotent(A)
     e = _diagonal_candidates(A)[choice.index - 1]
-    basis, n, picks, project = _cosets(A, e)
+    basis, _, picks, project = _cosets(A, e)
 
-    # d preserves M = span(N + basis) and N: project is None outside M, {} on N
+    # dL is d projected from M = span(N + basis); N = span(A*d(e)) needs no
+    # check, as d(a*d(e)) = d(a)*d(e) by Leibniz and d(d(e)) = 0
     q_of = {p: q for q, p in enumerate(picks)}
     dL_cols = {}
     for s, v in enumerate(basis):
         img = coords(project, A.d_apply(v), "structure", (s,), "differential does not preserve M")
         if img and s in q_of:
             dL_cols[q_of[s]] = img
-    for s, v in enumerate(n):
-        if project(A.d_apply(v)) != {}:
-            raise ValidationError([AxiomViolation(
-                "structure", (s,), "differential does not preserve N")])
 
     # M's basis lists the e_k * e first in each degree, so i counts among those
     deg = [A.degree_of(next(iter(v))) for v in basis]

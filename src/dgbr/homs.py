@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .dg import DgAlgebra, DgModule, KComplex, ksign
 from .errors import AxiomViolation, FieldMismatch, ShapeMismatch, ValidationError
-from .graded import GradedVectorSpace, HomogeneousMap, add_into, apply, clean_coeffs
+from .graded import GradedVectorSpace, HomogeneousMap, add_into, apply, clean_coeffs, operators
 from .linalg import Factored, kernel_columns
 
 
@@ -154,30 +154,26 @@ def hom_complex(M: DgModule, N: DgModule, linearity: str = "base-field") -> HomC
     if linearity == "base-field":
         return full
 
-    A = M.algebra
+    # the column of unit (mi, nj) has rows (module m, algebra a, output):
+    # f(m*a) reads the m*a that hit mi, f(m)*a reads m = mi and nj*a
+    hit: dict = {}
+    for (m, a), out in M.action.items():
+        for k, c in out.items():
+            hit.setdefault(k, []).append((m, a, c))
+    acts, _ = operators(N.action)
+
+    def column(mi, nj):
+        entries = {(m, a, nj): c for m, a, c in hit.get(mi, ())}
+        for a, out in acts.get(nj, {}).items():
+            for out_n, c in out.items():
+                key = (mi, a, out_n)
+                entries[key] = f.sub(entries.get(key, f.zero), c)
+        return {key: c for key, c in entries.items() if not f.is_zero(c)}
+
     solutions = []  # (degree, unit coordinates) of each solution basis vector
     for k in space.degrees():
-        nk = space.dim(k)
-        base = space.flat_index(k, 0)
-        # unknown column per unit; equation rows keyed (module m, algebra a, output)
-        cols_entries: dict[int, dict] = {}
-        for t in range(nk):
-            mi, nj = units[base + t]
-            entries: dict = {}
-            for m in range(M.space.total_dim):
-                for a in range(A.dim):
-                    out_ma = M.action.get((m, a))
-                    if out_ma:
-                        c = out_ma.get(mi)
-                        if c is not None:
-                            key = (m, a, nj)
-                            entries[key] = f.add(entries.get(key, f.zero), c)
-                    if m == mi:
-                        for out_n, c in N.action.get((nj, a), {}).items():
-                            key = (m, a, out_n)
-                            entries[key] = f.sub(entries.get(key, f.zero), c)
-            cols_entries[t] = {k: c for k, c in entries.items() if not f.is_zero(c)}
-        basis, _ = kernel_columns(f, cols_entries, nk)
+        base, nk = space.flat_index(k, 0), space.dim(k)
+        basis, _ = kernel_columns(f, {t: column(*units[base + t]) for t in range(nk)}, nk)
         solutions += [(k, {base + t: c for t, c in col.items()}) for col in basis.values()]
 
     sub_space, coords = GradedVectorSpace.numbered("al", solutions)

@@ -22,6 +22,12 @@ as it was found before it read squares from the table: by ``A.mul``.
 ``bucketed_space`` and ``bucketed_numbered`` are the bucket-and-sort loop
 that each constructor of a graded basis ran before they all went through
 ``GradedVectorSpace.from_entries`` and ``GradedVectorSpace.numbered``.
+``looped_algebra_linear_hom`` is ``hom_complex(..., "algebra-linear")`` as
+it was before it indexed the actions once: each unit's equation column scans
+every module basis m and every algebra basis a, and each degree gets its own
+kernel.  ``dense_span_member`` decides membership in a span by ``dense_rref``,
+for the ideal properties that homology and the structure theorem take from
+the Leibniz rule instead of checking them at run time.
 ``FractionField`` is the rational field as it was before integral values
 became ``int``: every value it makes is a ``Fraction``.  All of them are kept
 only as oracles for the tests.
@@ -33,6 +39,8 @@ from dgbr.dg import DgModule, _show, center, ksign, validate_complex
 from dgbr.errors import AxiomViolation, DgError, ParseError
 from dgbr.fields import Field
 from dgbr.graded import GradedVectorSpace, add_into, apply, operators
+from dgbr.homs import _full_hom_data
+from dgbr.linalg import Factored, kernel_columns
 
 
 def dense_rref(field, rows, ncols):
@@ -490,6 +498,59 @@ def dense_homology(A):
                 table[(i, j)] = img
     unit = project(A.unit) if flat else {}
     return {k: len(v) for k, v in reps.items()}, table, unit
+
+
+def dense_span_member(field, n, vecs):
+    """A test of membership in the span of sparse vectors of length n, by ``dense_rref``."""
+    R, pivots = dense_rref(field, [tuple(u.get(i, field.zero) for i in range(n)) for u in vecs], n)
+
+    def member(v):
+        row = [v.get(i, field.zero) for i in range(n)]
+        for r, pc in enumerate(pivots):
+            c = row[pc]
+            if not field.is_zero(c):
+                row = [field.sub(x, field.mul(c, y)) for x, y in zip(row, R[r])]
+        return all(field.is_zero(x) for x in row)
+    return member
+
+
+def looped_algebra_linear_hom(M, N):
+    """(space, coords, dcols) of the algebra-linear Hom(M, N), by the per-unit scan."""
+    f, A = M.field, M.algebra
+    space, units, _, dcols = _full_hom_data(f, M.space, N.space, M.dcols, N.dcols)
+    solutions = []
+    for k in space.degrees():
+        nk = space.dim(k)
+        base = space.flat_index(k, 0)
+        cols_entries = {}
+        for t in range(nk):
+            mi, nj = units[base + t]
+            entries: dict = {}
+            for m in range(M.space.total_dim):
+                for a in range(A.dim):
+                    out_ma = M.action.get((m, a))
+                    if out_ma:
+                        c = out_ma.get(mi)
+                        if c is not None:
+                            key = (m, a, nj)
+                            entries[key] = f.add(entries.get(key, f.zero), c)
+                    if m == mi:
+                        for out_n, c in N.action.get((nj, a), {}).items():
+                            key = (m, a, out_n)
+                            entries[key] = f.sub(entries.get(key, f.zero), c)
+            cols_entries[t] = {key: c for key, c in entries.items() if not f.is_zero(c)}
+        basis, _ = kernel_columns(f, cols_entries, nk)
+        solutions += [(k, {base + t: c for t, c in col.items()}) for col in basis.values()]
+    sub_space, coords = bucketed_numbered("al", solutions)
+    coords = dict(enumerate(coords))
+    solver = Factored(f, [coords[s] for s in range(len(coords))])
+    sub_dcols = {}
+    for s in range(sub_space.total_dim):
+        out = solver.solve(apply(f, dcols, coords[s]))
+        assert out is not None, "differential leaves the linearity solution space"
+        if out:
+            sub_dcols[s] = out
+    return sub_space, coords, sub_dcols
 
 
 class FractionField(Field):

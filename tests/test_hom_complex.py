@@ -1,8 +1,11 @@
 """Hom complexes, endomorphism dg-algebras, and the algebra-linear variant."""
-import pytest
+import itertools
 
-from dgbr.catalog import mat2_inner
-from dgbr.dg import DgModule, KComplex, ksign
+import pytest
+from dense_oracle import looped_algebra_linear_hom
+
+from dgbr.catalog import generators, mat2_inner
+from dgbr.dg import DgModule, KComplex, ksign, tensor_product
 from dgbr.errors import ShapeMismatch, ValidationError
 from dgbr.fields import GF, QQ
 from dgbr.graded import GradedVectorSpace, HomogeneousMap
@@ -158,3 +161,23 @@ def test_hom_differential_leibniz_for_composition():
             if ksign(H.space.degree_of(s), 1) < 0:
                 part = -part
             assert lhs == hom_differential(H, f).compose(g) + part
+
+
+def _hom_modules(field):
+    """Regular and left-regular modules of the catalog generators and of their
+    pairwise tensor products up to dimension 18."""
+    gens = [A for _, A in generators(field)]
+    algebras = gens + [tensor_product(A, B) for A, B in itertools.combinations_with_replacement(gens, 2)
+                       if A.dim * B.dim <= 18]
+    return [M for A in algebras for M in (DgModule.regular(A), DgModule.left_regular_as_op(A))]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(7)], ids=str)
+def test_algebra_linear_hom_matches_the_looped_oracle(field):
+    """Space, labels, solution coordinates and d, entry for entry."""
+    for M in _hom_modules(field):
+        H = hom_complex(M, M, "algebra-linear")
+        space, coords, dcols = looped_algebra_linear_hom(M, M)
+        assert H.space == space and H.space.all_labels() == space.all_labels()
+        assert H.coords == coords
+        assert H.dcols == dcols

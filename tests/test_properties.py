@@ -5,6 +5,7 @@ import random
 
 import pytest
 from dense_oracle import (
+    dense_candidates,
     dense_center,
     dense_homology,
     dense_inverse,
@@ -12,6 +13,7 @@ from dense_oracle import (
     dense_realization,
     dense_rref,
     dense_solve,
+    dense_span_member,
     dense_trace_radical,
     dense_validate_module,
     dense_validate_structure,
@@ -327,6 +329,34 @@ def test_homology_matches_the_dense_oracle(field):
         dims, table, unit = dense_homology(A)
         H = homology(A)
         assert (H.space.dims, H.table, H.unit) == (dims, table, unit)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(7)], ids=str)
+def test_boundaries_are_an_ideal_of_the_cycles(field):
+    """b*z and z*b lie in span(B) for every boundary b and cycle z, which
+    ``homology`` takes from the Leibniz rule; Z and B by dense elimination."""
+    for A in _homology_cases(field):
+        n = A.dim
+        rows = [tuple(A.dcols.get(j, {}).get(i, field.zero) for j in range(n)) for i in range(n)]
+        basis, pivots = dense_kernel_basis(field, rows, n)
+        cycles = [{i: x for i, x in enumerate(v) if not field.is_zero(x)} for v in basis]
+        boundaries = [A.dcols[j] for j in pivots]
+        in_b = dense_span_member(field, n, boundaries)
+        for b in boundaries:
+            for z in cycles:
+                assert in_b(A.mul(b, z)) and in_b(A.mul(z, b))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(7)], ids=str)
+def test_structure_ideal_n_is_d_stable(field):
+    """d(A*d(e)) lies in A*d(e) for every diagonal idempotent e, which the
+    structure theorem takes from the Leibniz rule; decided by dense elimination."""
+    for A in _inner_matrix_cases(field):
+        for e in dense_candidates(A):
+            de = A.d_apply(e)
+            n = [p for p in (A.mul({k: field.one}, de) for k in range(A.dim)) if p]
+            in_n = dense_span_member(field, A.dim, n)
+            assert all(in_n(A.d_apply(v)) for v in n)
 
 
 # -- isomorphism checks against the complete loop --------------------------------
