@@ -8,9 +8,8 @@ Every constructor re-checks the axioms; nothing is trusted by construction.
 There is one validation path.  ``validate_complex`` checks a (space, d) pair:
 d of degree +1 and d squared zero; ``KComplex`` raises on its result.
 ``validate_structure`` is that plus the product axioms (degree additivity,
-unit laws, associativity, graded Leibniz, d(1) = 0), and ``validate_module``
-is that, with ``module-`` axiom names, plus the action axioms.  Every product
-in them is an ``apply`` of a left or right multiplication operator.
+unit laws, associativity, graded Leibniz, d(1) = 0).  Every product in it is
+an ``apply`` of a left or right multiplication operator.
 Associativity and Leibniz are checked on the tuples where a side can be
 nonzero, found from the support of the tables; a skipped tuple has both sides
 zero, so the list is that of a loop over all triples and pairs, in order.
@@ -229,56 +228,55 @@ def validate_complex(field, space, dcols):
     return v
 
 
-def _associativity_failures(field, on, by, table, only=None):
-    """(m, a, b, (m*a)*b, m*(a*b)) for each basis triple whose sides differ, in order.
+def _associativity_failures(field, L, R, table, only=None):
+    """(i, j, k, (ei*ej)*ek, ei*(ej*ek)) for each basis triple whose sides differ, in order.
 
-    ``on[m][a] = by[a][m] = m*a`` operate a right action of ``table`` (an
-    algebra passes L, R and its table).  (m*a)*b needs a term e_k of m*a with
-    k*b nonzero, m*(a*b) a term e_k of a*b with m*k nonzero; on every other
-    triple both sides are zero.  ``only`` (sorted indices) limits m; the
-    candidates still come from all of ``on``.
+    ``L[i][j] = R[j][i] = ei*ej`` are the multiplication operators of
+    ``table``.  (ei*ej)*ek needs a term em of ei*ej with em*ek nonzero,
+    ei*(ej*ek) a term em of ej*ek with ei*em nonzero; on every other triple
+    both sides are zero.  ``only`` (sorted indices) limits i; the candidates
+    still come from all of ``L``.
     """
     involves: dict = {}
-    for ab, out in table.items():
-        for k in out:
-            involves.setdefault(k, []).append(ab)
+    for jk, out in table.items():
+        for m in out:
+            involves.setdefault(m, []).append(jk)
     empty: dict = {}
-    for m in sorted(on) if only is None else only:
-        om = on.get(m, empty)
-        cand = {(a, b) for a, ma in om.items() for k in ma for b in on.get(k, empty)}
-        cand.update(ab for k in om for ab in involves.get(k, ()))
-        for a, b in sorted(cand):
-            left = apply(field, by.get(b, empty), om.get(a, empty))
-            right = apply(field, om, table.get((a, b), empty))
+    for i in sorted(L) if only is None else only:
+        li = L.get(i, empty)
+        cand = {(j, k) for j, ij in li.items() for m in ij for k in L.get(m, empty)}
+        cand.update(jk for m in li for jk in involves.get(m, ()))
+        for j, k in sorted(cand):
+            left = apply(field, R.get(k, empty), li.get(j, empty))
+            right = apply(field, li, table.get((j, k), empty))
             if left != right:
-                yield m, a, b, left, right
+                yield i, j, k, left, right
 
 
-def _leibniz_failures(field, on, by, mdcols, adcols, mdeg, only=None):
-    """(m, a, d(m*a), d(m)*a + (-1)^|m| m*d(a)) for each pair whose sides differ, in order.
+def _leibniz_failures(field, L, R, dcols, deg, only=None):
+    """(i, j, d(ei*ej), d(ei)*ej + (-1)^|ei| ei*d(ej)) for each pair whose sides differ, in order.
 
-    ``on``/``by`` are as in ``_associativity_failures``; ``mdcols`` and
-    ``adcols`` are the differentials of the acted-on space and the algebra.
-    A side is nonzero only if m*a is, d(m) has a term e_k with k*a nonzero,
-    or d(a) has a term e_k with m*k nonzero; other pairs are zero on both sides.
-    ``only`` (sorted indices) limits m.
+    ``L``/``R`` are as in ``_associativity_failures`` and ``dcols`` is the
+    differential.  A side is nonzero only if ei*ej is, d(ei) has a term ek
+    with ek*ej nonzero, or d(ej) has a term ek with ei*ek nonzero; other
+    pairs are zero on both sides.  ``only`` (sorted indices) limits i.
     """
     hits: dict = {}
-    for a, col in adcols.items():
+    for j, col in dcols.items():
         for k in col:
-            hits.setdefault(k, []).append(a)
+            hits.setdefault(k, []).append(j)
     empty: dict = {}
     minus = field.neg(field.one)
-    for m in sorted(set(on) | set(mdcols)) if only is None else only:
-        om, dm = on.get(m, empty), mdcols.get(m, empty)
-        cand = set(om).union(*(on.get(k, empty) for k in dm), *(hits.get(k, ()) for k in om))
-        sign = None if ksign(mdeg[m], 1) > 0 else minus
-        for a in sorted(cand):
-            lhs = apply(field, mdcols, om.get(a, empty))
-            rhs = apply(field, by.get(a, empty), dm)
-            add_into(field, rhs, apply(field, om, adcols.get(a, empty)), scale=sign)
+    for i in sorted(set(L) | set(dcols)) if only is None else only:
+        li, di = L.get(i, empty), dcols.get(i, empty)
+        cand = set(li).union(*(L.get(k, empty) for k in di), *(hits.get(k, ()) for k in li))
+        sign = None if ksign(deg[i], 1) > 0 else minus
+        for j in sorted(cand):
+            lhs = apply(field, dcols, li.get(j, empty))
+            rhs = apply(field, R.get(j, empty), di)
+            add_into(field, rhs, apply(field, li, dcols.get(j, empty)), scale=sign)
             if lhs != rhs:
-                yield m, a, lhs, rhs
+                yield i, j, lhs, rhs
 
 
 def _generators_certify(field, deg, unit, table, dcols, L, R, generators) -> bool:
@@ -303,7 +301,7 @@ def _generators_certify(field, deg, unit, table, dcols, L, R, generators) -> boo
     rref_rows(field, itertools.chain([unit], products), words.append)
     return (len(words) == n
             and next(_associativity_failures(field, L, R, table, support), None) is None
-            and next(_leibniz_failures(field, L, R, dcols, dcols, deg, support), None) is None)
+            and next(_leibniz_failures(field, L, R, dcols, deg, support), None) is None)
 
 
 class _Violations(list):
@@ -379,7 +377,7 @@ def validate_structure(field, space, unit, table, dcols, *, generators=None):
 
     v += complex_v
 
-    for i, j, lhs, rhs in _leibniz_failures(field, L, R, dcols, dcols, deg):
+    for i, j, lhs, rhs in _leibniz_failures(field, L, R, dcols, deg):
         v.append(AxiomViolation(
             "leibniz", (i, j),
             f"d(e{i}*e{j}) = {show(lhs)} but the rule gives {show(rhs)}",
@@ -766,7 +764,7 @@ def regrade_trivial(A: DgAlgebra) -> DgAlgebra:
     return DgAlgebra.build(A.field, space, A.unit, A.table, {})
 
 
-# -- complexes and modules ----------------------------------------------------
+# -- complexes ----------------------------------------------------------------
 
 
 class KComplex:
@@ -809,96 +807,3 @@ class KComplex:
     def __repr__(self):
         return f"KComplex(dims={dict(self.space.dims)})"
 
-
-class DgModule:
-    """A right module over a dg-algebra, with its own differential.
-
-    ``action[(m, a)]`` is the sparse expansion of (module basis m) * (algebra
-    basis a).  Use validate_module to machine-check the axioms.
-    """
-
-    def __init__(self, algebra: DgAlgebra, space, action, dcols):
-        self.algebra = algebra
-        self.field = algebra.field
-        self.space = space
-        nm, na = space.total_dim, algebra.dim
-        self.action = {}
-        for (m, a), out in action.items():
-            m, a = int(m), int(a)
-            if not (0 <= m < nm and 0 <= a < na):
-                raise ShapeMismatch(f"action entry ({m},{a}) outside the bases")
-            out = _clean_column(self.field, out, nm, "action entry", (m, a))
-            if out:
-                self.action[(m, a)] = out
-        self.dcols = _clean_dcols(self.field, dcols, nm)
-
-    @classmethod
-    def regular(cls, A: DgAlgebra) -> "DgModule":
-        """A as a right module over itself."""
-        return cls(A, A.space, dict(A.table), dict(A.dcols))
-
-    @classmethod
-    def left_regular_as_op(cls, A: DgAlgebra, Aop: DgAlgebra | None = None) -> "DgModule":
-        """A as a left module over itself, i.e. a right module over opposite(A)."""
-        if Aop is None:
-            Aop = opposite(A)
-        f = A.field
-        deg = A.space.flat_degrees()
-        action = {}
-        for (a, m), out in A.table.items():
-            if ksign(deg[a], deg[m]) < 0:
-                out = negate_coeffs(f, out)
-            action[(m, a)] = out
-        return cls(Aop, A.space, action, dict(A.dcols))
-
-    def act(self, mvec: dict, avec: dict) -> dict:
-        return bilinear(self.field, self.action, mvec, avec)
-
-    def complex(self) -> KComplex:
-        return KComplex(self.field, self.space, self.dcols)
-
-    def __repr__(self):
-        return f"DgModule(dims={dict(self.space.dims)} over dim-{self.algebra.dim} algebra)"
-
-
-def validate_module(M: DgModule):
-    """All module axioms; returns the violations found.
-
-    ``validate_complex`` on (space, d) with ``module-`` axiom names, plus the
-    action axioms as applies of the action operators, on the same support
-    as for an algebra, with the action in place of the product.
-    """
-    A = M.algebra
-    f = M.field
-    v: list[AxiomViolation] = []
-    mdeg = M.space.flat_degrees()
-    adeg = A.space.flat_degrees()
-    nm = M.space.total_dim
-
-    for (m, a), out in sorted(M.action.items()):
-        want = mdeg[m] + adeg[a]
-        for k in out:
-            if mdeg[k] != want:
-                v.append(AxiomViolation(
-                    "module-degree", (m, a), f"action hits degree {mdeg[k]}, expected {want}"))
-                break
-
-    # on_m[m][a] = by_a[a][m] = (module basis m) * (algebra basis a)
-    on_m, by_a = operators(M.action)
-    empty: dict = {}
-    one = f.one
-    for m in range(nm):
-        if apply(f, on_m.get(m, empty), A.unit) != {m: one}:
-            v.append(AxiomViolation("module-unit", (m,), "m*1 differs from m"))
-
-    for m, a, b, _, _ in _associativity_failures(f, on_m, by_a, A.table):
-        v.append(AxiomViolation(
-            "module-associativity", (m, a, b), "(m*a)*b differs from m*(a*b)"))
-
-    v += [AxiomViolation("module-" + x.axiom, x.witness, x.detail)
-          for x in validate_complex(f, M.space, M.dcols)]
-
-    for m, a, _, _ in _leibniz_failures(f, on_m, by_a, M.dcols, A.dcols, mdeg):
-        v.append(AxiomViolation(
-            "module-leibniz", (m, a), "d(m*a) differs from d(m)*a + (-1)^{|m|} m*d(a)"))
-    return v

@@ -64,8 +64,9 @@ class ContainmentCertificate:
 class NoSuitableIdempotent(DgError):
     """No diagonal idempotent yields a realization; keeps all certificates.
 
-    Either every candidate e has A*e inside A*d(e), or the chosen e does not
-    split A: given ``chosen = (index, label, l_dims, dim)``, the quotient
+    Either no degree-0 basis element is idempotent (no certificates), every
+    candidate e has A*e inside A*d(e), or the chosen e does not split A:
+    given ``chosen = (index, label, l_dims, dim)``, the quotient
     L = (A*e + A*d(e)) / A*d(e) has degree dimensions ``l_dims`` whose total
     squared is not ``dim`` = dim A, so no map A -> End(L) can be bijective.
     That happens when e is not primitive (the unit of a split quaternion
@@ -75,7 +76,9 @@ class NoSuitableIdempotent(DgError):
     def __init__(self, certificates, chosen=None):
         self.certificates = list(certificates)
         self.chosen = chosen
-        if chosen is None:
+        if chosen is None and not self.certificates:
+            msg = "no degree-0 basis element is idempotent, so there is no candidate"
+        elif chosen is None:
             msg = ("every diagonal idempotent e has its left ideal contained in A*d(e); "
                    f"checked {len(self.certificates)} candidates")
         else:

@@ -7,9 +7,9 @@
 and ``dense_trace_radical`` are the per-degree dense commutator kernel and
 the dense Gram-matrix kernel that ``center`` and ``is_semisimple_ungraded``
 took before they eliminated sparse columns.
-``dense_validate_structure`` and ``dense_validate_module`` are the
-validators as they were before associativity and Leibniz were checked only
-on the support of the tables: they visit every basis triple and pair.
+``dense_validate_structure`` is the validator as it was before
+associativity and Leibniz were checked only on the support of the tables:
+it visits every basis triple and pair.
 ``dense_realization`` and ``dense_homology`` are the structure theorem and
 homology as they ran before one coset elimination replaced their subspace
 solvers: dense per-degree picks of M = A*e + A*d(e) and N = A*d(e), the
@@ -22,10 +22,7 @@ as it was found before it read squares from the table: by ``A.mul``.
 ``bucketed_space`` and ``bucketed_numbered`` are the bucket-and-sort loop
 that each constructor of a graded basis ran before they all went through
 ``GradedVectorSpace.from_entries`` and ``GradedVectorSpace.numbered``.
-``looped_algebra_linear_hom`` is ``hom_complex(..., "algebra-linear")`` as
-it was before it indexed the actions once: each unit's equation column scans
-every module basis m and every algebra basis a, and each degree gets its own
-kernel.  ``dense_span_member`` decides membership in a span by ``dense_rref``,
+``dense_span_member`` decides membership in a span by ``dense_rref``,
 for the ideal properties that homology and the structure theorem take from
 the Leibniz rule instead of checking them at run time.
 ``FractionField`` is the rational field as it was before integral values
@@ -35,12 +32,10 @@ only as oracles for the tests.
 from fractions import Fraction
 
 from dgbr.brauer import IsoChecks
-from dgbr.dg import DgModule, _show, center, ksign, validate_complex
+from dgbr.dg import _show, center, ksign, validate_complex
 from dgbr.errors import AxiomViolation, DgError, ParseError
 from dgbr.fields import Field
 from dgbr.graded import GradedVectorSpace, add_into, apply, operators
-from dgbr.homs import _full_hom_data
-from dgbr.linalg import Factored, kernel_columns
 
 
 def dense_rref(field, rows, ncols):
@@ -259,69 +254,6 @@ def dense_validate_structure(field, space, unit, table, dcols):
     return v
 
 
-def dense_validate_module(M: DgModule):
-    """All module axioms, exhaustively; returns the violations found.
-
-    ``validate_complex`` on (space, d) with ``module-`` axiom names, plus the
-    action axioms as applies of the action operators.
-    """
-    A = M.algebra
-    f = M.field
-    v: list[AxiomViolation] = []
-    mdeg = M.space.flat_degrees()
-    adeg = A.space.flat_degrees()
-    nm, na = M.space.total_dim, A.dim
-
-    for (m, a), out in sorted(M.action.items()):
-        want = mdeg[m] + adeg[a]
-        for k in out:
-            if mdeg[k] != want:
-                v.append(AxiomViolation(
-                    "module-degree", (m, a), f"action hits degree {mdeg[k]}, expected {want}"))
-                break
-
-    # on_m[m][a] = by_a[a][m] = (module basis m) * (algebra basis a)
-    on_m, by_a = operators(M.action)
-    empty: dict = {}
-    one = f.one
-    for m in range(nm):
-        if apply(f, on_m.get(m, empty), A.unit) != {m: one}:
-            v.append(AxiomViolation("module-unit", (m,), "m*1 differs from m"))
-
-    for m in range(nm):
-        om = on_m.get(m, empty)
-        for a in range(na):
-            ma = M.action.get((m, a))
-            for b in range(na):
-                ab = A.table.get((a, b))
-                if ma is None and ab is None:
-                    continue
-                left = apply(f, by_a.get(b, empty), ma) if ma else {}
-                right = apply(f, om, ab) if ab else {}
-                if left != right:
-                    v.append(AxiomViolation(
-                        "module-associativity", (m, a, b),
-                        "(m*a)*b differs from m*(a*b)"))
-
-    v += [AxiomViolation("module-" + x.axiom, x.witness, x.detail)
-          for x in validate_complex(f, M.space, M.dcols)]
-
-    minus = f.neg(one)
-    for m in range(nm):
-        dm = M.dcols.get(m, empty)
-        om = on_m.get(m, empty)
-        sign = None if ksign(mdeg[m], 1) > 0 else minus
-        for a in range(na):
-            lhs = apply(f, M.dcols, M.action.get((m, a), empty))
-            rhs = apply(f, by_a.get(a, empty), dm)
-            add_into(f, rhs, apply(f, om, A.dcols.get(a, empty)), scale=sign)
-            if lhs != rhs:
-                v.append(AxiomViolation(
-                    "module-leibniz", (m, a),
-                    "d(m*a) differs from d(m)*a + (-1)^{|m|} m*d(a)"))
-    return v
-
-
 def _positions(space, k):
     """Flat indices of degree k, in order."""
     return [space.flat_index(k, p) for p in range(space.dim(k))]
@@ -512,45 +444,6 @@ def dense_span_member(field, n, vecs):
                 row = [field.sub(x, field.mul(c, y)) for x, y in zip(row, R[r])]
         return all(field.is_zero(x) for x in row)
     return member
-
-
-def looped_algebra_linear_hom(M, N):
-    """(space, coords, dcols) of the algebra-linear Hom(M, N), by the per-unit scan."""
-    f, A = M.field, M.algebra
-    space, units, _, dcols = _full_hom_data(f, M.space, N.space, M.dcols, N.dcols)
-    solutions = []
-    for k in space.degrees():
-        nk = space.dim(k)
-        base = space.flat_index(k, 0)
-        cols_entries = {}
-        for t in range(nk):
-            mi, nj = units[base + t]
-            entries: dict = {}
-            for m in range(M.space.total_dim):
-                for a in range(A.dim):
-                    out_ma = M.action.get((m, a))
-                    if out_ma:
-                        c = out_ma.get(mi)
-                        if c is not None:
-                            key = (m, a, nj)
-                            entries[key] = f.add(entries.get(key, f.zero), c)
-                    if m == mi:
-                        for out_n, c in N.action.get((nj, a), {}).items():
-                            key = (m, a, out_n)
-                            entries[key] = f.sub(entries.get(key, f.zero), c)
-            cols_entries[t] = {key: c for key, c in entries.items() if not f.is_zero(c)}
-        basis, _ = kernel_columns(f, cols_entries, nk)
-        solutions += [(k, {base + t: c for t, c in col.items()}) for col in basis.values()]
-    sub_space, coords = bucketed_numbered("al", solutions)
-    coords = dict(enumerate(coords))
-    solver = Factored(f, [coords[s] for s in range(len(coords))])
-    sub_dcols = {}
-    for s in range(sub_space.total_dim):
-        out = solver.solve(apply(f, dcols, coords[s]))
-        assert out is not None, "differential leaves the linearity solution space"
-        if out:
-            sub_dcols[s] = out
-    return sub_space, coords, sub_dcols
 
 
 class FractionField(Field):

@@ -200,11 +200,7 @@ def test_diagonal_candidates_read_squares_from_the_table(monkeypatch):
         want = dense_candidates(A)
         with monkeypatch.context() as m:
             m.setattr(DgAlgebra, "mul", no_mul)
-            if want:
-                assert _diagonal_candidates(A) == want
-            else:
-                with pytest.raises(ShapeMismatch, match="no diagonal idempotents"):
-                    _diagonal_candidates(A)
+            assert _diagonal_candidates(A) == want
 
 
 def test_no_suitable_idempotent_carries_certificates():
@@ -220,6 +216,17 @@ def test_no_suitable_idempotent_carries_certificates():
 def test_containment_index_out_of_range():
     with pytest.raises(ShapeMismatch):
         idempotent_containment(mat2_inner(QQ), 3)
+
+
+def test_no_idempotent_basis_element_means_no_suitable_idempotent():
+    # K on the basis a with a * a = 2a: central simple, no candidate at all
+    K = trivial_dg(QQ, ("a",), {0: QQ.inv(QQ.coerce(2))}, {(0, 0): {0: QQ.coerce(2)}})
+    with pytest.raises(NoSuitableIdempotent) as exc:
+        structure_realize(K)
+    assert exc.value.certificates == [] and exc.value.chosen is None
+    assert "no degree-0 basis element is idempotent" in str(exc.value)
+    with pytest.raises(ShapeMismatch, match="out of range for 0 idempotents"):
+        idempotent_containment(K, 1)
 
 
 def test_structure_realize_walkthrough():

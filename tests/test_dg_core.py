@@ -5,7 +5,6 @@ from dgbr import dg
 from dgbr.catalog import dual_numbers, mat2_inner, mat3_inner, neutral, split_pair
 from dgbr.dg import (
     DgAlgebra,
-    DgModule,
     KComplex,
     center,
     contracting_element,
@@ -20,7 +19,6 @@ from dgbr.dg import (
     tensor_product,
     trivial_dg,
     unsigned_swap_map,
-    validate_module,
 )
 from dgbr.errors import ShapeMismatch, ValidationError
 from dgbr.fields import GF, QQ
@@ -363,8 +361,6 @@ def _bad_index_cases():
     one = QQ.one
     point = GradedVectorSpace({0: 1})
     pair = GradedVectorSpace({0: 1, 1: 1})
-    A = mat2_inner(QQ)  # dim 4
-    R = DgModule.regular(A)
     return {
         "product-row": lambda: DgAlgebra.build(QQ, point, {0: one}, {(0, 0): {5: one}}, {}),
         "product-row-negative": lambda: DgAlgebra.build(
@@ -373,10 +369,6 @@ def _bad_index_cases():
             QQ, point, {0: one}, {(0, 0): {0: one}}, {0: {1: one}}),
         "complex-d-row": lambda: KComplex(QQ, pair, {0: {-1: one}}),
         "complex-d-column": lambda: KComplex(QQ, pair, {2: {1: one}}),
-        "module-action-row": lambda: DgModule(A, R.space, {**R.action, (0, 0): {4: one}}, {}),
-        "module-action-key": lambda: DgModule(A, R.space, {**R.action, (0, 4): {0: one}}, {}),
-        "module-d-row": lambda: DgModule(A, R.space, R.action, {0: {-2: one}}),
-        "module-d-column": lambda: DgModule(A, R.space, R.action, {7: {0: one}}),
     }
 
 
@@ -384,73 +376,3 @@ def _bad_index_cases():
 def test_indices_outside_the_basis_are_shape_mismatches(case):
     with pytest.raises(ShapeMismatch, match="outside the bas"):
         _bad_index_cases()[case]()
-
-
-def test_regular_module_validates():
-    A = mat2_inner(QQ)
-    M = DgModule.regular(A)
-    assert validate_module(M) == []
-
-
-def test_left_regular_as_op_module_validates():
-    A = mat2_inner(QQ)
-    M = DgModule.left_regular_as_op(A)
-    assert validate_module(M) == []
-
-
-def _corrupted_regular(kind):
-    """The regular module of mat2_inner (basis e21, e11, e22, e12) with one defect."""
-    A = mat2_inner(QQ)
-    R = DgModule.regular(A)
-    action = {k: dict(v) for k, v in R.action.items()}
-    dcols = {k: dict(v) for k, v in R.dcols.items()}
-    if kind == "action":
-        action[(1, 1)] = {1: QQ.coerce(2)}  # e11 * e11 = 2 e11
-    elif kind == "d-squared":
-        dcols[0] = {1: QQ.one}  # d(e21) = e11, whose d is -e12
-    elif kind == "leibniz":
-        dcols = {k: {r: 2 * c for r, c in v.items()} for k, v in dcols.items()}
-    else:
-        dcols[3] = {0: QQ.one}  # d(e12) = e21, degree 1 -> -1
-    return DgModule(A, R.space, action, dcols)
-
-
-LEIBNIZ = "d(m*a) differs from d(m)*a + (-1)^{|m|} m*d(a)"
-
-
-@pytest.mark.parametrize("kind,expected", [
-    ("action", [
-        ("module-unit", (1,), "m*1 differs from m"),
-        ("module-associativity", (1, 1, 1), "(m*a)*b differs from m*(a*b)"),
-        ("module-associativity", (1, 1, 3), "(m*a)*b differs from m*(a*b)"),
-        ("module-associativity", (1, 3, 0), "(m*a)*b differs from m*(a*b)"),
-        ("module-associativity", (3, 0, 1), "(m*a)*b differs from m*(a*b)"),
-        ("module-leibniz", (0, 1), LEIBNIZ),
-        ("module-leibniz", (1, 0), LEIBNIZ),
-        ("module-leibniz", (1, 1), LEIBNIZ),
-    ]),
-    ("d-squared", [
-        ("module-d-squared", (0,), "d(d(e0)) = -1*e12"),
-        ("module-leibniz", (0, 0), LEIBNIZ),
-        ("module-leibniz", (0, 1), LEIBNIZ),
-        ("module-leibniz", (0, 2), LEIBNIZ),
-        ("module-leibniz", (2, 0), LEIBNIZ),
-    ]),
-    ("leibniz", [
-        ("module-leibniz", w, LEIBNIZ)
-        for w in [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (3, 0)]
-    ]),
-    ("d-degree", [
-        ("module-d-degree", (3,), "d hits degree -1 from degree 1"),
-        ("module-d-squared", (1,), "d(d(e1)) = -1*e21"),
-        ("module-d-squared", (2,), "d(d(e2)) = 1*e21"),
-        ("module-d-squared", (3,), "d(d(e3)) = 1*e11 + 1*e22"),
-        ("module-leibniz", (1, 3), LEIBNIZ),
-        ("module-leibniz", (3, 1), LEIBNIZ),
-        ("module-leibniz", (3, 2), LEIBNIZ),
-        ("module-leibniz", (3, 3), LEIBNIZ),
-    ]),
-])
-def test_validate_module_rejections(kind, expected):
-    M = _corrupted_regular(kind)
-    assert [(v.axiom, v.witness, v.detail) for v in validate_module(M)] == expected

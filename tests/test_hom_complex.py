@@ -1,15 +1,12 @@
-"""Hom complexes, endomorphism dg-algebras, and the algebra-linear variant."""
-import itertools
-
+"""Hom complexes of complexes, and endomorphism dg-algebras."""
 import pytest
-from dense_oracle import looped_algebra_linear_hom
 
-from dgbr.catalog import generators, mat2_inner
-from dgbr.dg import DgModule, KComplex, ksign, tensor_product
-from dgbr.errors import ShapeMismatch, ValidationError
+from dgbr.catalog import mat2_inner
+from dgbr.dg import KComplex, ksign
+from dgbr.errors import ShapeMismatch
 from dgbr.fields import GF, QQ
 from dgbr.graded import GradedVectorSpace, HomogeneousMap
-from dgbr.homs import end_dg_algebra, hom_complex, hom_differential, hom_of_complexes
+from dgbr.homs import end_dg_algebra, hom_differential, hom_of_complexes
 
 
 def two_step(field=QQ):
@@ -113,37 +110,9 @@ def test_from_map_rejects_a_map_between_other_spaces():
         H.from_map(HomogeneousMap.identity(QQ, A.space))
 
 
-def test_algebra_linear_hom_of_regular_module():
-    # right-linear endomorphisms of the regular module are left multiplications
-    A = mat2_inner(QQ)
-    M = DgModule.regular(A)
-    H = hom_complex(M, M, linearity="algebra-linear")
-    assert dict(H.space.dims) == dict(A.space.dims)
-    # each solution really is right-linear
-    one = QQ.one
-    for t in range(H.space.total_dim):
-        f = H.basis_map(t)
-        for m in range(A.dim):
-            for a in range(A.dim):
-                lhs = f.apply_flat(M.act({m: one}, {a: one}))
-                rhs = M.act(f.apply_flat({m: one}), {a: one})
-                assert lhs == rhs
-
-
-def test_algebra_linear_differential_closes():
-    A = mat2_inner(QQ)
-    M = DgModule.regular(A)
-    H = hom_complex(M, M, linearity="algebra-linear")
-    C = H.complex()  # raises if d leaves the solution space
-    for i, col in C.dcols.items():
-        for j in col:
-            assert C.space.degree_of(j) == C.space.degree_of(i) + 1
-
-
 def test_base_field_hom_flavor_matches_full_space():
     A = mat2_inner(QQ)
-    M = DgModule.regular(A)
-    H = hom_complex(M, M, linearity="base-field")
+    H = hom_of_complexes(A.complex(), A.complex())
     assert H.space.total_dim == A.dim * A.dim
 
 
@@ -161,23 +130,3 @@ def test_hom_differential_leibniz_for_composition():
             if ksign(H.space.degree_of(s), 1) < 0:
                 part = -part
             assert lhs == hom_differential(H, f).compose(g) + part
-
-
-def _hom_modules(field):
-    """Regular and left-regular modules of the catalog generators and of their
-    pairwise tensor products up to dimension 18."""
-    gens = [A for _, A in generators(field)]
-    algebras = gens + [tensor_product(A, B) for A, B in itertools.combinations_with_replacement(gens, 2)
-                       if A.dim * B.dim <= 18]
-    return [M for A in algebras for M in (DgModule.regular(A), DgModule.left_regular_as_op(A))]
-
-
-@pytest.mark.parametrize("field", [QQ, GF(2), GF(7)], ids=str)
-def test_algebra_linear_hom_matches_the_looped_oracle(field):
-    """Space, labels, solution coordinates and d, entry for entry."""
-    for M in _hom_modules(field):
-        H = hom_complex(M, M, "algebra-linear")
-        space, coords, dcols = looped_algebra_linear_hom(M, M)
-        assert H.space == space and H.space.all_labels() == space.all_labels()
-        assert H.coords == coords
-        assert H.dcols == dcols

@@ -422,6 +422,22 @@ def test_cli_structure_of_split_quaternions_exits_one(field, a, b, tmp_path):
     assert r.stderr.count("\n") == 1
 
 
+def test_cli_structure_without_an_idempotent_basis_element_exits_one(tmp_path):
+    # K itself on the basis a, with a * a = 2a and unit a/2: central simple,
+    # but no basis element squares to itself, so no claim can be certified
+    path = tmp_path / "k.json"
+    path.write_text(serialize_algebra(
+        trivial_dg(QQ, ("a",), {0: QQ.inv(QQ.coerce(2))}, {(0, 0): {0: QQ.coerce(2)}})))
+    r = run_cli("structure", str(path))
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr == ("claim does not hold: no degree-0 basis element is idempotent, "
+                        "so there is no candidate\n")
+    r = run_cli("check", "central-simple", str(path))
+    assert r.returncode == 0
+    assert "central simple: True" in r.stdout
+
+
 def test_cli_matrix_prime_field():
     r = run_cli("matrix", "--field", "prime", "--prime", "5", "-n", "2",
                 "--good-grading", "1")

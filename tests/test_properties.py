@@ -1,5 +1,4 @@
 """Randomized invariants.  Example counts stay small; every case is exact."""
-import functools
 import itertools
 import random
 
@@ -15,7 +14,6 @@ from dense_oracle import (
     dense_solve,
     dense_span_member,
     dense_trace_radical,
-    dense_validate_module,
     dense_validate_structure,
     full_iso_checks,
 )
@@ -46,7 +44,6 @@ from dgbr.catalog import (
 from dgbr.brauer import structure_realize
 from dgbr.dg import (
     DgAlgebra,
-    DgModule,
     KComplex,
     center,
     homology,
@@ -58,7 +55,6 @@ from dgbr.dg import (
     swap_map,
     tensor_product,
     unsigned_swap_map,
-    validate_module,
     validate_structure,
 )
 from dgbr.errors import DgError, NoSuitableIdempotent, NotCentralSimple
@@ -477,43 +473,34 @@ def _other_hints(A):
 
 @st.composite
 def perturbed_structures(draw):
-    """(validator, dense oracle, arguments) for a catalog algebra or a tensor
-    product of two, or one of its regular modules, or for a hinted algebra,
-    with up to three defects in its product or action table and its
-    differential.  An algebra is validated with its own hint or, as often,
-    with one from ``_other_hints``."""
+    """(hint, arguments of ``validate_structure``) for a catalog algebra, a
+    tensor product of two or a hinted algebra, with up to three defects in
+    its product table and its differential.  The hint is the algebra's own
+    or, as often, one from ``_other_hints``."""
     field = draw(st.sampled_from(list(_ORACLE_GENS)))
     gens = _ORACLE_GENS[field]
     if draw(st.booleans()):
         A = draw(st.sampled_from(gens))
         if draw(st.booleans()):
             A = tensor_product(A, draw(st.sampled_from(gens)))
-        target = draw(st.sampled_from(("algebra", "regular", "left-regular-as-op")))
     else:
-        A, target = _hinted(draw, field), "algebra"
-    if target == "algebra":
-        table, dcols, nrows = A.table, A.dcols, A.dim
-    else:
-        M = DgModule.regular(A) if target == "regular" else DgModule.left_regular_as_op(A)
-        table, dcols, nrows = M.action, M.dcols, M.space.total_dim
-    keys = [(i, j) for i in range(nrows) for j in range(A.dim)]
-    deg = (A.space if target == "algebra" else M.space).flat_degrees()
+        A = _hinted(draw, field)
+    table, dcols, n = A.table, A.dcols, A.dim
+    keys = [(i, j) for i in range(n) for j in range(n)]
+    deg = A.space.flat_degrees()
     for _ in range(draw(st.integers(0, 3))):
         defect = draw(st.sampled_from(DEFECTS))
         if defect == "d-column":
-            dcols = _perturb(draw, field, dcols, range(nrows), range(nrows), defect)
+            dcols = _perturb(draw, field, dcols, range(n), range(n), defect)
         elif defect == "d-entry":  # a row one degree up, so d keeps degree +1
-            key = draw(st.integers(0, nrows - 1))
-            rows = [k for k in range(nrows) if deg[k] == deg[key] + 1]
+            key = draw(st.integers(0, n - 1))
+            rows = [k for k in range(n) if deg[k] == deg[key] + 1]
             if rows:
                 dcols = _perturb(draw, field, dcols, [key], rows, defect)
         else:
-            table = _perturb(draw, field, table, keys, range(nrows), defect)
-    if target == "algebra":
-        hint = draw(st.one_of(st.just(A.generators), st.sampled_from(_other_hints(A))))
-        validate = functools.partial(validate_structure, generators=hint)
-        return validate, dense_validate_structure, (field, A.space, A.unit, table, dcols)
-    return validate_module, dense_validate_module, (DgModule(M.algebra, M.space, table, dcols),)
+            table = _perturb(draw, field, table, keys, range(n), defect)
+    hint = draw(st.one_of(st.just(A.generators), st.sampled_from(_other_hints(A))))
+    return hint, (field, A.space, A.unit, table, dcols)
 
 
 @given(case=perturbed_structures())
@@ -521,8 +508,8 @@ def perturbed_structures(draw):
 def test_support_validation_matches_the_dense_oracle(case):
     """The same (axiom, witness, detail) list, in order, as the loops over
     every basis triple and pair."""
-    validate, oracle, args = case
-    assert validate(*args) == oracle(*args)
+    hint, args = case
+    assert validate_structure(*args, generators=hint) == dense_validate_structure(*args)
 
 
 @pytest.mark.parametrize("field", list(_ORACLE_GENS), ids=str)
@@ -537,8 +524,6 @@ def test_each_deleted_product_is_judged_as_by_the_dense_oracle(field):
             expected = dense_validate_structure(*args)
             for hint in (None, A.generators, [{0: field.one}]):
                 assert validate_structure(*args, generators=hint) == expected
-            M = DgModule(A, A.space, table, A.dcols)
-            assert validate_module(M) == dense_validate_module(M)
 
 
 @pytest.mark.parametrize("field", list(_ORACLE_GENS), ids=str)
