@@ -120,22 +120,21 @@ def end_dg_algebra(C: KComplex) -> DgAlgebra:
 
     The product of matrix units is composition, the unit is the identity map,
     the differential is the Hom differential; the result passes the full
-    dg-algebra validation and its total dimension is (dim C)^2.
+    dg-algebra validation and its total dimension is m^2, m = dim C.  The hint
+    is the cycle of units (k, k+1) and (m-1, 0), each unit a path product around
+    it; fewer units cannot generate, as the ``matrix_algebras`` docstring proves.
     """
     if C.space.is_zero():
         raise ShapeMismatch("endomorphisms of the zero complex")
     H = hom_of_complexes(C, C)
     f = C.field
     one = f.one
-    idx = H.unit_index
+    idx, m = H.unit_index, C.space.total_dim
     table: dict = {}
     for t1, (mi1, nj1) in enumerate(H.units):
         # compose: t2 = (mi2 -> mi1) first, then t1; only those pairs chain
-        for mi2 in range(C.space.total_dim):
+        for mi2 in range(m):
             table[(t1, idx[(mi2, mi1)])] = {idx[(mi2, nj1)]: one}
-    unit = {}
-    for mi in range(C.space.total_dim):
-        unit[idx[(mi, mi)]] = one
-    adjacent = [{idx[u]: one} for k in range(C.space.total_dim - 1)
-                for u in ((k, k + 1), (k + 1, k))]
-    return DgAlgebra.build(f, H.space, unit, table, H.dcols, hom=H, generators=adjacent)
+    unit = {idx[(mi, mi)]: one for mi in range(m)}
+    cycle = [{idx[(k, (k + 1) % m)]: one} for k in range(m)] if m > 1 else []
+    return DgAlgebra.build(f, H.space, unit, table, H.dcols, hom=H, generators=cycle)

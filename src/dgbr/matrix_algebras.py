@@ -5,6 +5,11 @@ integers f(1), ..., f(n-1), the unit e_{i,j} gets degree f(i) + ... + f(j-1)
 for i < j and minus the reverse sum for i > j.  Degree-1 inner differentials
 d_z(a) = za - (-1)^{|a|} az supply the differentials; d_z squares to zero
 exactly when z^2 is central, and that condition is checked with a witness.
+
+The generator hint is the cycle e12, e23, ..., e_{n1}: e_{ij} is the product
+along its path i -> ... -> j, and e_{ii} the full loop.  No hint is shorter:
+words in matrix units span the paths of the graph they form, which reach every
+e_{ij} only if that graph is strongly connected, so it has n arcs at least.
 """
 from __future__ import annotations
 
@@ -71,8 +76,8 @@ def good_grading_matrix_algebra(field: Field, n: int, f=()) -> DgAlgebra:
             if j == k:
                 table[(s, t)] = {unit_index[(i, l)]: one}
     unit = {unit_index[(i, i)]: one for i in range(1, n + 1)}
-    adjacent = [{unit_index[u]: one} for i in range(1, n) for u in ((i, i + 1), (i + 1, i))]
-    return DgAlgebra.build(field, space, unit, table, {}, generators=adjacent)
+    cycle = [{unit_index[(i, i % n + 1)]: one} for i in range(1, n + 1)] if n > 1 else []
+    return DgAlgebra.build(field, space, unit, table, {}, generators=cycle)
 
 
 def inner_differential(A: DgAlgebra, z) -> DgAlgebra:

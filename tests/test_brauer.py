@@ -350,21 +350,22 @@ def _mat3_inner(field):
 
 
 def test_sandwich_iso_checks_products_only_on_the_hint_rows(monkeypatch):
-    """T = A (x) A^op of Mat_3 has a certified hint with 24 basis terms, so the
-    target multiplies 24 * 81 pairs instead of all 81 * 81."""
+    """T = A (x) A^op of Mat_3 has a certified hint with 18 basis terms: each
+    factor's 3 cycle units tensored with the other's unit, a sum of 3 terms.
+    So the target multiplies 18 * 81 pairs instead of all 81 * 81."""
     A = _mat3_inner(GF(10007))
     calls = _count_mul(monkeypatch)
     w = sandwich_iso(A)
     assert w.verified and w.source.generators_certified
-    assert len({i for s in w.source.generators for i in s}) == 4 * 3 * 2
-    assert calls[id(w.target)] == 24 * 81
+    assert len({i for s in w.source.generators for i in s}) == 2 * 3 * 3
+    assert calls[id(w.target)] == 18 * 81
 
 
 def test_verify_dg_iso_falls_back_to_every_pair(monkeypatch):
     """A hint that does not generate Mat_3 is kept but not certified, and a map
     that is not unital is never checked on the hint alone: either way all
     9 * 9 product pairs are multiplied out.  The identity on the certified
-    algebra takes only its 4 hint rows."""
+    algebra takes only the 3 rows of its cycle hint."""
     A = _mat3_inner(GF(10007))
     e12 = A.element({"e12": 1})
     partial = DgAlgebra.build(A.field, A.space, A.unit, A.table, A.dcols, generators=[e12])
@@ -373,7 +374,7 @@ def test_verify_dg_iso_falls_back_to_every_pair(monkeypatch):
     ident = HomogeneousMap.identity(A.field, A.space)
     zero = HomogeneousMap.zero(A.field, A.space, A.space)
     calls = _count_mul(monkeypatch)
-    for B, m, products in ((partial, ident, 81), (A, zero, 81), (A, ident, 4 * 9)):
+    for B, m, products in ((partial, ident, 81), (A, zero, 81), (A, ident, 3 * 9)):
         calls.clear()
         w = verify_dg_iso(B, B, m)
         assert calls == {id(B): products}

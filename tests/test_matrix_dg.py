@@ -1,9 +1,13 @@
 """Good gradings on matrix algebras and inner differentials."""
+import random
+
 import pytest
 
-from dgbr.dg import homology
+from dgbr.catalog import random_complex
+from dgbr.dg import DgAlgebra, homology
 from dgbr.errors import ShapeMismatch, ValidationError
 from dgbr.fields import GF, QQ
+from dgbr.homs import end_dg_algebra
 from dgbr.matrix_algebras import (
     GoodGrading,
     enumerate_good_gradings,
@@ -124,3 +128,29 @@ def test_unit_labels_large_sizes_stay_unambiguous():
     labels = set(A.space.all_labels())
     assert len(labels) == 100
     assert "e10_10" in labels or "e10,10" in labels or any("10" in l for l in labels)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(7)], ids=str)
+def test_cycle_hint_is_minimal_and_each_arc_is_needed(field):
+    """Mat_n and End(C) for dim C = m are certified from a cycle of n (or m)
+    matrix units, the fewest that generate.  Without any one arc the words
+    miss some unit, so the hint is not certified and the complete check
+    still passes."""
+    rng = random.Random(5)
+    complexes = [random_complex(rng, field, max_total=6) for _ in range(12)]
+    ends = [end_dg_algebra(C) for C in complexes if C.space.total_dim > 1]
+    assert sorted({C.space.total_dim for C in complexes}) == [1, 2, 3, 4, 5, 6]
+    mats = [good_grading_matrix_algebra(field, n, (1,) * (n - 1)) for n in range(2, 7)]
+    for A in mats + ends:
+        m = round(A.dim ** 0.5)
+        assert A.generators_certified
+        cycle = A.generators
+        assert len({i for s in cycle for i in s}) == len(cycle) == m
+        for r in range(m):
+            B = DgAlgebra.build(A.field, A.space, A.unit, A.table, A.dcols,
+                                generators=cycle[:r] + cycle[r + 1:])
+            assert not B.generators_certified and B.validate() == []
+
+    one_dim = [good_grading_matrix_algebra(field, 1),
+               end_dg_algebra(random_complex(rng, field, max_total=1))]
+    assert [A.generators for A in one_dim] == [[], []]

@@ -464,11 +464,13 @@ def _hinted(draw, field):
 
 
 def _other_hints(A):
-    """No hint, and bad hints: empty, one basis element, and the algebra's own
-    hint plus a vector that may be inhomogeneous or one out of range."""
+    """No hint, and bad hints: empty, one basis element, the algebra's own
+    hint without its last vector (homogeneous but, for a matrix cycle, not
+    generating), and its own hint plus a vector that may be inhomogeneous or
+    one out of range."""
     one, n = A.field.one, A.dim
     own = list(A.generators or [])
-    return [None, [], [{0: one}], own + [{0: one, n - 1: one}], own + [{n: one}]]
+    return [None, [], [{0: one}], own[:-1], own + [{0: one, n - 1: one}], own + [{n: one}]]
 
 
 @st.composite
