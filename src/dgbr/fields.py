@@ -258,6 +258,8 @@ _gf_cache: dict[int, PrimeField] = {}
 
 
 def GF(p: int) -> PrimeField:
+    if type(p) is not int:  # before the cache: a list is unhashable, and 2.0 would find GF(2)
+        raise DgError(f"prime field order must be prime, got {p!r}")
     if p not in _gf_cache:
         _gf_cache[p] = PrimeField(p)
     return _gf_cache[p]

@@ -4,7 +4,9 @@ The on-disk basis order is free; parsing stably re-sorts by degree, so file
 indices are remapped to the internal degree-major flat order.  Serialization
 always emits the canonical form: basis in flat order, entries sorted, every
 coefficient rendered through the field's formatter.  parse(serialize(x))
-reproduces x, and serialize(parse(file)) is byte-stable.
+reproduces x, and serialize(parse(file)) is byte-stable.  Every indexed
+section (``mult``, ``diff``, ``entries``) is read by ``_parse_columns`` and
+written by ``_columns_obj``.
 """
 from __future__ import annotations
 
@@ -32,9 +34,10 @@ def load_json(text: str, where: str = "input") -> dict:
     return obj
 
 
-def _check_keys(obj: dict, allowed, required, where: str):
+def _check_keys(obj: dict, required: tuple, where: str, optional: tuple = ()):
+    """``required`` is in documented order, so the first missing key is the one named."""
     for key in obj:
-        if key not in allowed:
+        if key not in required and key not in optional:
             raise ParseError(f"unknown key {key!r}", where)
     for key in required:
         if key not in obj:
@@ -57,7 +60,7 @@ def _parse_basis(items, where):
         here = f"{where}[{t}]"
         if not isinstance(entry, dict):
             raise ParseError("basis entry must be an object", here)
-        _check_keys(entry, {"label", "degree"}, {"label", "degree"}, here)
+        _check_keys(entry, ("label", "degree"), here)
         label = entry["label"]
         degree = entry["degree"]
         if not isinstance(label, str) or not label:
@@ -74,9 +77,7 @@ def _parse_basis(items, where):
 
 
 def _parse_coeff(field, value, where):
-    if isinstance(value, bool):
-        raise ParseError("coefficient must be a string or integer", where)
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return field.coerce(value)
     if isinstance(value, str):
         try:
@@ -86,6 +87,12 @@ def _parse_coeff(field, value, where):
                 raise
             raise ParseError(str(e), where) from None
     raise ParseError("coefficient must be a string or integer", where)
+
+
+def _parse_index(idx, n: int, what: str, where: str) -> int:
+    if not isinstance(idx, int) or isinstance(idx, bool) or not (0 <= idx < n):
+        raise ParseError(f"{what} {idx!r} out of range", where)
+    return idx
 
 
 def _parse_sparse(field, items, n, perm, where) -> dict:
@@ -98,94 +105,74 @@ def _parse_sparse(field, items, n, perm, where) -> dict:
         if not (isinstance(pair, list) and len(pair) == 2):
             raise ParseError("expected an [index, coefficient] pair", here)
         idx, value = pair
-        if not isinstance(idx, int) or isinstance(idx, bool) or not (0 <= idx < n):
-            raise ParseError(f"index {idx!r} out of range", here)
+        _parse_index(idx, n, "index", here)
         if perm[idx] in out:
             raise ParseError(f"duplicate index {idx}", here)
         out[perm[idx]] = _parse_coeff(field, value, here)
     return out
 
 
-def _parse_diff(field, items, n, perm, where) -> dict:
-    """Differential columns [{"in": index, "out": sparse}, ...], indices remapped."""
+def _parse_columns(field, items, noun, keys: dict, n, perm, where, out=None) -> dict:
+    """A section [{<keys>: index, "out": sparse}, ...] whose location ``where`` ends in its key.
+
+    ``keys`` maps each index key, in documented order, to the name its range
+    error uses; two keys give a table keyed by pairs.  ``out`` is the (size,
+    perm) of the ``out`` vectors when they index another space.
+    """
     if not isinstance(items, list):
-        raise ParseError("diff must be a list", where)
-    dcols: dict = {}
+        raise ParseError(f"{where.rpartition('.')[2]} must be a list", where)
+    out_n, out_perm = out or (n, perm)
+    cols: dict = {}
     for t, entry in enumerate(items):
         here = f"{where}[{t}]"
         if not isinstance(entry, dict):
-            raise ParseError("differential entry must be an object", here)
-        _check_keys(entry, {"in", "out"}, {"in", "out"}, here)
-        i = entry["in"]
-        if not isinstance(i, int) or isinstance(i, bool) or not (0 <= i < n):
-            raise ParseError(f"index {i!r} out of range", here)
-        if perm[i] in dcols:
-            raise ParseError(f"duplicate differential entry {i}", here)
-        dcols[perm[i]] = _parse_sparse(field, entry["out"], n, perm, f"{here}.out")
-    return dcols
+            raise ParseError(f"{noun} entry must be an object", here)
+        _check_keys(entry, (*keys, "out"), here)
+        idx = [_parse_index(entry[k], n, what, here) for k, what in keys.items()]
+        key = perm[idx[0]] if len(idx) == 1 else tuple(perm[i] for i in idx)
+        if key in cols:
+            shown = idx[0] if len(idx) == 1 else f"({','.join(map(str, idx))})"
+            raise ParseError(f"duplicate {noun} entry {shown}", here)
+        cols[key] = _parse_sparse(field, entry["out"], out_n, out_perm, f"{here}.out")
+    return cols
+
+
+_IN = {"in": "index"}
+_LEFT_RIGHT = {"left": "left index", "right": "right index"}
 
 
 def algebra_from_obj(obj: dict, where: str = "algebra") -> DgAlgebra:
-    _check_keys(obj, {"field", "basis", "unit", "mult", "diff"},
-                {"field", "basis", "unit"}, where)
+    _check_keys(obj, ("field", "basis", "unit"), where, ("mult", "diff"))
     field = _parse_field(obj["field"], f"{where}.field")
     space, perm = _parse_basis(obj["basis"], f"{where}.basis")
     n = space.total_dim
     unit = _parse_sparse(field, obj["unit"], n, perm, f"{where}.unit")
-
-    mult = obj.get("mult", [])
-    if not isinstance(mult, list):
-        raise ParseError("mult must be a list", f"{where}.mult")
-    table: dict = {}
-    for t, entry in enumerate(mult):
-        here = f"{where}.mult[{t}]"
-        if not isinstance(entry, dict):
-            raise ParseError("product entry must be an object", here)
-        _check_keys(entry, {"left", "right", "out"}, {"left", "right", "out"}, here)
-        l, r = entry["left"], entry["right"]
-        for name, idx in (("left", l), ("right", r)):
-            if not isinstance(idx, int) or isinstance(idx, bool) or not (0 <= idx < n):
-                raise ParseError(f"{name} index {idx!r} out of range", here)
-        key = (perm[l], perm[r])
-        if key in table:
-            raise ParseError(f"duplicate product entry ({l},{r})", here)
-        table[key] = _parse_sparse(field, entry["out"], n, perm, f"{here}.out")
-
-    dcols = _parse_diff(field, obj.get("diff", []), n, perm, f"{where}.diff")
+    table = _parse_columns(field, obj.get("mult", []), "product", _LEFT_RIGHT,
+                           n, perm, f"{where}.mult")
+    dcols = _parse_columns(field, obj.get("diff", []), "differential", _IN,
+                           n, perm, f"{where}.diff")
     return DgAlgebra.build(field, space, unit, table, dcols)
 
 
 def complex_from_obj(obj: dict, where: str = "complex") -> KComplex:
-    _check_keys(obj, {"field", "basis", "diff"}, {"field", "basis"}, where)
+    _check_keys(obj, ("field", "basis"), where, ("diff",))
     field = _parse_field(obj["field"], f"{where}.field")
     space, perm = _parse_basis(obj["basis"], f"{where}.basis")
-    dcols = _parse_diff(field, obj.get("diff", []), space.total_dim, perm, f"{where}.diff")
+    dcols = _parse_columns(field, obj.get("diff", []), "differential", _IN,
+                           space.total_dim, perm, f"{where}.diff")
     return KComplex(field, space, dcols)
 
 
 def map_from_obj(obj: dict, field, source: GradedVectorSpace,
                  target: GradedVectorSpace, where: str = "map") -> HomogeneousMap:
     """A map of the given ``degree`` (0 when absent), by columns over the flat orders of two spaces."""
-    _check_keys(obj, {"entries", "degree"}, {"entries"}, where)
+    _check_keys(obj, ("entries",), where, ("degree",))
     degree = obj.get("degree", 0)
     if not isinstance(degree, int) or isinstance(degree, bool):
         raise ParseError("degree must be an integer", f"{where}.degree")
     ns, nt = source.total_dim, target.total_dim
-    ident = {i: i for i in range(max(ns, nt))}
-    if not isinstance(obj["entries"], list):
-        raise ParseError("entries must be a list", f"{where}.entries")
-    cols: dict = {}
-    for t, entry in enumerate(obj["entries"]):
-        here = f"{where}.entries[{t}]"
-        if not isinstance(entry, dict):
-            raise ParseError("map entry must be an object", here)
-        _check_keys(entry, {"in", "out"}, {"in", "out"}, here)
-        i = entry["in"]
-        if not isinstance(i, int) or isinstance(i, bool) or not (0 <= i < ns):
-            raise ParseError(f"index {i!r} out of range", here)
-        if i in cols:
-            raise ParseError(f"duplicate map entry {i}", here)
-        cols[i] = _parse_sparse(field, entry["out"], nt, ident, f"{here}.out")
+    cols = _parse_columns(field, obj["entries"], "map", _IN, ns, range(ns),
+                          f"{where}.entries", out=(nt, range(nt)))
     return HomogeneousMap(field, source, target, degree, cols)
 
 
@@ -194,6 +181,15 @@ def map_from_obj(obj: dict, field, source: GradedVectorSpace,
 
 def _sparse_obj(field, coeffs: dict) -> list:
     return [[i, field.format(c)] for i, c in sorted(coeffs.items())]
+
+
+def _columns_obj(field, cols: dict) -> list:
+    """Inverse of _parse_columns: entries by sorted key, a pair key giving left/right."""
+    return [
+        {**(dict(zip(_LEFT_RIGHT, key)) if isinstance(key, tuple) else {"in": key}),
+         "out": _sparse_obj(field, out)}
+        for key, out in sorted(cols.items())
+    ]
 
 
 def _basis_obj(space: GradedVectorSpace) -> list:
@@ -208,14 +204,8 @@ def algebra_to_obj(A: DgAlgebra) -> dict:
         "field": A.field.describe(),
         "basis": _basis_obj(A.space),
         "unit": _sparse_obj(A.field, A.unit),
-        "mult": [
-            {"left": i, "right": j, "out": _sparse_obj(A.field, out)}
-            for (i, j), out in sorted(A.table.items())
-        ],
-        "diff": [
-            {"in": i, "out": _sparse_obj(A.field, out)}
-            for i, out in sorted(A.dcols.items())
-        ],
+        "mult": _columns_obj(A.field, A.table),
+        "diff": _columns_obj(A.field, A.dcols),
     }
 
 
@@ -223,10 +213,7 @@ def complex_to_obj(C: KComplex) -> dict:
     return {
         "field": C.field.describe(),
         "basis": _basis_obj(C.space),
-        "diff": [
-            {"in": i, "out": _sparse_obj(C.field, out)}
-            for i, out in sorted(C.dcols.items())
-        ],
+        "diff": _columns_obj(C.field, C.dcols),
     }
 
 
@@ -251,13 +238,8 @@ def parse_complex_text(text: str, where: str = "input") -> KComplex:
 
 
 def map_to_obj(m: HomogeneousMap) -> dict:
-    obj: dict = {}
-    if m.degree:
-        obj["degree"] = m.degree
-    obj["entries"] = [
-        {"in": i, "out": _sparse_obj(m.field, out)}
-        for i, out in sorted(m.flat_columns().items())
-    ]
+    obj = {"degree": m.degree} if m.degree else {}
+    obj["entries"] = _columns_obj(m.field, m.flat_columns())
     return obj
 
 

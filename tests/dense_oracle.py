@@ -25,10 +25,14 @@ that each constructor of a graded basis ran before they all went through
 ``dense_span_member`` decides membership in a span by ``dense_rref``,
 for the ideal properties that homology and the structure theorem take from
 the Leibniz rule instead of checking them at run time.
+``dense_nil_members`` is the exhaustive search of ``is_semisimple_ungraded``
+over GF(p)^n, on dense tuples, for the fact that let its closure check go:
+the x with xa nilpotent for all a are the Jacobson radical, a subspace.
 ``FractionField`` is the rational field as it was before integral values
 became ``int``: every value it makes is a ``Fraction``.  All of them are kept
 only as oracles for the tests.
 """
+import itertools
 from fractions import Fraction
 
 from dgbr.brauer import IsoChecks
@@ -162,6 +166,28 @@ def dense_trace_radical(A):
             gram[i][j] = f.add(gram[i][j], f.mul(c, tr[m]))
     basis, _ = dense_kernel_basis(f, gram, n)
     return [{i: x for i, x in enumerate(v) if not f.is_zero(x)} for v in basis]
+
+
+def dense_nil_members(A):
+    """Every x in GF(p)^n, as a dense tuple, with x*a nilpotent for all a."""
+    p, n = A.field.characteristic(), A.dim
+    zero = (0,) * n
+
+    def mul(x, y):
+        z = [0] * n
+        for (i, j), out in A.table.items():
+            c = x[i] * y[j] % p
+            for k, v in out.items():
+                z[k] = (z[k] + c * v) % p
+        return tuple(z)
+
+    def nilpotent(x):
+        for _ in range(n.bit_length()):  # x^(2^k) with 2^k > n
+            x = mul(x, x)
+        return x == zero
+
+    elems = list(itertools.product(range(p), repeat=n))
+    return {x for x in elems if all(nilpotent(mul(x, a)) for a in elems)}
 
 
 def dense_validate_structure(field, space, unit, table, dcols):

@@ -460,6 +460,18 @@ def test_cli_rejects_untrusted_prime_orders(p):
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("command", ["validate", "sandwich"])
+@pytest.mark.parametrize("p", [[], {}, 2.0])
+def test_cli_non_integer_prime_order_exits_two(tmp_path, capsys, command, p):
+    GF(2)  # cached, so an order equal to 2 but not an int must not find it
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps({"field": {"kind": "prime", "p": p}, "basis": [], "unit": []}))
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"invalid input: prime field order must be prime, got {p!r}\n"
+
+
 def test_shipped_samples_parse_to_catalog_algebras():
     assert parse_algebra_text(
         (SAMPLES / "dual_numbers.json").read_text()) == dual_numbers(QQ)

@@ -9,6 +9,7 @@ from dense_oracle import (
     dense_homology,
     dense_inverse,
     dense_kernel_basis,
+    dense_nil_members,
     dense_realization,
     dense_rref,
     dense_solve,
@@ -223,6 +224,29 @@ def test_center_and_trace_radical_bases_match_the_dense_oracle(field):
             assert [_sparse(v) for v in rep.radical] == dense_trace_radical(A)
             traced += 1
     assert traced
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_nil_members_are_the_radical_span(p):
+    """{x : xa nilpotent for all a} is closed under addition and is the span of
+    the radical that ``is_semisimple_ungraded`` reports, on catalog algebras and
+    their tensor products with p^dim <= 256."""
+    gens = [A for _, A in generators(GF(p)) if p ** A.dim <= 256]
+    cases = gens + [T for A, B in itertools.combinations_with_replacement(gens, 2)
+                    if p ** (T := tensor_product(A, B)).dim <= 256]
+    for A in cases:
+        members = dense_nil_members(A)
+        sums = {tuple((a + b) % p for a, b in zip(x, y)) for x in members for y in members}
+        assert sums == members
+        radical = [[_sparse(v).get(i, 0) for i in range(A.dim)]
+                   for v in is_semisimple_ungraded(A).radical]
+        span = {
+            tuple(sum(c * v[i] for c, v in zip(cs, radical)) % p for i in range(A.dim))
+            for cs in itertools.product(range(p), repeat=len(radical))
+        }
+        assert span == members
+
+
 # -- cosets: the structure theorem and homology against the dense oracle ------------
 
 
