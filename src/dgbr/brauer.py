@@ -126,14 +126,16 @@ def verify_dg_iso(A: DgAlgebra, B: DgAlgebra, m: HomogeneousMap) -> IsoWitness:
 # -- left and right multiplication operators ----------------------------------
 
 
-def _shift(A: DgAlgebra, aflat: dict):
-    """The degree of an element: 0 for zero, None when it mixes degrees."""
+def _shift(A: DgAlgebra, aflat: dict) -> int:
+    """The degree of a homogeneous element, 0 for zero."""
     degrees = {A.degree_of(i) for i in aflat} or {0}
-    return degrees.pop() if len(degrees) == 1 else None
+    if len(degrees) > 1:
+        raise ShapeMismatch(f"element mixes degrees {sorted(degrees)}")
+    return degrees.pop()
 
 
 def lambda_map(A: DgAlgebra, a) -> HomogeneousMap:
-    """Left multiplication x -> a*x on the underlying complex of A."""
+    """Left multiplication x -> a*x by a homogeneous element, on the complex of A."""
     aflat = A.coeffs(a)
     f = A.field
     one = f.one
@@ -146,7 +148,7 @@ def lambda_map(A: DgAlgebra, a) -> HomogeneousMap:
 
 
 def rho_map(A: DgAlgebra, a) -> HomogeneousMap:
-    """Signed right multiplication x -> (-1)^{|a||x|} x*a.
+    """Signed right multiplication x -> (-1)^{|a||x|} x*a by a homogeneous a.
 
     This is left multiplication by a inside the opposite algebra, so
     a -> rho_a is multiplicative for the opposite product.

@@ -43,8 +43,10 @@ from .errors import (
     ShapeMismatch,
     ValidationError,
 )
-from .fields import GF, QQ
+from .fields import QQ
 from .formats import (
+    _parse_coeff,
+    _parse_field,
     load_json,
     map_from_obj,
     parse_algebra_text,
@@ -149,7 +151,7 @@ def _parse_cli_field(args):
         return QQ
     if args.prime is None:
         raise ParseError("--field prime requires --prime P", "--prime")
-    return GF(args.prime)
+    return _parse_field({"kind": "prime", "p": args.prime}, "--prime")
 
 
 def _parse_grading(text, n):
@@ -175,7 +177,7 @@ def _parse_inner(A: DgAlgebra, text: str):
         label = label.strip()
         if label not in by_label:
             raise ParseError(f"unknown basis label {label!r}", "--inner")
-        c = A.field.parse(raw.strip()) if raw else A.field.one
+        c = _parse_coeff(A.field, raw.strip(), "--inner") if raw else A.field.one
         i = by_label[label]
         coeffs[i] = A.field.add(coeffs.get(i, A.field.zero), c)
     return coeffs

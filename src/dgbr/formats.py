@@ -47,7 +47,10 @@ def _check_keys(obj: dict, required: tuple, where: str, optional: tuple = ()):
 def _parse_field(obj, where) -> Field:
     if not isinstance(obj, dict):
         raise ParseError("field must be an object", where)
-    return field_from_description(obj)
+    try:
+        return field_from_description(obj)
+    except ParseError as e:
+        raise ParseError(str(e), where) from None
 
 
 def _parse_basis(items, where):

@@ -12,11 +12,10 @@ stably by degree; ``GradedVectorSpace.numbered`` is the same with the labels
 
 There is one map type, ``HomogeneousMap``.  It stores flat columns
 ``{source index: {target index: value}}``, the form ``apply`` runs on, with a
-degree: an int that every entry shifts by, checked on construction, or None
-for a map that may mix shifts (a Hom-space element, its differential, or a
-multiplication by an inhomogeneous element).  Kernels, quotients and
-inverses eliminate these columns in flat order, which keeps the order inside
-each degree, so they come out as a per-degree elimination would give them.
+degree: the int that every entry shifts by, checked on construction.
+Kernels, quotients and inverses eliminate these columns in flat order, which
+keeps the order inside each degree, so they come out as a per-degree
+elimination would give them.
 A quotient is one ``coset_basis`` call: its representatives are the vectors
 it picks and its projection is the coordinates it gives.
 """
@@ -196,15 +195,13 @@ class HomogeneousMap:
     """A linear map between graded spaces, as sparse flat columns.
 
     ``cols[j]`` is the image of source basis vector j as target coeffs;
-    absent columns are zero.  ``degree`` is the shift of every entry (an int,
-    checked here), or None when the shifts may differ.
+    absent columns are zero.  Every entry shifts degree by ``degree``, an int.
     """
 
     __slots__ = ("field", "source", "target", "degree", "cols")
 
     def __init__(self, field, source, target, degree, cols):
-        if degree is not None:
-            degree = int(degree)
+        degree = int(degree)
         sdeg, tdeg = source.flat_degrees(), target.flat_degrees()
         checked = {}
         for j, col in cols.items():
@@ -215,7 +212,7 @@ class HomogeneousMap:
             for i in col:
                 if not 0 <= i < len(tdeg):
                     raise ShapeMismatch(f"row index {i} outside the target space")
-                if degree is not None and tdeg[i] != sdeg[j] + degree:
+                if tdeg[i] != sdeg[j] + degree:
                     raise ShapeMismatch(
                         f"column {j} (degree {sdeg[j]}) hits degree {tdeg[i]}, expected {sdeg[j] + degree}"
                     )
@@ -251,20 +248,19 @@ class HomogeneousMap:
             raise ShapeMismatch("composition shape mismatch")
         if other.field != self.field:
             raise FieldMismatch("composition over different fields")
-        degree = None if None in (self.degree, other.degree) else self.degree + other.degree
-        return HomogeneousMap(self.field, other.source, self.target, degree,
+        return HomogeneousMap(self.field, other.source, self.target, self.degree + other.degree,
                               {j: self.apply_flat(c) for j, c in other.cols.items()})
 
     def __add__(self, other):
-        if not isinstance(other, HomogeneousMap) or other.source != self.source or other.target != self.target:
-            raise ShapeMismatch("can only add maps with the same spaces")
+        if (not isinstance(other, HomogeneousMap) or other.source != self.source
+                or other.target != self.target or other.degree != self.degree):
+            raise ShapeMismatch("can only add maps with the same spaces and degree")
         if other.field != self.field:
             raise FieldMismatch("sum over different fields")
         cols = {j: dict(c) for j, c in self.cols.items()}
         for j, c in other.cols.items():
             add_into(self.field, cols.setdefault(j, {}), c)
-        degree = self.degree if self.degree == other.degree else None
-        return HomogeneousMap(self.field, self.source, self.target, degree, cols)
+        return HomogeneousMap(self.field, self.source, self.target, self.degree, cols)
 
     def __neg__(self):
         neg = self.field.neg
@@ -326,8 +322,6 @@ def span_of(field, ambient: GradedVectorSpace, vecs, prefix: str) -> Subspace:
 
 def kernel_of(f: HomogeneousMap, label_prefix: str = "k") -> Subspace:
     """ker(f), with one basis vector per free column of f's reduced form (free variable 1)."""
-    if f.degree is None:
-        raise ShapeMismatch("the kernel of a map that mixes degrees is not graded")
     basis, _ = kernel_columns(f.field, f.cols, f.source.total_dim)
     return span_of(f.field, f.source, list(basis.values()), label_prefix)
 

@@ -3,17 +3,18 @@
 The degree-n part of Hom(C, D) consists of the linear maps shifting degree by
 n.  Its basis is the family of matrix units between graded components,
 ordered by (source degree, source position, target position), which keeps
-serialized output stable.  The differential is
+serialized output stable.  Hom elements are only their unit coordinates, which
+``HomComplex.from_map`` reads off a map; the differential, built once as ``dcols``,
 
     d(f) = d_D o f - (-1)^{|f|} f o d_C
 
-and composition makes Hom(C, C) a dg-algebra.
+and composition make Hom(C, C) the dg-algebra ``end_dg_algebra``.
 """
 from __future__ import annotations
 
 from .dg import DgAlgebra, KComplex, ksign
 from .errors import FieldMismatch, ShapeMismatch
-from .graded import GradedVectorSpace, HomogeneousMap, add_into, apply, clean_coeffs
+from .graded import GradedVectorSpace, HomogeneousMap, add_into
 
 
 class HomComplex:
@@ -38,17 +39,6 @@ class HomComplex:
 
     def complex(self) -> KComplex:
         return KComplex(self.field, self.space, self.dcols)
-
-    def basis_map(self, t: int) -> HomogeneousMap:
-        return self.to_map({t: self.field.one})
-
-    def to_map(self, coeffs: dict) -> HomogeneousMap:
-        """The actual linear map with the given coefficients; its degree is None."""
-        cols: dict = {}
-        for u, c in clean_coeffs(self.field, coeffs).items():
-            mi, nj = self.units[u]  # units are distinct (source, target) pairs
-            cols.setdefault(mi, {})[nj] = c
-        return HomogeneousMap(self.field, self.source.space, self.target.space, None, cols)
 
     def from_map(self, m: HomogeneousMap) -> dict:
         """Coefficients of a linear map between the two spaces."""
@@ -92,27 +82,6 @@ def hom_of_complexes(C: KComplex, D: KComplex) -> HomComplex:
         if col:
             dcols[t] = col
     return HomComplex(C, D, space, tuple(units), unit_index, dcols)
-
-
-def hom_differential(H: HomComplex, lm: HomogeneousMap) -> HomogeneousMap:
-    """d_D o f - (-1)^{|f|} f o d_C, applied per homogeneous component of f."""
-    f = H.field
-    degM = H.source.space.flat_degrees()
-    degN = H.target.space.flat_degrees()
-    parts: dict[int, dict] = {}
-    for mi, col in lm.cols.items():
-        for nj, c in col.items():
-            parts.setdefault(degN[nj] - degM[mi], {}).setdefault(mi, {})[nj] = c
-    dM, dN = H.source.dcols, H.target.dcols
-    minus = f.neg(f.one)
-    out_cols: dict = {}
-    for k, cols in parts.items():
-        sign = minus if ksign(k, 1) > 0 else None
-        for mi, col in cols.items():  # d_D o f, column by column
-            add_into(f, out_cols.setdefault(mi, {}), apply(f, dN, col))
-        for src, dcol in dM.items():  # f o d_C
-            add_into(f, out_cols.setdefault(src, {}), apply(f, cols, dcol), scale=sign)
-    return HomogeneousMap(f, H.source.space, H.target.space, None, out_cols)
 
 
 def end_dg_algebra(C: KComplex) -> DgAlgebra:

@@ -28,10 +28,14 @@ the Leibniz rule instead of checking them at run time.
 ``dense_nil_members`` is the exhaustive search of ``is_semisimple_ungraded``
 over GF(p)^n, on dense tuples, for the fact that let its closure check go:
 the x with xa nilpotent for all a are the Jacobson radical, a subspace.
+``dense_hom_differential`` is d(f) = d_D f - (-1)^|f| f d_C on the units of
+Hom(C, D), multiplied out as dense matrices, as ``hom_differential`` applied it
+to a map before Hom elements were kept only as unit coordinates.
 ``FractionField`` is the rational field as it was before integral values
 became ``int``: every value it makes is a ``Fraction``.  All of them are kept
 only as oracles for the tests.
 """
+import functools
 import itertools
 from fractions import Fraction
 
@@ -537,6 +541,40 @@ class FractionField(Field):
 
 
 FRACTION_QQ = FractionField()
+
+
+def _dense_matrix(field, cols, nrows, ncols):
+    """Sparse columns ``{col: {row: value}}`` as dense rows."""
+    return [[cols.get(c, {}).get(r, field.zero) for c in range(ncols)] for r in range(nrows)]
+
+
+def _dense_product(field, X, Y):
+    """The matrix product X Y of dense rows."""
+    return [[functools.reduce(field.add, (field.mul(x, Y[k][c]) for k, x in enumerate(row)), field.zero)
+             for c in range(len(Y[0]))] for row in X]
+
+
+def dense_hom_differential(H):
+    """The columns of d on the units of H = Hom(C, D), as dense matrix products.
+
+    Unit t = (mi, nj) is the matrix E with one entry 1 at row nj, column mi;
+    d(E) = d_D E - (-1)^|E| E d_C is read back entry by entry through
+    ``H.unit_index``.
+    """
+    f = H.field
+    m, n = H.source.space.total_dim, H.target.space.total_dim
+    dC = _dense_matrix(f, H.source.dcols, m, m)
+    dD = _dense_matrix(f, H.target.dcols, n, n)
+    out = {}
+    for t, (mi, nj) in enumerate(H.units):
+        E = _dense_matrix(f, {mi: {nj: f.one}}, n, m)
+        left, right = _dense_product(f, dD, E), _dense_product(f, E, dC)
+        combine = f.sub if ksign(H.space.degree_of(t), 1) > 0 else f.add
+        col = {H.unit_index[(c, r)]: combine(left[r][c], right[r][c]) for r in range(n) for c in range(m)}
+        col = {u: x for u, x in col.items() if not f.is_zero(x)}
+        if col:
+            out[t] = col
+    return out
 
 
 def full_iso_checks(A, B, m):

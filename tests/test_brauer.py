@@ -77,6 +77,14 @@ def test_rho_is_multiplicative_for_opposite():
             assert direct == composed
 
 
+@pytest.mark.parametrize("action", [lambda_map, rho_map])
+def test_actions_of_an_element_that_mixes_degrees_are_shape_mismatches(action):
+    A = mat2_inner(QQ)
+    assert (A.label_of(0), A.label_of(3)) == ("e21", "e12")
+    with pytest.raises(ShapeMismatch, match=r"element mixes degrees \[-1, 1\]"):
+        action(A, {0: 1, 3: 1})
+
+
 def test_central_simplicity_classifier():
     assert is_central_simple(mat2_inner(QQ))
     assert is_central_simple(good_grading_matrix_algebra(QQ, 3, (1, 0)))

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import tempfile
@@ -12,11 +13,12 @@ import tempfile
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dgbr.catalog import dual_numbers, mat2_inner
+from dgbr.brauer import is_central_simple, lambda_map, rho_map, sandwich_map, structure_realize
+from dgbr.catalog import dual_numbers, generators, mat2_inner, random_algebra
 from dgbr.cli import main
-from dgbr.dg import KComplex
-from dgbr.errors import DgError, ParseError
-from dgbr.fields import QQ
+from dgbr.dg import KComplex, opposite, swap_map, tensor_product
+from dgbr.errors import DgError, NoSuitableIdempotent, ParseError
+from dgbr.fields import GF, QQ
 from dgbr.formats import (
     algebra_to_obj,
     complex_to_obj,
@@ -29,6 +31,7 @@ from dgbr.formats import (
     serialize_map,
 )
 from dgbr.graded import HomogeneousMap
+from dgbr.homs import end_dg_algebra
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SAMPLES = ROOT / "algebras"
@@ -194,6 +197,36 @@ def test_map_out_indices_range_over_the_target():
     m = map_from_obj({"degree": 1, "entries": [{"in": 1, "out": [[3, "2"]]}]}, QQ,
                      dual_numbers(QQ).space, mat2_inner(QQ).space)
     assert m.flat_columns() == {1: {3: 2}}
+
+
+def _built_maps(field, A, B):
+    """Every kind of map dgbr builds on A and B, of every degree they take."""
+    one = field.one
+    for a in range(A.dim):
+        for u in ({a: one}, A.d_apply({a: one})):
+            yield lambda_map(A, u)
+            yield rho_map(A, u)
+        yield lambda_map(A, {a: one}).compose(rho_map(A, {A.dim - 1 - a: one}))
+    yield HomogeneousMap.identity(field, A.space)
+    yield swap_map(A, B)
+    if A.dim <= 4 and is_central_simple(A):
+        T = tensor_product(A, opposite(A))
+        yield sandwich_map(A, T, end_dg_algebra(A.complex()))
+        with contextlib.suppress(NoSuitableIdempotent):
+            yield structure_realize(A).witness.map
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(7)], ids=str)
+def test_built_maps_survive_the_map_format(field):
+    rng = random.Random(17)
+    algebras = [A for _, A in generators(field)] + [random_algebra(rng, field) for _ in range(6)]
+    degrees = set()
+    for A, B in zip(algebras, algebras[1:] + algebras[:1]):
+        for m in _built_maps(field, A, B):
+            back = map_from_obj(load_json(serialize_map(m)), field, m.source, m.target)
+            assert back == m and back.degree == m.degree
+            degrees.add(m.degree)
+    assert {-1, 0, 1} <= degrees
 
 
 # -- several missing keys: the first in documented order is named ------------------

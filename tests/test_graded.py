@@ -120,14 +120,26 @@ def test_tensor_of_spaces_order_and_labels():
 def test_linear_map_roundtrip_homogeneous():
     W = GradedVectorSpace({0: 1, 1: 1})
     hm = HomogeneousMap(QQ, W, W, 1, {0: {1: QQ.one}})
-    assert HomogeneousMap(QQ, W, W, None, hm.flat_columns()) == hm
+    assert HomogeneousMap(QQ, W, W, hm.degree, hm.flat_columns()) == hm
     with pytest.raises(ShapeMismatch, match="hits degree 1, expected 0"):
         HomogeneousMap(QQ, W, W, 0, hm.flat_columns())
-    mixed = HomogeneousMap(QQ, W, W, None, {0: {0: QQ.one, 1: QQ.one}})
-    assert mixed.degree is None and mixed.apply_flat({0: QQ.one}) == {0: QQ.one, 1: QQ.one}
     for degree in (0, 1):
         with pytest.raises(ShapeMismatch):
-            HomogeneousMap(QQ, W, W, degree, mixed.flat_columns())
+            HomogeneousMap(QQ, W, W, degree, {0: {0: QQ.one, 1: QQ.one}})
+
+
+def test_every_map_has_an_integer_degree():
+    W = GradedVectorSpace({0: 1, 1: 1})
+    with pytest.raises(TypeError):
+        HomogeneousMap(QQ, W, W, None, {})
+    shift = HomogeneousMap(QQ, W, W, 1, {0: {1: QQ.one}})
+    ident = HomogeneousMap.identity(QQ, W)
+    assert shift.compose(ident).degree == ident.compose(shift).degree == 1
+    assert shift.compose(shift).degree == 2 and shift.compose(shift).is_zero()
+    with pytest.raises(ShapeMismatch, match="same spaces and degree"):
+        shift + ident
+    with pytest.raises(ShapeMismatch, match="same spaces and degree"):
+        HomogeneousMap.zero(QQ, W, W) - HomogeneousMap.zero(QQ, W, W, 1)
 
 
 def test_linear_map_arithmetic():

@@ -469,7 +469,39 @@ def test_cli_non_integer_prime_order_exits_two(tmp_path, capsys, command, p):
     assert main([command, str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"invalid input: prime field order must be prime, got {p!r}\n"
+    assert captured.err == f"invalid input: {path}.field: prime field order must be prime, got {p!r}\n"
+
+
+@pytest.mark.parametrize("field, message", [
+    ({"kind": "prime", "p": 4}, "prime field order must be prime, got 4"),
+    ({"kind": "0.5"}, "unknown field kind '0.5'"),
+    ({"kind": "rationals", "p": 2}, "unexpected keys in field description: ['p']"),
+    ({"kind": "prime"}, "prime field description needs exactly 'kind' and 'p'"),
+    ({"p": 2}, "field description must be an object with a 'kind'"),
+])
+def test_cli_bad_field_descriptions_name_the_field(tmp_path, capsys, field, message):
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps({"field": field, "basis": [], "unit": []}))
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"invalid input: {path}.field: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--field", "prime", "--prime", "4"], "--prime: prime field order must be prime, got 4"),
+    (["--good-grading", "1", "--inner", "e12:x"],
+     "--inner: bad rational literal 'x': Invalid literal for Fraction: 'x'"),
+    (["--good-grading", "1", "--inner", "e12:1.5"], "--inner: not an exact rational literal: '1.5'"),
+    (["--field", "prime", "--prime", "7", "--good-grading", "1", "--inner", "e12:1/2"],
+     "--inner: fractions are not residues: '1/2'"),
+    (["--good-grading", "1", "--inner", "e99:1"], "--inner: unknown basis label 'e99'"),
+])
+def test_cli_bad_matrix_flags_name_the_flag(capsys, argv, message):
+    assert main(["matrix", "-n", "2", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"invalid input: {message}\n"
 
 
 def test_shipped_samples_parse_to_catalog_algebras():
