@@ -105,7 +105,6 @@ class DgAlgebra:
         # whether validation certified associativity and Leibniz from the words
         # over ``generators``, which proves that they generate the algebra
         self.generators_certified = _certified
-        self._dmap = None
 
     # -- construction ------------------------------------------------------
 
@@ -138,7 +137,7 @@ class DgAlgebra:
 
     @classmethod
     def zero_algebra(cls, field):
-        return cls(field, GradedVectorSpace.zero(), {}, {}, {}, _validated=True)
+        return cls.build(field, GradedVectorSpace.zero(), {}, {}, {})
 
     # -- basic queries -----------------------------------------------------
 
@@ -177,11 +176,6 @@ class DgAlgebra:
 
     def d_apply(self, u: dict) -> dict:
         return apply(self.field, self.dcols, u)
-
-    def differential_map(self) -> HomogeneousMap:
-        if self._dmap is None:
-            self._dmap = HomogeneousMap(self.field, self.space, self.space, 1, self.dcols)
-        return self._dmap
 
     def complex(self) -> "KComplex":
         return KComplex(self.field, self.space, self.dcols)
@@ -584,7 +578,7 @@ def contracting_element(A: DgAlgebra):
         return None
     z = {base + t: c for t, c in sol.items()}
 
-    ker = kernel_of(A.differential_map())
+    ker = kernel_of(HomogeneousMap(f, A.space, A.space, 1, A.dcols))
     kcols = ker.inclusion.flat_columns()
     # per degree: the kernel basis there and z times the kernel basis one above
     by_deg: dict[int, list] = {}
@@ -752,9 +746,7 @@ def trivial_dg(field, labels, unit, table) -> DgAlgebra:
 
 def regrade_trivial(A: DgAlgebra) -> DgAlgebra:
     """Forget the grading and differential of A, keeping its product table."""
-    labels = A.space.all_labels()
-    space = GradedVectorSpace({0: A.dim}, {0: labels})
-    return DgAlgebra.build(A.field, space, A.unit, A.table, {})
+    return trivial_dg(A.field, A.space.all_labels(), A.unit, A.table)
 
 
 # -- complexes ----------------------------------------------------------------
@@ -774,14 +766,6 @@ class KComplex:
     @classmethod
     def point(cls, field, label="1"):
         return cls(field, GradedVectorSpace({0: 1}, {0: (label,)}), {})
-
-    @classmethod
-    def from_algebra(cls, A: DgAlgebra):
-        return cls(A.field, A.space, A.dcols)
-
-    @property
-    def dim(self):
-        return self.space.total_dim
 
     def d_apply(self, u: dict) -> dict:
         return apply(self.field, self.dcols, u)

@@ -31,6 +31,13 @@ from .fields import Field
 from .linalg import Factored, coset_basis, kernel_columns
 
 
+def _require_int(x, what: str) -> int:
+    """x itself when it is an int (a bool is not), else ShapeMismatch naming it."""
+    if type(x) is not int:
+        raise ShapeMismatch(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 def clean_coeffs(field: Field, coeffs) -> dict:
     """Coerce a sparse coefficient dict and drop exact zeros."""
     out = {}
@@ -98,7 +105,8 @@ class GradedVectorSpace:
 
     def __init__(self, dims, labels=None):
         norm = {}
-        for k, v in sorted((int(k), int(v)) for k, v in dims.items()):
+        for k, v in sorted((_require_int(k, "degree"), _require_int(v, "dimension"))
+                           for k, v in dims.items()):
             if v < 0:
                 raise ShapeMismatch(f"negative dimension {v} in degree {k}")
             if v:
@@ -201,7 +209,7 @@ class HomogeneousMap:
     __slots__ = ("field", "source", "target", "degree", "cols")
 
     def __init__(self, field, source, target, degree, cols):
-        degree = int(degree)
+        degree = _require_int(degree, "map degree")
         sdeg, tdeg = source.flat_degrees(), target.flat_degrees()
         checked = {}
         for j, col in cols.items():
@@ -251,26 +259,12 @@ class HomogeneousMap:
         return HomogeneousMap(self.field, other.source, self.target, self.degree + other.degree,
                               {j: self.apply_flat(c) for j, c in other.cols.items()})
 
-    def __add__(self, other):
-        if (not isinstance(other, HomogeneousMap) or other.source != self.source
-                or other.target != self.target or other.degree != self.degree):
-            raise ShapeMismatch("can only add maps with the same spaces and degree")
-        if other.field != self.field:
-            raise FieldMismatch("sum over different fields")
-        cols = {j: dict(c) for j, c in self.cols.items()}
-        for j, c in other.cols.items():
-            add_into(self.field, cols.setdefault(j, {}), c)
-        return HomogeneousMap(self.field, self.source, self.target, self.degree, cols)
-
-    def __neg__(self):
-        neg = self.field.neg
-        return HomogeneousMap(self.field, self.source, self.target, self.degree,
-                              {j: {i: neg(x) for i, x in c.items()} for j, c in self.cols.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __eq__(self, other):
+        """Same spaces and columns; the degree is not compared.
+
+        Nonzero equal columns already fix the degree, and a zero map is
+        homogeneous of every degree, so zero maps of any two degrees are equal.
+        """
         if not isinstance(other, HomogeneousMap):
             return NotImplemented
         return self.source == other.source and self.target == other.target and self.cols == other.cols

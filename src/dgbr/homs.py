@@ -8,13 +8,15 @@ serialized output stable.  Hom elements are only their unit coordinates, which
 
     d(f) = d_D o f - (-1)^{|f|} f o d_C
 
-and composition make Hom(C, C) the dg-algebra ``end_dg_algebra``.
+and composition make Hom(C, C) the dg-algebra ``end_dg_algebra``, which
+``matrix_algebras._matrix_unit_algebra`` builds, as it builds a graded Mat_n.
 """
 from __future__ import annotations
 
 from .dg import DgAlgebra, KComplex, ksign
 from .errors import FieldMismatch, ShapeMismatch
 from .graded import GradedVectorSpace, HomogeneousMap, add_into
+from .matrix_algebras import _matrix_unit_algebra
 
 
 class HomComplex:
@@ -32,10 +34,6 @@ class HomComplex:
         self.units = units
         self.unit_index = unit_index
         self.dcols = dcols
-
-    @property
-    def dim(self):
-        return self.space.total_dim
 
     def complex(self) -> KComplex:
         return KComplex(self.field, self.space, self.dcols)
@@ -85,25 +83,10 @@ def hom_of_complexes(C: KComplex, D: KComplex) -> HomComplex:
 
 
 def end_dg_algebra(C: KComplex) -> DgAlgebra:
-    """Hom(C, C) as a dg-algebra under composition.
-
-    The product of matrix units is composition, the unit is the identity map,
-    the differential is the Hom differential; the result passes the full
-    dg-algebra validation and its total dimension is m^2, m = dim C.  The hint
-    is the cycle of units (k, k+1) and (m-1, 0), each unit a path product around
-    it; fewer units cannot generate, as the ``matrix_algebras`` docstring proves.
+    """Hom(C, C) under composition: the Hom unit mi -> nj is the matrix unit (nj, mi)
+    of ``matrix_algebras._matrix_unit_algebra``, d is ``dcols``, the hint the units k+1 -> k.
     """
     if C.space.is_zero():
         raise ShapeMismatch("endomorphisms of the zero complex")
     H = hom_of_complexes(C, C)
-    f = C.field
-    one = f.one
-    idx, m = H.unit_index, C.space.total_dim
-    table: dict = {}
-    for t1, (mi1, nj1) in enumerate(H.units):
-        # compose: t2 = (mi2 -> mi1) first, then t1; only those pairs chain
-        for mi2 in range(m):
-            table[(t1, idx[(mi2, mi1)])] = {idx[(mi2, nj1)]: one}
-    unit = {idx[(mi, mi)]: one for mi in range(m)}
-    cycle = [{idx[(k, (k + 1) % m)]: one} for k in range(m)] if m > 1 else []
-    return DgAlgebra.build(f, H.space, unit, table, H.dcols, hom=H, generators=cycle)
+    return _matrix_unit_algebra(C.field, H.space, [(nj, mi) for mi, nj in H.units], H.dcols, hom=H)

@@ -6,10 +6,9 @@ for i < j and minus the reverse sum for i > j.  Degree-1 inner differentials
 d_z(a) = za - (-1)^{|a|} az supply the differentials; d_z squares to zero
 exactly when z^2 is central, and that condition is checked with a witness.
 
-The generator hint is the cycle e12, e23, ..., e_{n1}: e_{ij} is the product
-along its path i -> ... -> j, and e_{ii} the full loop.  No hint is shorter:
-words in matrix units span the paths of the graph they form, which reach every
-e_{ij} only if that graph is strongly connected, so it has n arcs at least.
+A good-graded Mat_n is End of a graded space with d = 0, so it and
+``homs.end_dg_algebra`` build through one constructor,
+``_matrix_unit_algebra``, from their lists of matrix units.
 """
 from __future__ import annotations
 
@@ -19,7 +18,29 @@ from dataclasses import dataclass
 from .dg import DgAlgebra, _show, ksign
 from .errors import AxiomViolation, ShapeMismatch, ValidationError
 from .fields import Field
-from .graded import GradedVectorSpace, add_into
+from .graded import GradedVectorSpace, _require_int, add_into
+
+
+def _matrix_unit_algebra(field: Field, space: GradedVectorSpace, units, dcols, *, hom=None) -> DgAlgebra:
+    """The algebra on ``space`` whose basis element t is the matrix unit ``units[t]`` = (a, b).
+
+    e_ab e_bc = e_ac, other products of units are zero, the unit is the sum of
+    the e_aa and d is ``dcols``.  With indices k1 < ... < km, the hint is the
+    cycle e_{k1,k2}, ..., e_{km,k1}: e_ab is the product along its path
+    a -> ... -> b, and e_aa the full loop.  No hint is shorter: words in matrix
+    units span the paths of the graph they form, which reach every e_ab only if
+    that graph is strongly connected, so it has m arcs at least.
+    """
+    one = field.one
+    index = {u: t for t, u in enumerate(units)}
+    starting: dict = {}  # b -> the units e_bc, in flat order
+    for t, (b, c) in enumerate(units):
+        starting.setdefault(b, []).append((t, c))
+    table = {(s, t): {index[(a, c)]: one} for s, (a, b) in enumerate(units) for t, c in starting[b]}
+    keys = sorted(starting)
+    cycle = [{index[pair]: one} for pair in zip(keys, keys[1:] + keys[:1])] if len(keys) > 1 else []
+    return DgAlgebra.build(field, space, {index[(k, k)]: one for k in keys}, table, dcols,
+                           hom=hom, generators=cycle)
 
 
 @dataclass(frozen=True)
@@ -36,7 +57,7 @@ class GoodGrading:
             raise ShapeMismatch(
                 f"need {self.n - 1} superdiagonal degrees for size {self.n}, got {len(self.f)}"
             )
-        object.__setattr__(self, "f", tuple(int(x) for x in self.f))
+        object.__setattr__(self, "f", tuple(_require_int(x, "superdiagonal degree") for x in self.f))
 
     def degree(self, i: int, j: int) -> int:
         """Degree of e_{i,j}; 1-based indices."""
@@ -45,13 +66,6 @@ class GoodGrading:
         if i <= j:
             return sum(self.f[i - 1:j - 1])
         return -sum(self.f[j - 1:i - 1])
-
-    def degree_table(self) -> dict:
-        return {
-            (i, j): self.degree(i, j)
-            for i in range(1, self.n + 1)
-            for j in range(1, self.n + 1)
-        }
 
 
 def _unit_label(n: int, i: int, j: int) -> str:
@@ -68,16 +82,7 @@ def good_grading_matrix_algebra(field: Field, n: int, f=()) -> DgAlgebra:
     space, units = GradedVectorSpace.from_entries(
         (g.degree(i, j), _unit_label(n, i, j), (i, j))
         for i in range(1, n + 1) for j in range(1, n + 1))
-    unit_index = {u: t for t, u in enumerate(units)}
-    one = field.one
-    table = {}
-    for (i, j), s in unit_index.items():
-        for (k, l), t in unit_index.items():
-            if j == k:
-                table[(s, t)] = {unit_index[(i, l)]: one}
-    unit = {unit_index[(i, i)]: one for i in range(1, n + 1)}
-    cycle = [{unit_index[(i, i % n + 1)]: one} for i in range(1, n + 1)] if n > 1 else []
-    return DgAlgebra.build(field, space, unit, table, {}, generators=cycle)
+    return _matrix_unit_algebra(field, space, units, {})
 
 
 def inner_differential(A: DgAlgebra, z) -> DgAlgebra:

@@ -155,7 +155,7 @@ COMPLEX_MESSAGES = [
 
 @pytest.mark.parametrize("mutate,message", COMPLEX_MESSAGES)
 def test_complex_codec_messages_are_pinned(mutate, message):
-    obj = complex_to_obj(KComplex.from_algebra(dual_numbers(QQ)))
+    obj = complex_to_obj(dual_numbers(QQ).complex())
     mutate(obj)
     with pytest.raises(ParseError) as err:
         parse_complex_text(json.dumps(obj))
@@ -276,7 +276,7 @@ IDENTITY = HomogeneousMap(QQ, dual_numbers(QQ).space, dual_numbers(QQ).space, 0,
                           {i: {i: QQ.one} for i in range(2)})
 FUZZ_BASES = [("algebra", json.loads(p.read_text())) for p in sorted(SAMPLES.glob("*.json"))]
 FUZZ_BASES += [
-    ("complex", json.loads(serialize_complex(KComplex.from_algebra(mat2_inner(QQ))))),
+    ("complex", json.loads(serialize_complex(mat2_inner(QQ).complex()))),
     ("map", json.loads(serialize_map(IDENTITY))),
 ]
 FUZZ_VALUES = [

@@ -54,7 +54,7 @@ def test_algebra_roundtrip_is_identity(make):
 
 
 def test_complex_roundtrip_is_identity():
-    C = KComplex.from_algebra(mat2_inner(QQ))
+    C = mat2_inner(QQ).complex()
     text = serialize_complex(C)
     D = parse_complex_text(text)
     assert D == C
@@ -138,7 +138,7 @@ def test_wrong_degree_differential_names_the_axiom():
 ])
 def test_diff_errors_read_the_same_for_algebras_and_complexes(entry, message):
     A = dual_numbers(QQ)
-    objs = [algebra_to_obj(A), complex_to_obj(KComplex.from_algebra(A))]
+    objs = [algebra_to_obj(A), complex_to_obj(A.complex())]
     for obj, parse in zip(objs, (parse_algebra_text, parse_complex_text)):
         obj["diff"].append(entry)
         with pytest.raises(ParseError) as err:

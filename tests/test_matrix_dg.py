@@ -3,10 +3,12 @@ import random
 
 import pytest
 
+from dgbr.brauer import verify_dg_iso
 from dgbr.catalog import random_complex
-from dgbr.dg import DgAlgebra, homology
+from dgbr.dg import DgAlgebra, KComplex, homology
 from dgbr.errors import ShapeMismatch, ValidationError
 from dgbr.fields import GF, QQ
+from dgbr.graded import GradedVectorSpace, HomogeneousMap
 from dgbr.homs import end_dg_algebra
 from dgbr.matrix_algebras import (
     GoodGrading,
@@ -30,6 +32,14 @@ def test_good_grading_rejects_bad_shape():
         GoodGrading(3, (1,))
     with pytest.raises(ShapeMismatch):
         GoodGrading(0, ())
+
+
+@pytest.mark.parametrize("bad", [1.5, "2", None, True])
+def test_good_grading_takes_only_integer_degrees(bad):
+    with pytest.raises(ShapeMismatch, match=f"superdiagonal degree must be an integer, got {bad!r}"):
+        GoodGrading(3, (1, bad))
+    with pytest.raises(ShapeMismatch):
+        good_grading_matrix_algebra(QQ, 2, (bad,))
 
 
 def test_mat3_dims_frozen():
@@ -154,3 +164,19 @@ def test_cycle_hint_is_minimal_and_each_arc_is_needed(field):
     one_dim = [good_grading_matrix_algebra(field, 1),
                end_dg_algebra(random_complex(rng, field, max_total=1))]
     assert [A.generators for A in one_dim] == [[], []]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(7)], ids=str)
+def test_good_gradings_are_end_of_a_graded_space(field):
+    """With P_i = f_1 + ... + f_{i-1} and v_i of degree -P_i, e_ij -> (v_j -> v_i)
+    is an isomorphism from the good-graded Mat_n onto End(V), d = 0."""
+    for n in range(1, 5):
+        for g in enumerate_good_gradings(n, 1):
+            M = good_grading_matrix_algebra(field, n, g.f)
+            space, keys = GradedVectorSpace.numbered(
+                "v", [(-sum(g.f[:i - 1]), i) for i in range(1, n + 1)])
+            pos = {i: t for t, i in enumerate(keys)}
+            E = end_dg_algebra(KComplex(field, space, {}))
+            cols = {t: {E.hom.unit_index[(pos[j], pos[i])]: field.one}
+                    for t, (i, j) in enumerate((int(l[1]), int(l[2])) for l in M.space.all_labels())}
+            assert verify_dg_iso(M, E, HomogeneousMap(field, M.space, E.space, 0, cols)).verified, g.f
