@@ -31,7 +31,7 @@ from .errors import (
     ShapeMismatch,
     ValidationError,
 )
-from .graded import GradedVectorSpace, HomogeneousMap, TensorBasis, apply, operators
+from .graded import GradedVectorSpace, HomogeneousMap, TensorBasis, _require_int, apply, operators
 from .homs import end_dg_algebra
 from .linalg import coset_basis, rref_rows
 
@@ -177,31 +177,29 @@ def is_central_simple(A: DgAlgebra) -> bool:
     return A.dim > 0 and center(A).space.total_dim == 1 and _sandwich_bijective(A)
 
 
+def _sandwich_rows(A: DgAlgebra, pairs):
+    """For each (i, j) of ``pairs``, the row whose entry x*n + t is the e_t
+    coefficient of e_i e_x e_j, read off the left and right operators."""
+    n, f = A.dim, A.field
+    L, R = operators(A.table)
+    empty: dict = {}
+    for i, j in pairs:
+        Rj = R.get(j, empty)
+        yield {x * n + t: c for x, ix in L.get(i, empty).items()
+               for t, c in apply(f, Rj, ix).items()}
+
+
 def _sandwich_bijective(A: DgAlgebra) -> bool:
     """Whether the sandwich map A (x) A^op -> End_K(A) is bijective.
 
     The sandwich map sends e_i (x) e_j to x -> e_i x e_j, ungraded and with
     no signs.  Both sides have dimension n^2, so it is bijective exactly when
-    these n^2 maps are independent.  Each map is one sparse row, whose entry
-    x*n + t is the e_t coefficient of e_i e_x e_j, read off the left and right
-    operators of the table; the rank comes from the sparse elimination
-    kernel.
+    these n^2 maps, the ``_sandwich_rows``, are independent; the rank comes
+    from the sparse elimination kernel.
     """
     n = A.dim
-    f = A.field
-    L, R = operators(A.table)
-    empty: dict = {}
-    rows = []
-    for i in range(n):
-        Li = L.get(i, empty)
-        for j in range(n):
-            Rj = R.get(j, empty)
-            row = {}
-            for x, ix in Li.items():
-                for t, c in apply(f, Rj, ix).items():
-                    row[x * n + t] = c
-            rows.append(row)
-    return len(rref_rows(f, rows)[1]) == n * n
+    rows = _sandwich_rows(A, itertools.product(range(n), repeat=2))
+    return len(rref_rows(A.field, rows)[1]) == n * n
 
 
 @dataclass(frozen=True)
@@ -223,18 +221,23 @@ def forget_descriptor(A: DgAlgebra) -> UngradedDescriptor:
 
 
 def sandwich_map(A: DgAlgebra, T: DgAlgebra, E: DgAlgebra) -> HomogeneousMap:
-    """a (x) b -> lambda_a o rho_b, in the unit coordinates of E = End(A)."""
-    f = A.field
-    one = f.one
+    """a (x) b -> lambda_a o rho_b, in the unit coordinates of E = End(A).
+
+    lambda_{e_i} o rho_{e_j} is e_x -> (-1)^{|e_j||e_x|} e_i e_x e_j: its unit
+    e_x -> e_t coordinate is entry x*n + t of the (i, j) ``_sandwich_rows``, signed.
+    """
+    f, n = A.field, A.dim
+    if E.field != f or E.hom is None or E.hom.source.space != A.space:
+        raise ShapeMismatch("E must be End of the complex of A, over its field")
+    deg = A.space.flat_degrees()
+    unit_index = E.hom.unit_index
     # slot t of T corresponds to pairs[t]; the pair order is deterministic
     pairs = TensorBasis(A.space, A.space).pairs
-    lam = [lambda_map(A, {i: one}) for i in range(A.dim)]
-    rho = [rho_map(A, {j: one}) for j in range(A.dim)]
     cols = {}
-    for t, (i, j) in enumerate(pairs):
-        coeffs = E.hom.from_map(lam[i].compose(rho[j]))
-        if coeffs:
-            cols[t] = coeffs
+    for t, (i, j), row in zip(itertools.count(), pairs, _sandwich_rows(A, pairs)):
+        if row:
+            cols[t] = {unit_index[divmod(xt, n)]: c if ksign(deg[j], deg[xt // n]) > 0 else f.neg(c)
+                       for xt, c in row.items()}
     return HomogeneousMap(f, T.space, E.space, 0, cols)
 
 
@@ -298,7 +301,7 @@ def idempotent_containment(A: DgAlgebra, i: int):
     representative of L = M/N.
     """
     cands = _diagonal_candidates(A)
-    if not (1 <= i <= len(cands)):
+    if not (1 <= _require_int(i, "diagonal index") <= len(cands)):
         raise ShapeMismatch(f"diagonal index {i} out of range for {len(cands)} idempotents")
     basis, n, picks, _ = _cosets(A, cands[i - 1])
     witness = basis[picks[0]] if picks else None

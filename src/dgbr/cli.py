@@ -154,7 +154,7 @@ def _parse_cli_field(args):
     return _parse_field({"kind": "prime", "p": args.prime}, "--prime")
 
 
-def _parse_grading(text, n):
+def _parse_grading(text):
     if text is None:
         return ()
     text = text.strip()
@@ -185,7 +185,7 @@ def _parse_inner(A: DgAlgebra, text: str):
 
 def cmd_matrix(args) -> int:
     field = _parse_cli_field(args)
-    A = good_grading_matrix_algebra(field, args.size, _parse_grading(args.good_grading, args.size))
+    A = good_grading_matrix_algebra(field, args.size, _parse_grading(args.good_grading))
     if args.inner:
         A = inner_differential(A, _parse_inner(A, args.inner))
     sys.stdout.write(serialize_algebra(A))

@@ -4,6 +4,8 @@ An algebra is stored as structure constants over the flat basis order of its
 graded space: ``table[(i, j)]`` is the sparse product of basis elements i and
 j, ``dcols[i]`` the sparse differential column.  Absent entries are zero.
 Every constructor re-checks the axioms; nothing is trusted by construction.
+A caller's unit, table, d, elements and hint meet the one index check of
+``graded.clean_coeffs``; ``build`` checks each index of a product key too.
 
 There is one validation path.  ``validate_complex`` checks a (space, d) pair:
 d of degree +1 and d squared zero; ``KComplex`` raises on its result.
@@ -19,12 +21,13 @@ vectors, which the algebra keeps.  When every other axiom holds,
 ``validate_structure`` first tries to certify associativity and Leibniz from
 S: the words s1(s2(...(sk*1))) over S, grown by elimination, must span A, and
 both axioms must hold with x a basis term of S, against every basis y and z.
-If that fails, or the hint is empty, out of range, not homogeneous or has
-basis terms in over half the basis, the complete enumeration runs unchanged,
-so the list never depends on the hint.  The algebra records in
-``generators_certified`` whether the certificate succeeded: only then is S
-known to generate A, so only then may ``brauer.verify_dg_iso`` check an
-isomorphism on S alone; a kept hint that fell back proves nothing.
+If that fails, or the hint is empty, rejected by ``clean_coeffs``, not
+homogeneous or has basis terms in over half the basis, the complete
+enumeration runs unchanged, so the list never depends on the hint.  The
+algebra records in ``generators_certified`` whether the certificate
+succeeded: only then is S known to generate A, so only then may
+``brauer.verify_dg_iso`` check an isomorphism on S alone; a kept hint that
+fell back proves nothing.
 
 The certificate is exact.  N = {x : (xy)z = x(yz) for all y, z} is a
 subspace holding S, and 1 by the unit laws.  It is closed under products:
@@ -39,7 +42,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import AxiomViolation, ShapeMismatch, ValidationError
+from .errors import AxiomViolation, DgError, ShapeMismatch, ValidationError
 from .fields import Field
 from .graded import (
     GradedVectorSpace,
@@ -50,6 +53,7 @@ from .graded import (
     apply,
     bilinear,
     clean_coeffs,
+    clean_columns,
     kernel_of,
     operators,
     span_of,
@@ -64,28 +68,6 @@ def ksign(m: int, n: int) -> int:
 
 def negate_coeffs(field: Field, coeffs: dict) -> dict:
     return {i: field.neg(x) for i, x in coeffs.items()}
-
-
-def _clean_column(field, out, n: int, what: str, key) -> dict:
-    """``clean_coeffs`` of the column ``what key``, whose row indices must lie in [0, n)."""
-    out = clean_coeffs(field, out)
-    for k in out:
-        if not 0 <= k < n:
-            raise ShapeMismatch(f"{what} {key} has row index {k} outside the basis")
-    return out
-
-
-def _clean_dcols(field, dcols, n: int) -> dict:
-    """Nonzero differential columns, with column and row indices in [0, n)."""
-    out = {}
-    for i, col in dcols.items():
-        i = int(i)
-        if not (0 <= i < n):
-            raise ShapeMismatch(f"differential entry {i} outside the basis")
-        col = _clean_column(field, col, n, "differential entry", i)
-        if col:
-            out[i] = col
-    return out
 
 
 class DgAlgebra:
@@ -116,19 +98,16 @@ class DgAlgebra:
         ``generators_certified`` records whether they certified the algebra.
         """
         n = space.total_dim
-        unit = clean_coeffs(field, unit)
+        unit = clean_coeffs(field, unit, n, "unit index")
         tbl = {}
-        for (i, j), out in table.items():
-            i, j = int(i), int(j)
-            if not (0 <= i < n and 0 <= j < n):
-                raise ShapeMismatch(f"product entry ({i},{j}) outside the basis")
-            out = _clean_column(field, out, n, "product entry", (i, j))
+        for key, out in table.items():
+            i, j = key if type(key) is tuple and len(key) == 2 else (key, None)
+            if type(i) is not int or type(j) is not int or not (0 <= i < n and 0 <= j < n):
+                raise ShapeMismatch(f"product entry {key!r} outside the basis")
+            out = clean_coeffs(field, out, n, "product row")
             if out:
-                tbl[(i, j)] = out
-        dc = _clean_dcols(field, diff, n)
-        for i in unit:
-            if not (0 <= i < n):
-                raise ShapeMismatch(f"unit index {i} outside the basis")
+                tbl[key] = out
+        dc = clean_columns(field, diff, n, n, "differential")
         violations = validate_structure(field, space, unit, tbl, dc, generators=generators)
         if violations:
             raise ValidationError(violations)
@@ -154,20 +133,14 @@ class DgAlgebra:
     def element(self, terms) -> dict:
         """Sparse element from {label: coefficient}; labels must be unique."""
         labels = {self.label_of(i): i for i in range(self.dim)}
-        out = {}
-        for lbl, c in terms.items():
-            if lbl not in labels:
-                raise ShapeMismatch(f"no basis label {lbl!r}")
-            out[labels[lbl]] = self.field.coerce(c)
-        return clean_coeffs(self.field, out)
+        unknown = [lbl for lbl in terms if lbl not in labels]
+        if unknown:
+            raise ShapeMismatch(f"no basis label {unknown[0]!r}")
+        return self.coeffs({labels[lbl]: c for lbl, c in terms.items()})
 
     def coeffs(self, u) -> dict:
         """Sparse element from {flat index: coefficient}; the indices must lie in the basis."""
-        out = clean_coeffs(self.field, u)
-        for i in out:
-            if not 0 <= i < self.dim:
-                raise ShapeMismatch(f"element index {i} outside the basis")
-        return out
+        return clean_coeffs(self.field, u, self.dim, "element index")
 
     # -- arithmetic on sparse elements --------------------------------------
 
@@ -277,14 +250,18 @@ def _generators_certify(field, deg, unit, table, dcols, L, R, generators) -> boo
     """Associativity and Leibniz follow from their checks on the generators.
 
     See the module docstring for why.  False, never an error, for a hint that
-    is empty, out of range, not homogeneous or not generating, or on any failure;
-    also when the hint's basis terms are over half the basis, as the complete
+    is empty, not homogeneous or not generating, or that ``clean_coeffs``
+    rejects (an index that is not an int in range, a value that is no scalar),
+    or on any failure; also when the hint's basis terms are over half the basis, as the complete
     check then costs less than the certificate.
     """
     n = len(deg)
-    gens = [s for s in generators if s]
+    try:
+        gens = [s for s in (clean_coeffs(field, s, n, "generator index") for s in generators) if s]
+    except DgError:
+        return False
     support = sorted({i for s in gens for i in s})
-    if not support or support[0] < 0 or support[-1] >= n or 2 * len(support) > n:
+    if not support or 2 * len(support) > n:
         return False
     if any(len({deg[i] for i in s}) > 1 for s in gens):
         return False
@@ -758,7 +735,7 @@ class KComplex:
     def __init__(self, field, space, dcols):
         self.field = field
         self.space = space
-        self.dcols = _clean_dcols(field, dcols, space.total_dim)
+        self.dcols = clean_columns(field, dcols, space.total_dim, space.total_dim, "differential")
         violations = validate_complex(field, space, self.dcols)
         if violations:
             raise ValidationError(violations)

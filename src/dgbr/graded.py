@@ -3,12 +3,13 @@
 A space is a finite dict ``degree -> dimension`` (zero dimensions are never
 stored).  Basis elements get a canonical flat ordering: degrees ascending,
 positions within a degree in order.  Sparse coefficient dicts over flat
-indices ("coeffs") are the internal currency of the whole package.  Every
-built basis (a tensor product, a Hom space, a graded matrix algebra, a parsed
-file, a kernel, a quotient, a homology) gets that order in one place,
-``GradedVectorSpace.from_entries``, which sorts (degree, label, key) entries
-stably by degree; ``GradedVectorSpace.numbered`` is the same with the labels
-``{prefix}{k}_{i}``.
+indices ("coeffs") are the internal currency of the whole package, and
+``clean_coeffs`` (``clean_columns``) the one check of a caller's: every index
+an int in range.  Every built basis (a tensor product, a Hom space, a graded
+matrix algebra, a parsed file, a kernel, a quotient, a homology) gets that
+order in one place, ``GradedVectorSpace.from_entries``, which sorts (degree,
+label, key) entries stably by degree; ``GradedVectorSpace.numbered`` is the
+same with the labels ``{prefix}{k}_{i}``.
 
 There is one map type, ``HomogeneousMap``.  It stores flat columns
 ``{source index: {target index: value}}``, the form ``apply`` runs on, with a
@@ -38,13 +39,30 @@ def _require_int(x, what: str) -> int:
     return x
 
 
-def clean_coeffs(field: Field, coeffs) -> dict:
-    """Coerce a sparse coefficient dict and drop exact zeros."""
+def clean_coeffs(field: Field, coeffs, n: int, what: str, space: str = "basis") -> dict:
+    """Coerce a caller's ``{index: value}`` and drop exact zeros: the one index check.
+
+    Each index must be an int (a bool is not) in [0, n), else ShapeMismatch
+    "<what> <index> outside the <space>"."""
     out = {}
     for i, c in coeffs.items():
+        if type(i) is not int or not 0 <= i < n:
+            raise ShapeMismatch(f"{what} {i!r} outside the {space}")
         v = field.coerce(c)
         if not field.is_zero(v):
-            out[int(i)] = v
+            out[i] = v
+    return out
+
+
+def clean_columns(field: Field, cols, n_in: int, n_out: int, what: str, spaces=("basis",) * 2) -> dict:
+    """The nonzero ``clean_coeffs`` of ``{j: {i: value}}``, j in [0, n_in) of ``spaces[0]``."""
+    out = {}
+    for j, col in cols.items():
+        if type(j) is not int or not 0 <= j < n_in:
+            raise ShapeMismatch(f"{what} column {j!r} outside the {spaces[0]}")
+        col = clean_coeffs(field, col, n_out, what + " row", spaces[1])
+        if col:
+            out[j] = col
     return out
 
 
@@ -120,7 +138,8 @@ class GradedVectorSpace:
         self._flat = tuple(flat)
         self._offsets = offsets
         if labels is not None:
-            labels = {int(k): tuple(map(str, v)) for k, v in labels.items() if k in norm or v}
+            labels = {_require_int(k, "degree"): tuple(map(str, v))
+                      for k, v in labels.items() if k in norm or v}
             for k, names in labels.items():
                 if len(names) != norm.get(k, 0):
                     raise ShapeMismatch(f"{len(names)} labels for degree {k} of dimension {norm.get(k, 0)}")
@@ -211,26 +230,17 @@ class HomogeneousMap:
     def __init__(self, field, source, target, degree, cols):
         degree = _require_int(degree, "map degree")
         sdeg, tdeg = source.flat_degrees(), target.flat_degrees()
-        checked = {}
+        cols = clean_columns(field, cols, len(sdeg), len(tdeg), "map", ("source space", "target space"))
         for j, col in cols.items():
-            j = int(j)
-            if not 0 <= j < len(sdeg):
-                raise ShapeMismatch(f"column index {j} outside the source space")
-            col = clean_coeffs(field, col)
             for i in col:
-                if not 0 <= i < len(tdeg):
-                    raise ShapeMismatch(f"row index {i} outside the target space")
                 if tdeg[i] != sdeg[j] + degree:
-                    raise ShapeMismatch(
-                        f"column {j} (degree {sdeg[j]}) hits degree {tdeg[i]}, expected {sdeg[j] + degree}"
-                    )
-            if col:
-                checked[j] = col
+                    raise ShapeMismatch(f"column {j} (degree {sdeg[j]}) hits degree {tdeg[i]}, "
+                                        f"expected {sdeg[j] + degree}")
         self.field = field
         self.source = source
         self.target = target
         self.degree = degree
-        self.cols = checked
+        self.cols = cols
 
     @classmethod
     def zero(cls, field, source, target, degree=0):

@@ -51,7 +51,7 @@ class GoodGrading:
     f: tuple
 
     def __post_init__(self):
-        if self.n < 1:
+        if _require_int(self.n, "matrix size") < 1:
             raise ShapeMismatch("matrix size must be at least 1")
         if len(self.f) != self.n - 1:
             raise ShapeMismatch(
@@ -78,7 +78,7 @@ def good_grading_matrix_algebra(field: Field, n: int, f=()) -> DgAlgebra:
     An empty f means the zero grading, whatever the size.
     """
     f = tuple(f)
-    g = GoodGrading(n, f if f or n <= 1 else (0,) * (n - 1))
+    g = GoodGrading(n, f if f or _require_int(n, "matrix size") <= 1 else (0,) * (n - 1))
     space, units = GradedVectorSpace.from_entries(
         (g.degree(i, j), _unit_label(n, i, j), (i, j))
         for i in range(1, n + 1) for j in range(1, n + 1))
@@ -123,7 +123,8 @@ def inner_differential(A: DgAlgebra, z) -> DgAlgebra:
 
 def enumerate_good_gradings(n: int, bound: int) -> list:
     """All gradings with superdiagonal degrees in [-bound, bound]."""
-    if bound < 0:
+    if _require_int(bound, "bound") < 0:
         raise ShapeMismatch("bound must be nonnegative")
     rng = range(-bound, bound + 1)
-    return [GoodGrading(n, f) for f in itertools.product(rng, repeat=n - 1)]
+    repeat = max(_require_int(n, "matrix size") - 1, 0)  # GoodGrading rejects n < 1
+    return [GoodGrading(n, f) for f in itertools.product(rng, repeat=repeat)]

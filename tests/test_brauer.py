@@ -226,6 +226,12 @@ def test_containment_index_out_of_range():
         idempotent_containment(mat2_inner(QQ), 3)
 
 
+@pytest.mark.parametrize("bad", [1.5, True, "1", None])
+def test_containment_takes_only_an_integer_index(bad):
+    with pytest.raises(ShapeMismatch, match=f"diagonal index must be an integer, got {bad!r}"):
+        idempotent_containment(mat2_inner(QQ), bad)
+
+
 def test_no_idempotent_basis_element_means_no_suitable_idempotent():
     # K on the basis a with a * a = 2a: central simple, no candidate at all
     K = trivial_dg(QQ, ("a",), {0: QQ.inv(QQ.coerce(2))}, {(0, 0): {0: QQ.coerce(2)}})
@@ -315,7 +321,9 @@ def test_verify_equivalence_rejects_dim_mismatch():
 
 @pytest.mark.parametrize("build, index", [
     (inner_differential, -1), (inner_differential, 7), (lambda_map, -2), (rho_map, 4),
-], ids=["inner-negative", "inner-past-end", "lambda-negative", "rho-past-end"])
+    (inner_differential, 1.5), (lambda_map, 0.9), (rho_map, True),
+], ids=["inner-negative", "inner-past-end", "lambda-negative", "rho-past-end",
+        "inner-float", "lambda-float", "rho-bool"])
 def test_element_indices_outside_the_basis_are_shape_mismatches(build, index):
     A = good_grading_matrix_algebra(QQ, 2, (1,))
     with pytest.raises(ShapeMismatch, match="outside the basis"):
@@ -355,6 +363,15 @@ def _count_mul(monkeypatch):
 def _mat3_inner(field):
     M = good_grading_matrix_algebra(field, 3, (1, 1))
     return inner_differential(M, M.element({"e12": 1}))
+
+
+def test_sandwich_map_rejects_an_end_algebra_of_another_complex():
+    A = mat2_inner(QQ)
+    T = tensor_product(A, opposite(A))
+    with pytest.raises(ShapeMismatch, match="End of the complex of A"):
+        sandwich_map(A, T, end_dg_algebra(dual_numbers(QQ).complex()))
+    with pytest.raises(ShapeMismatch, match="End of the complex of A"):
+        sandwich_map(A, T, end_dg_algebra(mat2_inner(GF(7)).complex()))
 
 
 def test_sandwich_iso_checks_products_only_on_the_hint_rows(monkeypatch):

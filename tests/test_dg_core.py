@@ -369,6 +369,21 @@ def _bad_index_cases():
             QQ, point, {0: one}, {(0, 0): {0: one}}, {0: {1: one}}),
         "complex-d-row": lambda: KComplex(QQ, pair, {0: {-1: one}}),
         "complex-d-column": lambda: KComplex(QQ, pair, {2: {1: one}}),
+        # indices that are not ints are rejected, never truncated or read as 0/1
+        "unit-float": lambda: DgAlgebra.build(QQ, point, {0.2: one}, {(0, 0): {0: one}}, {}),
+        "unit-bool": lambda: DgAlgebra.build(QQ, point, {False: one}, {(0, 0): {0: one}}, {}),
+        "unit-zero-past-end": lambda: DgAlgebra.build(QQ, point, {0: one, 3: 0}, {(0, 0): {0: one}}, {}),
+        "product-key-float": lambda: DgAlgebra.build(QQ, point, {0: one}, {(0.3, 0.4): {0: one}}, {}),
+        "product-key-bool": lambda: DgAlgebra.build(QQ, point, {0: one}, {(0, False): {0: one}}, {}),
+        "product-key-not-a-pair": lambda: DgAlgebra.build(QQ, point, {0: one}, {0: {0: one}}, {}),
+        "product-row-float": lambda: DgAlgebra.build(QQ, point, {0: one}, {(0, 0): {0.5: one}}, {}),
+        "float-unit-key-and-row": lambda: DgAlgebra.build(QQ, point, {0.2: 1}, {(0.3, 0.4): {0.5: 1}}, {}),
+        "algebra-d-column-float": lambda: DgAlgebra.build(
+            QQ, point, {0: one}, {(0, 0): {0: one}}, {0.9: {0: one}}),
+        "complex-d-row-bool": lambda: KComplex(QQ, pair, {0: {True: one}}),
+        "complex-d-column-float": lambda: KComplex(QQ, pair, {0.0: {1: one}}),
+        "element-float": lambda: dual_numbers(QQ).coeffs({0.9: one}),
+        "element-bool": lambda: dual_numbers(QQ).coeffs({True: one}),
     }
 
 
@@ -376,3 +391,16 @@ def _bad_index_cases():
 def test_indices_outside_the_basis_are_shape_mismatches(case):
     with pytest.raises(ShapeMismatch, match="outside the bas"):
         _bad_index_cases()[case]()
+
+
+@pytest.mark.parametrize("hint", [[{0.5: 1}], [{0: "x"}], [{0: 1.5}], [{True: 1}], [{-1: 1}], [{2: 1}]],
+                         ids=["float-index", "text-value", "float-value", "bool-index", "negative", "past-end"])
+def test_malformed_hints_fall_back_to_the_complete_check(hint):
+    """A hint that ``clean_coeffs`` rejects is kept as given, certifies nothing
+    and leaves the algebra exactly as it is without a hint."""
+    A = dual_numbers(QQ)
+    plain = DgAlgebra.build(A.field, A.space, A.unit, A.table, A.dcols)
+    hinted = DgAlgebra.build(A.field, A.space, A.unit, A.table, A.dcols, generators=hint)
+    assert hinted == plain and hinted.table == plain.table
+    assert hinted.validate() == plain.validate() == []
+    assert hinted.generators is hint and not hinted.generators_certified

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from dgbr.errors import ShapeMismatch
@@ -6,6 +8,8 @@ from dgbr.graded import (
     GradedVectorSpace,
     HomogeneousMap,
     TensorBasis,
+    clean_coeffs,
+    clean_columns,
     kernel_of,
     quotient_by,
 )
@@ -40,6 +44,25 @@ def test_space_takes_only_integer_degrees_and_dimensions(dims, bad):
         GradedVectorSpace(dims)
 
 
+@pytest.mark.parametrize("labels, bad", [({0.5: ("a",)}, "0.5"), ({True: ("a",)}, "True"),
+                                         ({"0": ("a",)}, "'0'")])
+def test_label_degrees_must_be_integers(labels, bad):
+    with pytest.raises(ShapeMismatch, match=f"degree must be an integer, got {bad}"):
+        GradedVectorSpace({0: 1, 1: 1}, labels)
+
+
+def test_clean_coeffs_names_the_bad_index():
+    assert clean_coeffs(QQ, {0: 1, 1: 0, 2: "1/2"}, 3, "x") == {0: 1, 2: QQ.coerce("1/2")}
+    for bad in (0.9, True, "1", -1, 3, None):
+        with pytest.raises(ShapeMismatch, match=f"^x {re.escape(repr(bad))} outside the basis$"):
+            clean_coeffs(QQ, {bad: 1}, 3, "x")
+    assert clean_columns(QQ, {1: {0: 0}, 2: {1: 2}}, 3, 2, "d") == {2: {1: 2}}
+    with pytest.raises(ShapeMismatch, match="^d column 3 outside the source$"):
+        clean_columns(QQ, {3: {}}, 3, 2, "d", ("source", "target"))
+    with pytest.raises(ShapeMismatch, match="^d row 2 outside the target$"):
+        clean_columns(QQ, {0: {2: 1}}, 3, 2, "d", ("source", "target"))
+
+
 def test_space_equality_ignores_labels():
     assert V == GradedVectorSpace({-1: 1, 0: 2, 2: 1})
     assert V != GradedVectorSpace({0: 2})
@@ -71,8 +94,11 @@ def test_homogeneous_map_blocks_and_apply():
     assert m.flat_columns() == {0: {1: QQ.one, 2: QQ.coerce(2)}}
 
 
-@pytest.mark.parametrize("cols", [{0: {5: 1}}, {0: {-1: 1}}, {2: {0: 1}}, {-1: {0: 1}}],
-                         ids=["row-past-end", "negative-row", "column-past-end", "negative-column"])
+@pytest.mark.parametrize("cols", [{0: {5: 1}}, {0: {-1: 1}}, {2: {0: 1}}, {-1: {0: 1}},
+                                  {0.9: {1.7: 1}}, {0: {1.7: 1}}, {True: {0: 1}}, {0: {False: 1}},
+                                  {0: {9: 0}}],
+                         ids=["row-past-end", "negative-row", "column-past-end", "negative-column",
+                              "float-column", "float-row", "bool-column", "bool-row", "zero-past-end"])
 def test_flat_columns_outside_the_spaces_are_shape_mismatches(cols):
     W = GradedVectorSpace({0: 2})
     with pytest.raises(ShapeMismatch, match="outside the (source|target) space"):

@@ -42,6 +42,22 @@ def test_good_grading_takes_only_integer_degrees(bad):
         good_grading_matrix_algebra(QQ, 2, (bad,))
 
 
+@pytest.mark.parametrize("bad", [2.0, 1.5, "2", None, True])
+def test_sizes_and_bounds_take_only_integers(bad):
+    for build in (lambda: GoodGrading(bad, (1,)), lambda: good_grading_matrix_algebra(QQ, bad, (1,)),
+                  lambda: good_grading_matrix_algebra(QQ, bad), lambda: enumerate_good_gradings(bad, 1)):
+        with pytest.raises(ShapeMismatch, match=f"matrix size must be an integer, got {bad!r}"):
+            build()
+    with pytest.raises(ShapeMismatch, match=f"bound must be an integer, got {bad!r}"):
+        enumerate_good_gradings(2, bad)
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_enumerating_gradings_of_no_matrix_size_is_a_shape_mismatch(n):
+    with pytest.raises(ShapeMismatch, match="matrix size must be at least 1"):
+        enumerate_good_gradings(n, 1)
+
+
 def test_mat3_dims_frozen():
     A = good_grading_matrix_algebra(QQ, 3, (1, 0))
     assert dict(A.space.dims) == {-1: 2, 0: 5, 1: 2}

@@ -450,7 +450,7 @@ def test_iso_checks_match_the_complete_loop(field):
 DEFECTS = ("new-product", "coefficient", "delete", "d-column", "d-entry")
 
 
-def _perturb(draw, field, cols, keys, rows, defect):
+def _perturb(draw, field, cols, keys, rows, defect, n):
     """A copy of sparse columns with one defect: a column at a key that had
     none, one entry of a present column changed, a column deleted, or one
     entry of any column (a d column) changed; the entry's row is from ``rows``."""
@@ -465,7 +465,7 @@ def _perturb(draw, field, cols, keys, rows, defect):
     else:
         key = draw(st.sampled_from(present if defect == "coefficient" and present else keys))
         cols.setdefault(key, {})[row] = draw(st.sampled_from((0, 1, 2, -1)))
-    return {k: c for k, c in ((k, clean_coeffs(field, v)) for k, v in cols.items()) if c}
+    return {k: c for k, c in ((k, clean_coeffs(field, v, n, "row")) for k, v in cols.items()) if c}
 
 
 def _hinted(draw, field):
@@ -519,14 +519,14 @@ def perturbed_structures(draw):
     for _ in range(draw(st.integers(0, 3))):
         defect = draw(st.sampled_from(DEFECTS))
         if defect == "d-column":
-            dcols = _perturb(draw, field, dcols, range(n), range(n), defect)
+            dcols = _perturb(draw, field, dcols, range(n), range(n), defect, n)
         elif defect == "d-entry":  # a row one degree up, so d keeps degree +1
             key = draw(st.integers(0, n - 1))
             rows = [k for k in range(n) if deg[k] == deg[key] + 1]
             if rows:
-                dcols = _perturb(draw, field, dcols, [key], rows, defect)
+                dcols = _perturb(draw, field, dcols, [key], rows, defect, n)
         else:
-            table = _perturb(draw, field, table, keys, range(n), defect)
+            table = _perturb(draw, field, table, keys, range(n), defect, n)
     hint = draw(st.one_of(st.just(A.generators), st.sampled_from(_other_hints(A))))
     return hint, (field, A.space, A.unit, table, dcols)
 
@@ -566,7 +566,7 @@ def test_each_changed_d_entry_is_judged_as_by_the_dense_oracle(field):
                 continue
             col = dict(A.dcols.get(i, {}))
             col[k] = field.add(col.get(k, field.zero), field.one)
-            args = (field, A.space, A.unit, A.table, {**A.dcols, i: clean_coeffs(field, col)})
+            args = (field, A.space, A.unit, A.table, {**A.dcols, i: clean_coeffs(field, col, A.dim, "row")})
             expected = dense_validate_structure(*args)
             for hint in (A.generators, [{0: field.one}]):
                 assert validate_structure(*args, generators=hint) == expected
@@ -688,3 +688,29 @@ def test_sparse_map_layer_matches_the_dense_oracle(m, data):
 
     _check_quotient(m.source, ker.inclusion)
     _check_quotient(m.target, _image_inclusion(m))
+
+
+# -- the same structure constants over QQ and over GF(p) ----------------------------
+
+
+def test_random_algebras_reduce_mod_p():
+    """A catalog draw over QQ with integral constants, rebuilt over GF(p), is
+    still a dg-algebra, and its center and homology are at least as large in
+    every degree: both are kernels (and homology a cokernel) of integral
+    matrices, whose ranks can only drop mod p.  They are equal for all but
+    finitely many p; the exceptions met on these seeds are pinned."""
+    exceptions = set()
+    for seed in range(60):
+        A = random_algebra(random.Random(seed), QQ)
+        values = [c for col in (*A.table.values(), *A.dcols.values(), A.unit) for c in col.values()]
+        assert all(type(c) is int for c in values), seed
+        over_qq = (center(A).space.dims, homology(A).space.dims)
+        for p in (2, 3, 5, 7, 10007):
+            B = DgAlgebra.build(GF(p), A.space, A.unit, A.table, A.dcols)
+            assert B.validate() == []
+            over_gf = (center(B).space.dims, homology(B).space.dims)
+            for q, r in zip(over_qq, over_gf):
+                assert all(r.get(k, 0) >= d for k, d in q.items()), (seed, p)
+            if over_gf != over_qq:
+                exceptions.add((seed, p))
+    assert exceptions == {(2, 2), (18, 2), (22, 2), (31, 2), (59, 2)}
