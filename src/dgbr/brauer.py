@@ -172,9 +172,10 @@ def rho_map(A: DgAlgebra, a) -> HomogeneousMap:
 def is_central_simple(A: DgAlgebra) -> bool:
     """Center of dimension 1 and bijective sandwich map A (x) A^op -> End_K(A).
 
-    The criterion is exact in every characteristic.
+    The criterion is exact in every characteristic; ``forget_descriptor``
+    computes it.
     """
-    return A.dim > 0 and center(A).space.total_dim == 1 and _sandwich_bijective(A)
+    return forget_descriptor(A).is_central_simple
 
 
 def _sandwich_rows(A: DgAlgebra, pairs):
@@ -189,19 +190,6 @@ def _sandwich_rows(A: DgAlgebra, pairs):
                for t, c in apply(f, Rj, ix).items()}
 
 
-def _sandwich_bijective(A: DgAlgebra) -> bool:
-    """Whether the sandwich map A (x) A^op -> End_K(A) is bijective.
-
-    The sandwich map sends e_i (x) e_j to x -> e_i x e_j, ungraded and with
-    no signs.  Both sides have dimension n^2, so it is bijective exactly when
-    these n^2 maps, the ``_sandwich_rows``, are independent; the rank comes
-    from the sparse elimination kernel.
-    """
-    n = A.dim
-    rows = _sandwich_rows(A, itertools.product(range(n), repeat=2))
-    return len(rref_rows(A.field, rows)[1]) == n * n
-
-
 @dataclass(frozen=True)
 class UngradedDescriptor:
     """What remains of a dg-algebra after dropping grading and differential."""
@@ -212,9 +200,18 @@ class UngradedDescriptor:
 
 
 def forget_descriptor(A: DgAlgebra) -> UngradedDescriptor:
-    """Dimension, center dimension and central simplicity, with the center computed once."""
+    """Dimension, center dimension and central simplicity, with the center computed once.
+
+    A is central simple when its center is K and the sandwich map
+    e_i (x) e_j -> (x -> e_i x e_j), ungraded and with no signs, is bijective.
+    Both sides have dimension n^2, so that holds exactly when the n^2
+    ``_sandwich_rows`` are independent; the rank comes from the sparse
+    elimination kernel.
+    """
+    n = A.dim
     c = center(A).space.total_dim
-    return UngradedDescriptor(A.dim, c, c == 1 and _sandwich_bijective(A))
+    rows = _sandwich_rows(A, itertools.product(range(n), repeat=2))
+    return UngradedDescriptor(n, c, c == 1 and len(rref_rows(A.field, rows)[1]) == n * n)
 
 
 # -- the sandwich isomorphism --------------------------------------------------
@@ -244,17 +241,23 @@ def sandwich_map(A: DgAlgebra, T: DgAlgebra, E: DgAlgebra) -> HomogeneousMap:
 def sandwich_iso(A: DgAlgebra) -> IsoWitness:
     """Verified isomorphism A (x) A-op -> End(A as complex).
 
-    Requires A central simple; without that the map can fail injectivity.
+    Requires A central simple.  Only the center is checked up front; when it
+    is K, the witness's bijectivity decides.  If A is central simple, the
+    parity x -> (-1)^{|x|} x is inner (Skolem-Noether), so the signed map has
+    the rank of the unsigned one in ``forget_descriptor``.  If the map is a
+    verified isomorphism, T = End_K(A) is simple, so A's graded radical R,
+    with R (x) A^op an ideal of T, is zero, and A with center K is central
+    simple.
     """
-    if not is_central_simple(A):
-        raise NotCentralSimple(
-            f"sandwich construction needs a central simple algebra; dim {A.dim}, "
-            f"center dim {center(A).space.total_dim}"
-        )
-    T = tensor_product(A, opposite(A))
-    E = end_dg_algebra(A.complex())
-    w = verify_dg_iso(T, E, sandwich_map(A, T, E))
-    return w
+    c = center(A).space.total_dim
+    if c == 1:
+        T = tensor_product(A, opposite(A))
+        E = end_dg_algebra(A.complex())
+        w = verify_dg_iso(T, E, sandwich_map(A, T, E))
+        if w.checks.is_bijective:
+            return w
+    raise NotCentralSimple(
+        f"sandwich construction needs a central simple algebra; dim {A.dim}, center dim {c}")
 
 
 # -- structure theorem ---------------------------------------------------------
@@ -446,15 +449,10 @@ class KunnethReport:
 
 
 def kunneth_check(A: DgAlgebra, B: DgAlgebra) -> KunnethReport:
-    """Compare homology dims of a tensor product with the graded convolution."""
-    HA = dict(homology(A).space.dims)
-    HB = dict(homology(B).space.dims)
+    """Compare homology dims of a tensor product with the graded convolution,
+    the dims of the tensor product of the two homologies."""
+    right = TensorBasis(homology(A).space, homology(B).space).space.dims
     left = dict(homology(tensor_product(A, B)).space.dims)
-    right: dict = {}
-    for k, a in HA.items():
-        for l, b in HB.items():
-            right[k + l] = right.get(k + l, 0) + a * b
-    right = {k: v for k, v in right.items() if v}
     return KunnethReport(left, right, left == right)
 
 

@@ -12,7 +12,6 @@ from .brauer import (
     equivalence_sides,
     forget_descriptor,
     idempotent_containment,
-    is_central_simple,
     kunneth_check,
     quaternion_algebra,
     sandwich_iso,
@@ -22,10 +21,7 @@ from .brauer import (
 from .dg import (
     DgAlgebra,
     KComplex,
-    homology,
-    is_semisimple_ungraded,
     is_tgr_semisimple,
-    kernel_subalgebra,
     opposite,
     regrade_trivial,
     swap_map,
@@ -179,31 +175,27 @@ def _fmt_dims(dims: dict) -> str:
 
 def scenario_dual_numbers():
     A = dual_numbers(QQ)
-    H = homology(A)
-    ker = kernel_subalgebra(A)
     rep = is_tgr_semisimple(A)
-    cs = is_central_simple(A)
     desc = forget_descriptor(A)
     ok = (
-        H.space.is_zero()
-        and dict(ker.algebra.space.dims) == {0: 1}
+        rep.acyclic
+        and rep.kernel_dims == {0: 1}
         and rep.verdict is True
-        and cs is False
         and (desc.dimension, desc.center_dimension, desc.is_central_simple) == (2, 2, False)
     )
     lines = [
-        f"homology dims: {_fmt_dims(dict(H.space.dims))} (expected empty)",
-        f"kernel dims: {_fmt_dims(dict(ker.algebra.space.dims))}",
+        f"homology dims: {_fmt_dims(rep.homology_dims)} (expected empty)",
+        f"kernel dims: {_fmt_dims(rep.kernel_dims)}",
         f"acyclic with semisimple kernel: {rep.verdict}",
-        f"central simple: {cs}",
+        f"central simple: {desc.is_central_simple}",
         f"ungraded descriptor: dim {desc.dimension}, center {desc.center_dimension}, "
         f"central simple {desc.is_central_simple}",
     ]
     payload = {
-        "homology_dims": dict(H.space.dims),
-        "kernel_dims": dict(ker.algebra.space.dims),
+        "homology_dims": rep.homology_dims,
+        "kernel_dims": rep.kernel_dims,
         "tgr_semisimple": rep.verdict,
-        "central_simple": cs,
+        "central_simple": desc.is_central_simple,
         "descriptor": [desc.dimension, desc.center_dimension, desc.is_central_simple],
     }
     return ok, lines, payload
@@ -212,26 +204,25 @@ def scenario_dual_numbers():
 def scenario_dual_tensor_square():
     A = dual_numbers(GF(2))
     T = tensor_product(A, A)
-    ker = kernel_subalgebra(T)
-    krep = is_semisimple_ungraded(ker.algebra)
     repA = is_tgr_semisimple(A)
     repT = is_tgr_semisimple(T)
+    krep = repT.kernel_report
     ok = (
         dict(T.space.dims) == {0: 1, -1: 2, -2: 1}
-        and dict(ker.algebra.space.dims) == {0: 1, -1: 1}
+        and repT.kernel_dims == {0: 1, -1: 1}
         and krep.verdict is False
         and repA.verdict is True
         and repT.verdict is False
     )
     lines = [
         f"tensor square dims: {_fmt_dims(dict(T.space.dims))}",
-        f"kernel dims: {_fmt_dims(dict(ker.algebra.space.dims))}",
+        f"kernel dims: {_fmt_dims(repT.kernel_dims)}",
         f"kernel semisimple: {krep.verdict} ({krep.method})",
         f"factor semisimple: {repA.verdict}; tensor square semisimple: {repT.verdict}",
     ]
     payload = {
         "tensor_dims": dict(T.space.dims),
-        "kernel_dims": dict(ker.algebra.space.dims),
+        "kernel_dims": repT.kernel_dims,
         "kernel_semisimple": krep.verdict,
         "factor_tgr": repA.verdict,
         "square_tgr": repT.verdict,
@@ -322,11 +313,10 @@ def scenario_equivalence_unit():
     w = unit_equivalence_witness(A, sr)
     Q = quaternion_algebra(QQ, -1, -1)
     all_match = forget_descriptor(Q) == forget_descriptor(regrade_trivial(Q))
+    flat = forget_descriptor(good_grading_matrix_algebra(QQ, 3, (0, 0)))
     for g in enumerate_good_gradings(3, 1):
         M = good_grading_matrix_algebra(QQ, 3, g.f)
-        d1 = forget_descriptor(M)
-        d2 = forget_descriptor(regrade_trivial(M))
-        all_match &= d1 == d2 == forget_descriptor(good_grading_matrix_algebra(QQ, 3, (0, 0)))
+        all_match &= forget_descriptor(M) == forget_descriptor(regrade_trivial(M)) == flat
     ok = w.verified and all_match
     lines = [
         f"tensor-unit equivalence verified: {w.verified}",

@@ -402,16 +402,13 @@ def tensor_product(A: DgAlgebra, B: DgAlgebra) -> DgAlgebra:
             if out:
                 table[(idx[(i1, j1)], idx[(i2, j2)])] = out
 
+    # d(e_i @ e_j) = d(e_i) @ e_j + (-1)^{|e_i|} e_i @ d(e_j); d has degree +1,
+    # so no slot of the first sum is one of the second
     dcols: dict = {}
     for t, (i, j) in enumerate(tb.pairs):
-        col: dict = {}
-        for k, c in A.dcols.get(i, {}).items():
-            add_into(f, col, {idx[(k, j)]: c})
-        dj = B.dcols.get(j)
-        if dj:
-            sgn = ksign(degA[i], 1)
-            for l, c in dj.items():
-                add_into(f, col, {idx[(i, l)]: f.neg(c) if sgn < 0 else c})
+        sgn = ksign(degA[i], 1)
+        col = {idx[(k, j)]: c for k, c in A.dcols.get(i, {}).items()}
+        col.update((idx[(i, l)], f.neg(c) if sgn < 0 else c) for l, c in B.dcols.get(j, {}).items())
         if col:
             dcols[t] = col
 

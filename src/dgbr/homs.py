@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .dg import DgAlgebra, KComplex, ksign
 from .errors import FieldMismatch, ShapeMismatch
-from .graded import GradedVectorSpace, HomogeneousMap, add_into
+from .graded import GradedVectorSpace, HomogeneousMap
 from .matrix_algebras import _matrix_unit_algebra
 
 
@@ -67,16 +67,13 @@ def hom_of_complexes(C: KComplex, D: KComplex) -> HomComplex:
         for tgt, c in col.items():
             rev.setdefault(tgt, {})[src] = c
 
+    # d has degree +1, so no unit mi -> nj2 of d_D o f is a unit mi2 -> nj of f o d_C
     dcols: dict = {}
     for t, (mi, nj) in enumerate(units):
-        k = degN[nj] - degM[mi]
-        col: dict = {}
-        for nj2, c in D.dcols.get(nj, {}).items():
-            add_into(field, col, {unit_index[(mi, nj2)]: c})
-        sgn = ksign(k, 1)
-        for mi2, c in rev.get(mi, {}).items():
-            c = field.neg(c) if sgn > 0 else c
-            add_into(field, col, {unit_index[(mi2, nj)]: c})
+        sgn = ksign(degN[nj] - degM[mi], 1)
+        col = {unit_index[(mi, nj2)]: c for nj2, c in D.dcols.get(nj, {}).items()}
+        col.update((unit_index[(mi2, nj)], field.neg(c) if sgn > 0 else c)
+                   for mi2, c in rev.get(mi, {}).items())
         if col:
             dcols[t] = col
     return HomComplex(C, D, space, tuple(units), unit_index, dcols)

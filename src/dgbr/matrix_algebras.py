@@ -61,11 +61,10 @@ class GoodGrading:
 
     def degree(self, i: int, j: int) -> int:
         """Degree of e_{i,j}; 1-based indices."""
+        i, j = _require_int(i, "unit index"), _require_int(j, "unit index")
         if not (1 <= i <= self.n and 1 <= j <= self.n):
             raise ShapeMismatch(f"unit index ({i},{j}) out of range for size {self.n}")
-        if i <= j:
-            return sum(self.f[i - 1:j - 1])
-        return -sum(self.f[j - 1:i - 1])
+        return sum(self.f[:j - 1]) - sum(self.f[:i - 1])
 
 
 def _unit_label(n: int, i: int, j: int) -> str:

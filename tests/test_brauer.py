@@ -36,6 +36,7 @@ from dgbr.dg import (
     DgAlgebra,
     KComplex,
     center,
+    homology,
     ksign,
     negate_coeffs,
     opposite,
@@ -156,8 +157,23 @@ def test_sandwich_good_graded_mat5():
 
 
 def test_sandwich_requires_central_simple():
-    with pytest.raises(NotCentralSimple):
-        sandwich_iso(dual_numbers(QQ))
+    # the last two have center K, so the witness's bijectivity refuses them
+    T2 = upper_triangular(QQ)
+    for A, dims in ((dual_numbers(QQ), "dim 2, center dim 2"), (T2, "dim 3, center dim 1"),
+                    (tensor_product(T2, mat2_inner(QQ)), "dim 12, center dim 1")):
+        with pytest.raises(NotCentralSimple,
+                           match=f"^sandwich construction needs a central simple algebra; {dims}$"):
+            sandwich_iso(A)
+
+
+def test_sandwich_iso_builds_the_rows_once_and_ranks_them_only_in_the_witness(monkeypatch):
+    passes, ranks = [], []
+    rows, rref = brauer._sandwich_rows, brauer.rref_rows
+    monkeypatch.setattr(brauer, "_sandwich_rows", lambda A, pairs: passes.append(A) or rows(A, pairs))
+    monkeypatch.setattr(brauer, "rref_rows", lambda *args: ranks.append(args) or rref(*args))
+    M = good_grading_matrix_algebra(GF(10007), 3, (1, 0))
+    assert sandwich_iso(inner_differential(M, M.element({"e12": 1}))).verified
+    assert (len(passes), len(ranks)) == (1, 0)
 
 
 def test_sandwich_map_alone_on_prime_field():
@@ -483,6 +499,18 @@ def test_kunneth_convolution_shifts_degrees():
     r = kunneth_check(A, A)
     assert r.matches
     assert r.left == {-2: 1, -1: 4, 0: 6, 1: 4, 2: 1}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)], ids=repr)
+def test_kunneth_right_side_is_the_convolution_of_the_factor_homologies(field):
+    gens = [A for _, A in generators(field)]
+    dims = [dict(homology(A).space.dims) for A in gens]
+    for (A, HA), (B, HB) in itertools.product(zip(gens, dims), repeat=2):
+        conv: dict = {}
+        for (k, a), (l, b) in itertools.product(HA.items(), HB.items()):
+            conv[k + l] = conv.get(k + l, 0) + a * b
+        r = kunneth_check(A, B)
+        assert r.right == conv and r.matches
 
 
 def test_mat3_structure_with_inner_differential():

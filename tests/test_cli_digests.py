@@ -9,7 +9,10 @@ sandwich maps that no command prints, were recorded while maps still kept
 dense per-degree blocks, so they pin that sparse flat columns change no byte.
 The ``hom`` case was recorded while each graded basis was still laid out by
 its own bucket-and-sort loop, so it pins that building them all through
-``GradedVectorSpace.from_entries`` changes no byte.
+``GradedVectorSpace.from_entries`` changes no byte.  The three ``catalog``
+scenarios were recorded while they still rebuilt homology, kernel algebras
+and descriptors that their reports already held, so they pin that reading
+those reports changes no byte.
 """
 import hashlib
 import pathlib
@@ -80,6 +83,36 @@ CASES = {
         [["tensor", DUAL, DUAL], ["contracting", "--json", PREV]],
         0,
         "6449fb8011fa96e8f914d5a9bcff145a83f305b786638454b34e80b6e4b9b067",
+    ),
+    "catalog-dual-numbers": (
+        [["catalog", "dual-numbers"]],
+        0,
+        "c73efeea537cf40015fdddc08bc4421bd9100a4739f447c1256f156eb1448ac1",
+    ),
+    "catalog-dual-numbers-json": (
+        [["catalog", "dual-numbers", "--json"]],
+        0,
+        "fd636a5b07cd021454a6592a26e1e4deb4dce712447609d49ab6ebbcc2c59748",
+    ),
+    "catalog-dual-tensor-square-f2": (
+        [["catalog", "dual-tensor-square-f2"]],
+        0,
+        "38d8df603731b9c06c609341fb5ba37111b69e6afabb4369c6a9dcce5c4b8e1e",
+    ),
+    "catalog-dual-tensor-square-f2-json": (
+        [["catalog", "dual-tensor-square-f2", "--json"]],
+        0,
+        "2419962ff4f737343149ea9e1de836c44e30d89010e334b1ef5dbb88f45c024d",
+    ),
+    "catalog-equivalence-unit": (
+        [["catalog", "equivalence-unit"]],
+        0,
+        "db653ecb6567ec314fcea10c8cd5f51235c77b83d39e915ff2ba7a3e187f16ca",
+    ),
+    "catalog-equivalence-unit-json": (
+        [["catalog", "equivalence-unit", "--json"]],
+        0,
+        "ffc6cd646be8ca7cb740a8be7720cf20a7c80197c00b5bbd62d23bcdc005b27c",
     ),
 }
 

@@ -1,4 +1,5 @@
 """Good gradings on matrix algebras and inner differentials."""
+import itertools
 import random
 
 import pytest
@@ -25,6 +26,13 @@ def test_good_grading_degree_rule():
     assert g.degree(1, 3) == 1
     assert g.degree(3, 1) == -1
     assert g.degree(2, 2) == 0
+    # |e_ij| + |e_jk| = |e_ik| on both triangles
+    g = GoodGrading(4, (2, -1, 3))
+    assert [g.degree(1, j) for j in range(1, 5)] == [0, 2, 1, 4]
+    for i, j, k in itertools.product(range(1, 5), repeat=3):
+        assert g.degree(i, j) + g.degree(j, k) == g.degree(i, k)
+    with pytest.raises(ShapeMismatch, match=r"unit index \(0,2\) out of range for size 4"):
+        g.degree(0, 2)
 
 
 def test_good_grading_rejects_bad_shape():
@@ -50,6 +58,14 @@ def test_sizes_and_bounds_take_only_integers(bad):
             build()
     with pytest.raises(ShapeMismatch, match=f"bound must be an integer, got {bad!r}"):
         enumerate_good_gradings(2, bad)
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, "2", None])
+def test_unit_indices_take_only_integers(bad):
+    g = GoodGrading(3, (1, 0))
+    for call in (lambda: g.degree(bad, 2), lambda: g.degree(1, bad)):
+        with pytest.raises(ShapeMismatch, match=f"unit index must be an integer, got {bad!r}"):
+            call()
 
 
 @pytest.mark.parametrize("n", [0, -2])
