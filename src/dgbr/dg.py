@@ -12,15 +12,19 @@ d of degree +1 and d squared zero; ``KComplex`` raises on its result.
 ``validate_structure`` is that plus the product axioms (degree additivity,
 unit laws, associativity, graded Leibniz, d(1) = 0).  Every product in it is
 an ``apply`` of a left or right multiplication operator.
-Associativity and Leibniz are checked on the tuples where a side can be
-nonzero, found from the support of the tables; a skipped tuple has both sides
-zero, so the list is that of a loop over all triples and pairs, in order.
+Associativity is checked one pair (i, j) at a time, as two operators in k:
+k -> (ei*ej)*ek, the left operator of ei*ej, and k -> ei*(ej*ek).  They are
+compared whole, and the k are walked only when they differ.  Leibniz is
+checked on the pairs where a side can be nonzero.  Both visit only the tuples
+the support of the tables reaches; a skipped tuple has both sides zero, so
+the list is that of a loop over all triples and pairs, in order.
 
 A constructor may pass ``generators``, a hint S of homogeneous sparse
 vectors, which the algebra keeps.  When every other axiom holds,
 ``validate_structure`` first tries to certify associativity and Leibniz from
-S: the words s1(s2(...(sk*1))) over S, grown by elimination, must span A, and
-both axioms must hold with x a basis term of S, against every basis y and z.
+S: the words s1(s2(...(sk*1))) over S, grown by elimination from the left
+operator of each s, built once, must span A, and both axioms must hold with x
+a basis term of S, against every basis y and z.
 If that fails, or the hint is empty, rejected by ``clean_coeffs``, not
 homogeneous or has basis terms in over half the basis, the complete
 enumeration runs unchanged, so the list never depends on the hint.  The
@@ -195,29 +199,50 @@ def validate_complex(field, space, dcols):
     return v
 
 
+def _left_operator(field, L, u):
+    """{k: u*ek}, the nonzero columns of left multiplication by u.
+
+    ``L`` is as in ``_associativity_failures``.  For u = em it is ``L[m]``
+    itself, shared and not copied.
+    """
+    if len(u) == 1:
+        (m, c), = u.items()
+        if c == field.one:
+            return L.get(m, {})
+    op: dict = {}
+    for m, c in u.items():
+        for k, col in L.get(m, {}).items():
+            add_into(field, op.setdefault(k, {}), col, scale=c)
+    return {k: col for k, col in op.items() if col}
+
+
 def _associativity_failures(field, L, R, table, only=None):
     """(i, j, k, (ei*ej)*ek, ei*(ej*ek)) for each basis triple whose sides differ, in order.
 
     ``L[i][j] = R[j][i] = ei*ej`` are the multiplication operators of
-    ``table``.  (ei*ej)*ek needs a term em of ei*ej with em*ek nonzero,
-    ei*(ej*ek) a term em of ej*ek with ei*em nonzero; on every other triple
-    both sides are zero.  ``only`` (sorted indices) limits i; the candidates
-    still come from all of ``L``.
+    ``table``; only ``L`` is read here.  For each i and j the two sides are
+    compared as operators in k: k -> (ei*ej)*ek is the left operator of
+    ei*ej, and k -> ei*(ej*ek) applies ``L[i]`` to each ``L[j][k]``.  The
+    right side needs a term em of some ej*ek with ei*em nonzero, so j runs
+    over ``L[i]`` and the j that reach such an em; on every other pair both
+    operators are zero.  The k are walked only when the operators differ.
+    ``only`` (sorted indices) limits i.
     """
-    involves: dict = {}
-    for jk, out in table.items():
+    reach: dict = {}  # m -> the j with em a term of some ej*ek
+    for (j, _), out in table.items():
         for m in out:
-            involves.setdefault(m, []).append(jk)
+            reach.setdefault(m, set()).add(j)
     empty: dict = {}
     for i in sorted(L) if only is None else only:
         li = L.get(i, empty)
-        cand = {(j, k) for j, ij in li.items() for m in ij for k in L.get(m, empty)}
-        cand.update(jk for m in li for jk in involves.get(m, ()))
-        for j, k in sorted(cand):
-            left = apply(field, R.get(k, empty), li.get(j, empty))
-            right = apply(field, li, table.get((j, k), empty))
+        for j in sorted(set(li).union(*(reach.get(m, ()) for m in li))):
+            left = _left_operator(field, L, li.get(j, empty))
+            right = {k: v for k, jk in L.get(j, empty).items() if (v := apply(field, li, jk))}
             if left != right:
-                yield i, j, k, left, right
+                for k in sorted(left.keys() | right.keys()):
+                    lk, rk = left.get(k, empty), right.get(k, empty)
+                    if lk != rk:
+                        yield i, j, k, lk, rk
 
 
 def _leibniz_failures(field, L, R, dcols, deg, only=None):
@@ -228,6 +253,8 @@ def _leibniz_failures(field, L, R, dcols, deg, only=None):
     with ek*ej nonzero, or d(ej) has a term ek with ei*ek nonzero; other
     pairs are zero on both sides.  ``only`` (sorted indices) limits i.
     """
+    if not dcols:  # d = 0: both sides vanish on every pair
+        return
     hits: dict = {}
     for j, col in dcols.items():
         for k in col:
@@ -266,9 +293,11 @@ def _generators_certify(field, deg, unit, table, dcols, L, R, generators) -> boo
     if any(len({deg[i] for i in s}) > 1 for s in gens):
         return False
     # the words s1(s2(...(sk*1))): each product that rref_rows reports as
-    # independent of those before it is appended and multiplied on in turn
+    # independent of those before it is appended and multiplied on in turn;
+    # s*w applies the left operator of s, built once per generator
+    ops = [_left_operator(field, L, s) for s in gens]
     words: list = []
-    products = (bilinear(field, table, s, w) for w in words for s in gens if len(words) < n)
+    products = (apply(field, op, w) for w in words for op in ops if len(words) < n)
     rref_rows(field, itertools.chain([unit], products), words.append)
     return (len(words) == n
             and next(_associativity_failures(field, L, R, table, support), None) is None

@@ -120,6 +120,24 @@ def test_hinted_constructions_are_certified_from_their_generators(monkeypatch):
     assert len(built[1].generators) == 1 + len(A.generators)
 
 
+def test_certificate_words_grow_from_generator_operators(monkeypatch):
+    """Mat_3 with d tensored with its opposite is certified from its hint, and
+    no word of the certificate is multiplied through ``bilinear``."""
+    A = mat3_inner(GF(10007))
+    T = tensor_product(A, opposite(A))
+    calls = []
+    product = dg.bilinear
+
+    def spy(*args):
+        calls.append(args)
+        return product(*args)
+
+    monkeypatch.setattr(dg, "bilinear", spy)
+    violations = T.validate()
+    assert violations == [] and violations.certified
+    assert calls == []
+
+
 def test_opposite_signs_and_involution():
     A = mat2_inner(QQ)
     B = opposite(A)

@@ -554,6 +554,46 @@ def test_each_deleted_product_is_judged_as_by_the_dense_oracle(field):
                 assert validate_structure(*args, generators=hint) == expected
 
 
+@pytest.mark.parametrize("change", ["scaled", "extra-term"])
+@pytest.mark.parametrize("field", list(_ORACLE_GENS), ids=str)
+def test_each_rescaled_or_widened_product_is_judged_as_by_the_dense_oracle(field, change):
+    """One product scaled by 2, so (ei*ej)*ek combines operators with a
+    coefficient other than one, or given one more term in its degree, so
+    ei*ej has several terms.  A field where 2 = 0 gets the extra term instead."""
+    two = field.add(field.one, field.one)
+    for A in _ORACLE_GENS[field]:
+        deg = A.space.flat_degrees()
+        for (i, j), out in sorted(A.table.items()):
+            if change == "scaled" and not field.is_zero(two):
+                out = {m: field.mul(two, c) for m, c in out.items()}
+            else:
+                free = [m for m in range(A.dim) if deg[m] == deg[i] + deg[j] and m not in out]
+                if not free:
+                    continue
+                out = {**out, free[0]: field.one}
+            args = (field, A.space, A.unit, {**A.table, (i, j): out}, A.dcols)
+            expected = dense_validate_structure(*args)
+            for hint in (None, A.generators, [{0: field.one}]):
+                assert validate_structure(*args, generators=hint) == expected
+
+
+def test_associativity_violations_come_in_order_of_i_then_j_then_k():
+    """Three violations share i = x, two with j = x and one with j = y, where
+    x*y = 0 and y is reached only because y*x has the term x and x*x != 0."""
+    space = GradedVectorSpace({0: 3}, {0: ["1", "x", "y"]})
+    one, minus = QQ.one, QQ.neg(QQ.one)
+    table = {(0, 0): {0: one}, (0, 1): {1: one}, (0, 2): {2: one}, (1, 0): {1: one},
+             (2, 0): {2: one}, (1, 1): {2: minus}, (2, 1): {1: minus}, (2, 2): {2: minus}}
+    args = (QQ, space, {0: one}, table, {})
+    got = validate_structure(*args)
+    assert [(v.axiom, v.witness, v.detail) for v in got] == [
+        ("associativity", (1, 1, 1), "(e1*e1)*e1 = 1*x but e1*(e1*e1) = 0"),
+        ("associativity", (1, 1, 2), "(e1*e1)*e2 = 1*y but e1*(e1*e2) = 0"),
+        ("associativity", (1, 2, 1), "(e1*e2)*e1 = 0 but e1*(e2*e1) = 1*y"),
+    ]
+    assert got == dense_validate_structure(*args)
+
+
 @pytest.mark.parametrize("field", list(_ORACLE_GENS), ids=str)
 def test_each_changed_d_entry_is_judged_as_by_the_dense_oracle(field):
     """Adding 1 to one entry of d, in a row one degree up, can break the
