@@ -44,6 +44,7 @@ words are homogeneous, so it spans A too.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import AxiomViolation, DgError, ShapeMismatch, ValidationError
@@ -216,11 +217,11 @@ def _left_operator(field, L, u):
     return {k: col for k, col in op.items() if col}
 
 
-def _associativity_failures(field, L, R, table, only=None):
+def _associativity_failures(field, L, table, only=None):
     """(i, j, k, (ei*ej)*ek, ei*(ej*ek)) for each basis triple whose sides differ, in order.
 
-    ``L[i][j] = R[j][i] = ei*ej`` are the multiplication operators of
-    ``table``; only ``L`` is read here.  For each i and j the two sides are
+    ``L[i][j] = ei*ej`` is the left multiplication operator of ``table``, as
+    ``graded.operators`` gives it.  For each i and j the two sides are
     compared as operators in k: k -> (ei*ej)*ek is the left operator of
     ei*ej, and k -> ei*(ej*ek) applies ``L[i]`` to each ``L[j][k]``.  The
     right side needs a term em of some ej*ek with ei*em nonzero, so j runs
@@ -248,7 +249,8 @@ def _associativity_failures(field, L, R, table, only=None):
 def _leibniz_failures(field, L, R, dcols, deg, only=None):
     """(i, j, d(ei*ej), d(ei)*ej + (-1)^|ei| ei*d(ej)) for each pair whose sides differ, in order.
 
-    ``L``/``R`` are as in ``_associativity_failures`` and ``dcols`` is the
+    ``L[i][j] = R[j][i] = ei*ej`` are the multiplication operators of the
+    table, as ``graded.operators`` gives them, and ``dcols`` is the
     differential.  A side is nonzero only if ei*ej is, d(ei) has a term ek
     with ek*ej nonzero, or d(ej) has a term ek with ei*ek nonzero; other
     pairs are zero on both sides.  ``only`` (sorted indices) limits i.
@@ -300,7 +302,7 @@ def _generators_certify(field, deg, unit, table, dcols, L, R, generators) -> boo
     products = (apply(field, op, w) for w in words for op in ops if len(words) < n)
     rref_rows(field, itertools.chain([unit], products), words.append)
     return (len(words) == n
-            and next(_associativity_failures(field, L, R, table, support), None) is None
+            and next(_associativity_failures(field, L, table, support), None) is None
             and next(_leibniz_failures(field, L, R, dcols, deg, support), None) is None)
 
 
@@ -369,7 +371,7 @@ def validate_structure(field, space, unit, table, dcols, *, generators=None):
         v.certified = True
         return v
 
-    for i, j, k, left, right in _associativity_failures(field, L, R, table):
+    for i, j, k, left, right in _associativity_failures(field, L, table):
         v.append(AxiomViolation(
             "associativity", (i, j, k),
             f"(e{i}*e{j})*e{k} = {show(left)} but e{i}*(e{j}*e{k}) = {show(right)}",
@@ -404,12 +406,44 @@ def opposite(A: DgAlgebra) -> DgAlgebra:
     return DgAlgebra.build(A.field, A.space, A.unit, table, A.dcols, generators=A.generators)
 
 
-def tensor_product(A: DgAlgebra, B: DgAlgebra) -> DgAlgebra:
-    """Graded tensor product with the sign rule on interchanged factors."""
+def _tensor_basis(A, B) -> TensorBasis:
     if A.field != B.field:
         raise ShapeMismatch("tensor factors over different fields")
+    return TensorBasis(A.space, B.space)
+
+
+def _tensor_dcols(A, B, tb: TensorBasis) -> dict:
+    """The flat columns of d on A (x) B, the one writer of the tensor differential.
+
+    d(e_i @ e_j) = d(e_i) @ e_j + (-1)^{|e_i|} e_i @ d(e_j); d has degree +1,
+    so no slot of the first sum is one of the second.
+    """
+    f, idx = A.field, tb.index
+    degA = A.space.flat_degrees()
+    dcols: dict = {}
+    for t, (i, j) in enumerate(tb.pairs):
+        sgn = ksign(degA[i], 1)
+        col = {idx[(k, j)]: c for k, c in A.dcols.get(i, {}).items()}
+        col.update((idx[(i, l)], f.neg(c) if sgn < 0 else c) for l, c in B.dcols.get(j, {}).items())
+        if col:
+            dcols[t] = col
+    return dcols
+
+
+def tensor_complex(A, B) -> "KComplex":
+    """The complex underlying ``tensor_product(A, B)``: its space and d, no product.
+
+    A and B are anything with ``field``, ``space`` and ``dcols``.  The
+    ``KComplex`` checks d-degree and d squared zero as usual.
+    """
+    tb = _tensor_basis(A, B)
+    return KComplex(A.field, tb.space, _tensor_dcols(A, B, tb))
+
+
+def tensor_product(A: DgAlgebra, B: DgAlgebra) -> DgAlgebra:
+    """Graded tensor product with the sign rule on interchanged factors."""
+    tb = _tensor_basis(A, B)
     f = A.field
-    tb = TensorBasis(A.space, B.space)
     idx = tb.index
     degA = A.space.flat_degrees()
     degB = B.space.flat_degrees()
@@ -431,16 +465,6 @@ def tensor_product(A: DgAlgebra, B: DgAlgebra) -> DgAlgebra:
             if out:
                 table[(idx[(i1, j1)], idx[(i2, j2)])] = out
 
-    # d(e_i @ e_j) = d(e_i) @ e_j + (-1)^{|e_i|} e_i @ d(e_j); d has degree +1,
-    # so no slot of the first sum is one of the second
-    dcols: dict = {}
-    for t, (i, j) in enumerate(tb.pairs):
-        sgn = ksign(degA[i], 1)
-        col = {idx[(k, j)]: c for k, c in A.dcols.get(i, {}).items()}
-        col.update((idx[(i, l)], f.neg(c) if sgn < 0 else c) for l, c in B.dcols.get(j, {}).items())
-        if col:
-            dcols[t] = col
-
     def hint(X):
         # a factor without a hint is generated by its basis elements other than 1
         if X.generators is not None:
@@ -451,7 +475,7 @@ def tensor_product(A: DgAlgebra, B: DgAlgebra) -> DgAlgebra:
             for s in hint(A)]
     gens += [{idx[(i, j)]: f.mul(a, b) for i, a in A.unit.items() for j, b in s.items()}
              for s in hint(B)]
-    return DgAlgebra.build(f, tb.space, unit, table, dcols, generators=gens)
+    return DgAlgebra.build(f, tb.space, unit, table, _tensor_dcols(A, B, tb), generators=gens)
 
 
 def swap_map(A: DgAlgebra, B: DgAlgebra) -> HomogeneousMap:
@@ -484,6 +508,21 @@ def _cycle_and_boundary_columns(A: DgAlgebra):
     """In flat order: the kernel basis of d and the images d(e_j) at its pivots j."""
     basis, pivots = kernel_columns(A.field, A.dcols, A.dim)
     return list(basis.values()), [A.dcols[j] for j in pivots]
+
+
+def homology_dims(C) -> dict:
+    """{k: dim H^k} for each k with H^k nonzero, ascending, as ``dict(homology(C).space.dims)``.
+
+    ``C`` is anything with ``field``, ``space`` and ``dcols`` (a ``KComplex``
+    or a ``DgAlgebra``); nothing is built.  One ``kernel_columns`` over d
+    gives dim H^k: the cycles of degree k, its free columns there, minus the
+    rank of d into degree k, its pivot columns of degree k - 1.
+    """
+    cycles, pivots = kernel_columns(C.field, C.dcols, C.space.total_dim)
+    deg = C.space.flat_degrees()
+    dims = Counter(deg[j] for j in cycles)
+    dims.subtract(deg[j] + 1 for j in pivots)
+    return {k: v for k, v in sorted(dims.items()) if v}
 
 
 def coords(project, vec: dict, axiom: str, witness: tuple, detail: str) -> dict:
@@ -719,13 +758,17 @@ class TgrReport:
 
 
 def is_tgr_semisimple(A: DgAlgebra) -> TgrReport:
-    """Acyclic with semisimple kernel subalgebra (boundedness is automatic)."""
-    H = homology(A)
-    acyclic = H.space.is_zero()
+    """Acyclic with semisimple kernel subalgebra (boundedness is automatic).
+
+    Acyclicity reads ``homology_dims(A)``; the kernel algebra is the one
+    algebra built, as the trace form needs its product table.
+    """
+    hdims = homology_dims(A)
+    acyclic = not hdims
     ker = kernel_subalgebra(A)
     krep = is_semisimple_ungraded(ker.algebra)
     reasons = ["bounded: yes (finite dimensional)"]
-    reasons.append("acyclic: " + ("yes" if acyclic else f"no, homology dims {dict(H.space.dims)}"))
+    reasons.append("acyclic: " + ("yes" if acyclic else f"no, homology dims {hdims}"))
     if krep.verdict is None:
         reasons.append(f"kernel semisimple: indeterminate ({krep.detail})")
         verdict = False if not acyclic else None
@@ -733,7 +776,7 @@ def is_tgr_semisimple(A: DgAlgebra) -> TgrReport:
         reasons.append("kernel semisimple: " + ("yes" if krep.verdict else "no"))
         verdict = acyclic and krep.verdict
     return TgrReport(
-        verdict, acyclic, dict(H.space.dims), dict(ker.algebra.space.dims), krep, tuple(reasons)
+        verdict, acyclic, hdims, dict(ker.algebra.space.dims), krep, tuple(reasons)
     )
 
 

@@ -37,6 +37,7 @@ from dgbr.dg import (
     KComplex,
     center,
     homology,
+    is_tgr_semisimple,
     ksign,
     negate_coeffs,
     opposite,
@@ -511,6 +512,33 @@ def test_kunneth_right_side_is_the_convolution_of_the_factor_homologies(field):
             conv[k + l] = conv.get(k + l, 0) + a * b
         r = kunneth_check(A, B)
         assert r.right == conv and r.matches
+
+
+def test_kunneth_builds_no_algebra_and_tgr_only_the_kernel(monkeypatch):
+    """Both reports are read off the complexes: ``kunneth_check`` builds no
+    algebra, and ``is_tgr_semisimple`` only the kernel algebra its trace form
+    needs."""
+    gens = [A for _, A in generators(QQ)]
+    built = []
+    build = DgAlgebra.build.__func__
+
+    def spy(cls, field, space, *args, **kwargs):
+        built.append(dict(space.dims))
+        return build(cls, field, space, *args, **kwargs)
+
+    monkeypatch.setattr(DgAlgebra, "build", classmethod(spy))
+    for A, B in itertools.product(gens, repeat=2):
+        assert kunneth_check(A, B).matches
+    assert built == []
+    for A in gens:
+        rep = is_tgr_semisimple(A)
+        assert built == [rep.kernel_dims]
+        built.clear()
+
+
+def test_kunneth_refuses_factors_over_different_fields():
+    with pytest.raises(ShapeMismatch, match="^tensor factors over different fields$"):
+        kunneth_check(dual_numbers(QQ), dual_numbers(GF(2)))
 
 
 def test_mat3_structure_with_inner_differential():

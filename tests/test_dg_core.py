@@ -108,10 +108,10 @@ def test_hinted_constructions_are_certified_from_their_generators(monkeypatch):
     complete = []
     spied = dg._associativity_failures
 
-    def spy(field, on, by, table, only=None):
+    def spy(field, on, table, only=None):
         if only is None:
             complete.append(len(on))
-        return spied(field, on, by, table, only)
+        return spied(field, on, table, only)
 
     monkeypatch.setattr(dg, "_associativity_failures", spy)
     built = [opposite(A), tensor_product(D, A), end_dg_algebra(A.complex())]

@@ -307,6 +307,14 @@ def test_cli_catalog_list_and_all_entries_pass():
         assert "result: ok" in r.stdout
 
 
+def test_cli_kunneth_over_different_fields_exits_two(capsys):
+    a, b = str(SAMPLES / "dual_numbers.json"), str(SAMPLES / "dual_numbers_f2.json")
+    assert main(["kunneth", a, b]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "invalid input: tensor factors over different fields\n"
+
+
 def test_cli_json_reports_are_stable():
     for argv in (
         ("check", "tgr-semisimple", str(SAMPLES / "dual_numbers.json"), "--json"),
