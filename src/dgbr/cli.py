@@ -4,6 +4,9 @@ One subcommand per library operation.  Exit codes: 0 the claim holds or the
 construction succeeded, 1 the claim is false or the sought object is absent,
 2 the input is invalid, 3 an I/O failure.  `-` names standard input, and
 constructor subcommands write canonical JSON so commands compose in a pipe.
+The parser is built on the first `main` call and reused, since it holds no
+per-call state, so patching a `cmd_*` function after that call has no effect;
+`build_parser()` returns a fresh one.
 """
 from __future__ import annotations
 
@@ -173,11 +176,11 @@ def _parse_inner(A: DgAlgebra, text: str):
         term = term.strip()
         if not term:
             continue
-        label, _, raw = term.partition(":")
+        label, sep, raw = term.partition(":")
         label = label.strip()
         if label not in by_label:
             raise ParseError(f"unknown basis label {label!r}", "--inner")
-        c = _parse_coeff(A.field, raw.strip(), "--inner") if raw else A.field.one
+        c = _parse_coeff(A.field, raw.strip(), "--inner") if sep else A.field.one
         i = by_label[label]
         coeffs[i] = A.field.add(coeffs.get(i, A.field.zero), c)
     return coeffs
@@ -448,10 +451,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_PARSER = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as e:
         # argparse exits 2 on bad usage, which matches the invalid-input code
         return int(e.code or 0)

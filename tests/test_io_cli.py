@@ -3,9 +3,11 @@ import json
 import pathlib
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
+from dgbr import cli
 from dgbr.catalog import dual_numbers, mat2_inner, mat3_inner, split_pair
 from dgbr.cli import main
 from dgbr.dg import KComplex, trivial_dg
@@ -504,12 +506,64 @@ def test_cli_bad_field_descriptions_name_the_field(tmp_path, capsys, field, mess
     (["--field", "prime", "--prime", "7", "--good-grading", "1", "--inner", "e12:1/2"],
      "--inner: fractions are not residues: '1/2'"),
     (["--good-grading", "1", "--inner", "e99:1"], "--inner: unknown basis label 'e99'"),
+    (["--good-grading", "1", "--inner", "e12:"],
+     "--inner: bad rational literal '': Invalid literal for Fraction: ''"),
+    (["--good-grading", "1", "--inner", "e12: "],
+     "--inner: bad rational literal '': Invalid literal for Fraction: ''"),
+    (["--field", "prime", "--prime", "7", "--good-grading", "1", "--inner", "e12:"],
+     "--inner: bad residue literal ''"),
 ])
 def test_cli_bad_matrix_flags_name_the_flag(capsys, argv, message):
     assert main(["matrix", "-n", "2", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"invalid input: {message}\n"
+
+
+def test_importing_the_cli_builds_no_parser():
+    code = textwrap.dedent("""
+        import argparse
+        built = []
+        init = argparse.ArgumentParser.__init__
+        argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(a) or init(self, *a, **k)
+        import dgbr.cli
+        assert dgbr.cli._PARSER is None and not built, built
+    """)
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=ROOT)
+    assert r.returncode == 0, r.stderr
+
+
+@pytest.fixture
+def parser_builds(monkeypatch):
+    """Start from no parser and record each `build_parser` call."""
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    return builds
+
+
+def test_main_builds_the_parser_once(parser_builds, capsys):
+    for _ in range(5):
+        assert main(["catalog"]) == 0
+    assert len(parser_builds) == 1
+
+
+def test_reused_parser_answers_like_a_fresh_one(parser_builds, monkeypatch, capsys):
+    usage_error = ["check", "semisimple"]
+    sequence = [usage_error, ["--help"], ["matrix", "-n", "0"],
+                ["validate", str(SAMPLES / "dual_numbers.json")], ["catalog", "kunneth"],
+                usage_error]
+    reused, fresh = [], []
+    for argv in sequence:
+        reused.append((main(argv), *capsys.readouterr()))
+    for argv in sequence:
+        monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
+        fresh.append((main(argv), *capsys.readouterr()))
+    assert [r[0] for r in reused] == [2, 0, 2, 0, 0, 2]
+    assert reused == fresh
+    assert reused[0] == reused[-1]
+    assert len(parser_builds) == 1 + len(sequence)
 
 
 def test_shipped_samples_parse_to_catalog_algebras():
