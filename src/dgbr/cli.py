@@ -4,6 +4,10 @@ One subcommand per library operation.  Exit codes: 0 the claim holds or the
 construction succeeded, 1 the claim is false or the sought object is absent,
 2 the input is invalid, 3 an I/O failure.  `-` names standard input, and
 constructor subcommands write canonical JSON so commands compose in a pipe.
+`build_parser` is one table: each row names a subcommand, its handler and
+its positional files, and only report commands take `--json`.  The file
+constructors share the handler `_construct(fn)`, which loads each file,
+applies fn and writes the result.
 The parser is built on the first `main` call and reused, since it holds no
 per-call state, so patching a `cmd_*` function after that call has no effect;
 `build_parser()` returns a fresh one.
@@ -90,10 +94,8 @@ def _dims_line(dims: dict) -> str:
 
 
 def _emit(args, ok: bool, lines, payload: dict) -> int:
-    if getattr(args, "json", False):
-        payload = dict(payload)
-        payload["ok"] = ok
-        print(json.dumps(payload, indent=2, sort_keys=True))
+    if args.json:
+        print(json.dumps({**payload, "ok": ok}, indent=2, sort_keys=True))
     else:
         for ln in lines:
             print(ln)
@@ -113,38 +115,16 @@ def cmd_validate(args) -> int:
     return _emit(args, True, lines, payload)
 
 
-def cmd_op(args) -> int:
-    sys.stdout.write(serialize_algebra(opposite(_load_algebra(args.file))))
-    return 0
-
-
-def cmd_tensor(args) -> int:
-    A = _load_algebra(args.left)
-    B = _load_algebra(args.right)
-    sys.stdout.write(serialize_algebra(tensor_product(A, B)))
-    return 0
-
-
-def cmd_homology(args) -> int:
-    sys.stdout.write(serialize_algebra(homology(_load_algebra(args.file))))
-    return 0
-
-
-def cmd_kernel(args) -> int:
-    sys.stdout.write(serialize_algebra(kernel_subalgebra(_load_algebra(args.file)).algebra))
-    return 0
-
-
-def cmd_end(args) -> int:
-    sys.stdout.write(serialize_algebra(end_dg_algebra(_load_complex(args.file))))
-    return 0
-
-
-def cmd_hom(args) -> int:
-    C = _load_complex(args.source)
-    D = _load_complex(args.target)
-    sys.stdout.write(serialize_complex(hom_of_complexes(C, D).complex()))
-    return 0
+def _construct(fn, load=_load_algebra, write=lambda X: serialize_algebra(X)):
+    """The handler of a file constructor: load each positional file, apply
+    ``fn`` and write the result as canonical JSON.  Rows pass lambdas, which
+    look up the library function on each call, so a tracer that rebinds
+    ``tensor_product`` here also reaches a parser built before it did.
+    """
+    def handler(args) -> int:
+        sys.stdout.write(write(fn(*(load(getattr(args, a)) for a in args.inputs))))
+        return 0
+    return handler
 
 
 def _parse_cli_field(args):
@@ -256,9 +236,11 @@ def cmd_check(args) -> int:
     return _emit(args, rep.verdict is True, lines, payload)
 
 
-def _witness_lines(w) -> list:
+def _emit_witness(args, w, head=(), payload=()) -> int:
+    """Report the checks of an isomorphism witness after ``head`` and ``payload``."""
     c = w.checks
     lines = [
+        *head,
         f"algebra hom: {c.is_algebra_hom}",
         f"unital: {c.is_unital}",
         f"commutes with d: {c.commutes_with_d}",
@@ -267,29 +249,24 @@ def _witness_lines(w) -> list:
     ]
     if c.failures:
         lines.append(f"failures: {list(c.failures)}")
-    return lines
-
-
-def _witness_payload(w) -> dict:
-    c = w.checks
-    return {
+    return _emit(args, w.verified, lines, {
+        **dict(payload),
         "is_algebra_hom": c.is_algebra_hom,
         "is_unital": c.is_unital,
         "commutes_with_d": c.commutes_with_d,
         "is_bijective": c.is_bijective,
         "verified": w.verified,
-    }
+    })
 
 
 def cmd_sandwich(args) -> int:
-    A = _load_algebra(args.file)
-    w = sandwich_iso(A)
-    lines = [f"source dim {w.source.dim}, target dim {w.target.dim}"]
-    lines += _witness_lines(w)
-    return _emit(args, w.verified, lines, _witness_payload(w))
+    w = sandwich_iso(_load_algebra(args.file))
+    return _emit_witness(args, w, [f"source dim {w.source.dim}, target dim {w.target.dim}"])
 
 
 def cmd_structure(args) -> int:
+    if args.emit_complex and args.json:
+        args.parser.error("argument --json: not allowed with argument --emit-complex")
     A = _load_algebra(args.file)
     sr = structure_realize(A)
     if args.emit_complex:
@@ -300,14 +277,19 @@ def cmd_structure(args) -> int:
         f"rejected idempotents: {[c.index for c in sr.idempotent.rejected]}",
         f"module dims: {_dims_line(dict(sr.L.space.dims))}",
     ]
-    lines += _witness_lines(sr.witness)
     payload = {
         "idempotent": sr.idempotent.index,
         "rejected": [c.index for c in sr.idempotent.rejected],
         "module_dims": _strkeys(dict(sr.L.space.dims)),
     }
-    payload.update(_witness_payload(sr.witness))
-    return _emit(args, sr.witness.verified, lines, payload)
+    return _emit_witness(args, sr.witness, lines, payload)
+
+
+def _verify_map(args, lhs: DgAlgebra, rhs: DgAlgebra, head=()) -> int:
+    """Load ``args.map`` as a map lhs -> rhs, verify it and report after ``head``."""
+    obj = load_json(_read_text(args.map), args.map)
+    m = map_from_obj(obj, lhs.field, lhs.space, rhs.space, args.map)
+    return _emit_witness(args, verify_dg_iso(lhs, rhs, m), head)
 
 
 def cmd_verify_iso(args) -> int:
@@ -315,10 +297,7 @@ def cmd_verify_iso(args) -> int:
     B = _load_algebra(args.target)
     if A.field != B.field:
         raise FieldMismatch(f"{A.field} vs {B.field}")
-    obj = load_json(_read_text(args.map), args.map)
-    m = map_from_obj(obj, A.field, A.space, B.space, args.map)
-    w = verify_dg_iso(A, B, m)
-    return _emit(args, w.verified, _witness_lines(w), _witness_payload(w))
+    return _verify_map(args, A, B)
 
 
 def cmd_verify_equiv(args) -> int:
@@ -329,11 +308,7 @@ def cmd_verify_equiv(args) -> int:
     if A.field != B.field:
         raise FieldMismatch(f"{A.field} vs {B.field}")
     lhs, rhs = equivalence_sides(A, B, C1, C2)
-    obj = load_json(_read_text(args.map), args.map)
-    m = map_from_obj(obj, A.field, lhs.space, rhs.space, args.map)
-    w = verify_dg_iso(lhs, rhs, m)
-    lines = [f"lhs dim {lhs.dim}, rhs dim {rhs.dim}"] + _witness_lines(w)
-    return _emit(args, w.verified, lines, _witness_payload(w))
+    return _verify_map(args, lhs, rhs, [f"lhs dim {lhs.dim}, rhs dim {rhs.dim}"])
 
 
 def cmd_forget(args) -> int:
@@ -385,37 +360,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text):
+    def add(name, handler, help_text, *positionals, report=True):
         sp = sub.add_parser(name, help=help_text)
-        sp.set_defaults(fn=fn)
-        sp.add_argument("--json", action="store_true", help="machine-readable report")
+        sp.set_defaults(fn=handler, inputs=positionals, parser=sp)
+        if report:
+            sp.add_argument("--json", action="store_true", help="machine-readable report")
+        for arg in positionals:
+            sp.add_argument(arg)
         return sp
 
-    sp = add("validate", cmd_validate, "parse and fully validate an algebra file")
-    sp.add_argument("file")
-    sp = add("op", cmd_op, "opposite algebra, canonical JSON on stdout")
-    sp.add_argument("file")
-    sp = add("tensor", cmd_tensor, "graded tensor product of two algebra files")
-    sp.add_argument("left")
-    sp.add_argument("right")
-    sp = add("homology", cmd_homology, "homology algebra (zero differential)")
-    sp.add_argument("file")
-    sp = add("kernel", cmd_kernel, "kernel of d as a dg-subalgebra")
-    sp.add_argument("file")
-    sp = add("contracting", cmd_contracting, "solve d(z) = 1 and certify the splitting")
-    sp.add_argument("file")
-    sp = add("center", cmd_center, "graded center dimensions")
-    sp.add_argument("file")
+    add("validate", cmd_validate, "parse and fully validate an algebra file", "file")
+    add("op", _construct(lambda A: opposite(A)), "opposite algebra, canonical JSON on stdout",
+        "file", report=False)
+    add("tensor", _construct(lambda A, B: tensor_product(A, B)),
+        "graded tensor product of two algebra files", "left", "right", report=False)
+    add("homology", _construct(lambda A: homology(A)), "homology algebra (zero differential)",
+        "file", report=False)
+    add("kernel", _construct(lambda A: kernel_subalgebra(A).algebra),
+        "kernel of d as a dg-subalgebra", "file", report=False)
+    add("contracting", cmd_contracting, "solve d(z) = 1 and certify the splitting", "file")
+    add("center", cmd_center, "graded center dimensions", "file")
     sp = add("check", cmd_check, "decide a property of an algebra file")
     sp.add_argument("property",
                     choices=("central-simple", "tgr-semisimple", "semisimple"))
     sp.add_argument("file")
-    sp = add("end", cmd_end, "endomorphism dg-algebra of a complex file")
-    sp.add_argument("file")
-    sp = add("hom", cmd_hom, "hom complex of two complex files")
-    sp.add_argument("source")
-    sp.add_argument("target")
-    sp = add("matrix", cmd_matrix, "good-graded matrix algebra constructor")
+    add("end", _construct(lambda C: end_dg_algebra(C), _load_complex),
+        "endomorphism dg-algebra of a complex file", "file", report=False)
+    add("hom", _construct(lambda C, D: hom_of_complexes(C, D).complex(), _load_complex,
+                          lambda H: serialize_complex(H)),
+        "hom complex of two complex files", "source", "target", report=False)
+    sp = add("matrix", cmd_matrix, "good-graded matrix algebra constructor", report=False)
     sp.add_argument("--field", choices=("rationals", "prime"), default="rationals")
     sp.add_argument("--prime", type=int)
     sp.add_argument("-n", "--size", type=int, required=True)
@@ -423,29 +397,17 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated superdiagonal degrees, e.g. 1,0")
     sp.add_argument("--inner",
                     help="inner differential element, e.g. e12 or e12:1,e23:-1")
-    sp = add("sandwich", cmd_sandwich, "verify A (x) A-op = End(A) for the file")
-    sp.add_argument("file")
+    add("sandwich", cmd_sandwich, "verify A (x) A-op = End(A) for the file", "file")
     sp = add("structure", cmd_structure,
-             "realize the algebra as endomorphisms of a complex")
-    sp.add_argument("file")
+             "realize the algebra as endomorphisms of a complex", "file")
     sp.add_argument("--emit-complex", action="store_true",
                     help="print the realized complex as canonical JSON")
-    sp = add("verify-iso", cmd_verify_iso, "check a map file is a dg-isomorphism")
-    sp.add_argument("source")
-    sp.add_argument("target")
-    sp.add_argument("map")
-    sp = add("verify-equiv", cmd_verify_equiv,
-             "check an equivalence witness between two algebras")
-    sp.add_argument("left")
-    sp.add_argument("right")
-    sp.add_argument("left_complex")
-    sp.add_argument("right_complex")
-    sp.add_argument("map")
-    sp = add("forget", cmd_forget, "ungraded descriptor: dim, center, simplicity")
-    sp.add_argument("file")
-    sp = add("kunneth", cmd_kunneth, "compare H(A (x) B) with the convolution")
-    sp.add_argument("left")
-    sp.add_argument("right")
+    add("verify-iso", cmd_verify_iso, "check a map file is a dg-isomorphism",
+        "source", "target", "map")
+    add("verify-equiv", cmd_verify_equiv, "check an equivalence witness between two algebras",
+        "left", "right", "left_complex", "right_complex", "map")
+    add("forget", cmd_forget, "ungraded descriptor: dim, center, simplicity", "file")
+    add("kunneth", cmd_kunneth, "compare H(A (x) B) with the convolution", "left", "right")
     sp = add("catalog", cmd_catalog, "list or rerun the built-in worked examples")
     sp.add_argument("name", nargs="?")
     return p
@@ -460,11 +422,10 @@ def main(argv=None) -> int:
         _PARSER = build_parser()
     try:
         args = _PARSER.parse_args(argv)
+        return args.fn(args)
     except SystemExit as e:
         # argparse exits 2 on bad usage, which matches the invalid-input code
         return int(e.code or 0)
-    try:
-        return args.fn(args)
     except (NotCentralSimple, NoSuitableIdempotent) as e:
         print(f"claim does not hold: {e}", file=sys.stderr)
         return 1

@@ -13,6 +13,10 @@ from fractions import Fraction
 
 from .errors import DgError, FieldMismatch, ParseError
 
+# the README's coefficient grammar: ASCII digits only, so neither "1_0" nor
+# "\u0663" parses, on every Python (Fraction accepts "1_0" from 3.11 on)
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # Miller-Rabin with the prime bases up to 41 is exact below this bound
 # (Sorenson & Webster, Math. Comp. 86, 2017); no order at or above it is trusted
@@ -137,7 +141,11 @@ class RationalField(Field):
         if "." in text or "e" in text.lower():
             raise ParseError(f"not an exact rational literal: {_literal(text)}")
         try:
-            return _norm(Fraction(text))
+            m = _RATIONAL.fullmatch(text)
+            if not m:
+                raise ValueError(f"Invalid literal for Fraction: {text!r}")
+            num, den = m.groups()
+            return int(num) if den is None else _norm(Fraction(int(num), int(den)))
         except (ValueError, ZeroDivisionError) as exc:
             reason = _too_long(text) or str(exc).replace(repr(text), _literal(text))
             raise ParseError(f"bad rational literal {_literal(text)}: {reason}") from None
@@ -211,6 +219,8 @@ class PrimeField(Field):
         if "/" in text:
             raise ParseError(f"fractions are not residues: {_literal(text)}")
         try:
+            if not _INTEGER.fullmatch(text):
+                raise ValueError
             return int(text, 10) % self.p
         except ValueError:
             reason = _too_long(text)

@@ -9,7 +9,8 @@ an int in range.  Every built basis (a tensor product, a Hom space, a graded
 matrix algebra, a parsed file, a kernel, a quotient, a homology) gets that
 order in one place, ``GradedVectorSpace.from_entries``, which sorts (degree,
 label, key) entries stably by degree; ``GradedVectorSpace.numbered`` is the
-same with the labels ``{prefix}{k}_{i}``.
+same with the labels ``{prefix}{k}_{i}``, and ``joined`` falls back to those
+when composite labels coincide.
 
 There is one map type, ``HomogeneousMap``.  It stores flat columns
 ``{source index: {target index: value}}``, the form ``apply`` runs on, with a
@@ -174,6 +175,15 @@ class GradedVectorSpace:
         """
         count = defaultdict(itertools.count)
         return cls.from_entries([(k, f"{prefix}{k}_{next(count[k])}", key) for k, key in entries])
+
+    @classmethod
+    def joined(cls, prefix: str, entries):
+        """``from_entries``, or ``numbered(prefix, ...)`` if two labels coincide,
+        as ``a@b`` labels do when factor labels hold the ``@`` (p@q@r twice)."""
+        entries = list(entries)
+        if len({label for _, label, _ in entries}) < len(entries):
+            return cls.numbered(prefix, [(k, key) for k, _, key in entries])
+        return cls.from_entries(entries)
 
     def degrees(self):
         return tuple(self.dims)
@@ -368,8 +378,8 @@ class TensorBasis:
 
     def __init__(self, left: GradedVectorSpace, right: GradedVectorSpace):
         ldeg, rdeg = left.flat_degrees(), right.flat_degrees()
-        self.space, pairs = GradedVectorSpace.from_entries(
+        self.space, pairs = GradedVectorSpace.joined("t", (
             (ldeg[i] + rdeg[j], f"{left.label_of(i)}@{right.label_of(j)}", (i, j))
-            for i in range(len(ldeg)) for j in range(len(rdeg)))
+            for i in range(len(ldeg)) for j in range(len(rdeg))))
         self.pairs = tuple(pairs)
         self.index = {pq: t for t, pq in enumerate(pairs)}

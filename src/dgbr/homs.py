@@ -56,9 +56,9 @@ def hom_of_complexes(C: KComplex, D: KComplex) -> HomComplex:
     field = C.field
     degM = C.space.flat_degrees()
     degN = D.space.flat_degrees()
-    space, units = GradedVectorSpace.from_entries(
+    space, units = GradedVectorSpace.joined("u", (
         (degN[nj] - degM[mi], f"{C.space.label_of(mi)}>{D.space.label_of(nj)}", (mi, nj))
-        for mi in range(len(degM)) for nj in range(len(degN)))
+        for mi in range(len(degM)) for nj in range(len(degN))))
     unit_index = {pair: t for t, pair in enumerate(units)}
 
     # transpose of the source differential: which basis vectors map onto mi

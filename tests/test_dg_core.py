@@ -170,6 +170,19 @@ def test_tensor_dims_and_koszul_sign():
     assert T.mul({x2: one}, {x1: one}) == {xx: QQ.neg(one)}
 
 
+def test_tensor_with_colliding_labels_numbers_its_basis():
+    # p (x) q@r and p@q (x) r would both be labelled p@q@r
+    one = QQ.one
+    table = {(0, 0): {0: one}, (0, 1): {1: one}, (1, 0): {1: one}}
+    T = tensor_product(trivial_dg(QQ, ("p", "p@q"), {0: one}, table),
+                       trivial_dg(QQ, ("r", "q@r"), {0: one}, table))
+    assert T.space.all_labels() == ("t0_0", "t0_1", "t0_2", "t0_3")
+    plain = tensor_product(trivial_dg(QQ, ("p", "q"), {0: one}, table),
+                           trivial_dg(QQ, ("r", "s"), {0: one}, table))
+    assert plain.space.all_labels() == ("p@r", "p@s", "q@r", "q@s")
+    assert (T.unit, T.table, T.dcols) == (plain.unit, plain.table, plain.dcols)
+
+
 def test_tensor_square_f2_frozen_example():
     A = dual_numbers(GF(2))
     T = tensor_product(A, A)

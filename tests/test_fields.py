@@ -115,3 +115,30 @@ def test_coerce():
     assert QQ.coerce(2) == Fraction(2)
     assert GF(3).coerce(5) == 2
     assert GF(3).coerce(-1) == 2
+
+
+@pytest.mark.parametrize("text", ["1_0", "-1_000", "٣", "１", "+٣"])
+def test_literals_take_only_ascii_digits(text):
+    # Fraction and int read "1_0" as 10 (Fraction only from Python 3.11 on) and
+    # any Unicode decimal digit as a digit; the file grammar allows neither
+    with pytest.raises(ParseError) as qq:
+        QQ.parse(text)
+    assert str(qq.value) == f"bad rational literal {text!r}: Invalid literal for Fraction: {text!r}"
+    with pytest.raises(ParseError) as gf:
+        GF(7).parse(text)
+    assert str(gf.value) == f"bad residue literal {text!r}"
+
+
+@pytest.mark.parametrize("text", ["1_0/3", "3/1_0", "1/٣"])
+def test_fractions_take_only_ascii_digits(text):
+    with pytest.raises(ParseError) as qq:
+        QQ.parse(text)
+    assert str(qq.value) == f"bad rational literal {text!r}: Invalid literal for Fraction: {text!r}"
+
+
+@pytest.mark.parametrize("text, value", [
+    (" -12 ", -12), ("+3/6", Fraction(1, 2)), ("007", 7), ("-6/3", -2), ("0/5", 0),
+])
+def test_rational_literals_in_the_grammar(text, value):
+    got = QQ.parse(text)
+    assert got == value and type(got) is type(value)

@@ -128,3 +128,12 @@ def test_hom_differential_leibniz_for_composition():
         for C in [two_step(field)] + [random_complex(rng, field, max_total=4) for _ in range(15)]:
             E = end_dg_algebra(C)
             assert validate_structure(field, E.space, E.unit, E.table, E.dcols) == []
+
+
+def test_end_with_colliding_labels_numbers_its_basis():
+    # a -> a>a and a>a -> a would both be labelled a>a>a
+    space = GradedVectorSpace({-1: 1, 0: 1}, {-1: ("a",), 0: ("a>a",)})
+    E = end_dg_algebra(KComplex(QQ, space, {0: {1: QQ.one}}))
+    assert E.space.all_labels() == ("u-1_0", "u0_0", "u0_1", "u1_0")
+    plain = end_dg_algebra(two_step())
+    assert (E.unit, E.table, E.dcols) == (plain.unit, plain.table, plain.dcols)

@@ -1,6 +1,7 @@
 """File formats and the command-line surface, including exit codes and pipes."""
 import json
 import pathlib
+import re
 import subprocess
 import sys
 import textwrap
@@ -10,7 +11,7 @@ import pytest
 from dgbr import cli
 from dgbr.catalog import dual_numbers, mat2_inner, mat3_inner, split_pair
 from dgbr.cli import main
-from dgbr.dg import KComplex, trivial_dg
+from dgbr.dg import KComplex, tensor_product, trivial_dg
 from dgbr.errors import ParseError
 from dgbr.fields import GF, QQ
 from dgbr.formats import (
@@ -341,19 +342,46 @@ def test_cli_exit_code_bad_input():
     assert r2.returncode == 2
 
 
-def test_cli_tensor_with_colliding_labels_exits_two_before_writing(tmp_path, capsys):
+def test_cli_tensor_with_colliding_labels_numbers_the_basis(tmp_path, capsys):
     # x (x) y@z and x@y (x) z would both be labelled x@y@z
     paths = []
+    one = QQ.one
+    table = {(0, 0): {0: one}, (0, 1): {1: one}, (1, 0): {1: one}}
     for labels in (("x", "x@y"), ("z", "y@z")):
-        one = QQ.one
-        D = trivial_dg(QQ, labels, {0: one}, {(0, 0): {0: one}, (0, 1): {1: one},
-                                             (1, 0): {1: one}})
+        D = trivial_dg(QQ, labels, {0: one}, table)
         paths.append(tmp_path / f"{labels[0]}.json")
         paths[-1].write_text(serialize_algebra(D))
-    assert main(["tensor", *map(str, paths)]) == 2
+    assert main(["tensor", *map(str, paths)]) == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "invalid input: duplicate label 'x@y@z'\n"
+    assert captured.err == ""
+    T = parse_algebra_text(captured.out)
+    assert T.space.all_labels() == ("t0_0", "t0_1", "t0_2", "t0_3")
+    plain = tensor_product(trivial_dg(QQ, "ab", {0: one}, table),
+                           trivial_dg(QQ, "cd", {0: one}, table))
+    assert (T.unit, T.table) == (plain.unit, plain.table)
+
+
+def test_cli_labels_holding_the_separators_are_accepted(tmp_path, capsys):
+    # A (x) A-op would label both p (x) q@r and p@q (x) r as p@q@r, and
+    # End(C) both a -> a>a and a>a -> a as a>a>a
+    obj = json.loads((SAMPLES / "mat2_f1_z12.json").read_text())
+    for entry, label in zip(obj["basis"], ("p", "p@q", "r", "q@r"), strict=True):
+        entry["label"] = label
+    path = str(tmp_path / "relabelled.json")
+    pathlib.Path(path).write_text(json.dumps(obj))
+    assert main(["validate", path]) == 0
+    assert main(["sandwich", path]) == 0
+    assert capsys.readouterr().out.endswith("verified: True\n")
+    assert main(["tensor", path, path]) == 0
+    assert parse_algebra_text(capsys.readouterr().out).dim == 16
+    assert main(["structure", path, "--emit-complex"]) == 0
+    emitted = capsys.readouterr().out
+    assert parse_complex_text(emitted).space.all_labels() == ("m-1_0", "m0_0")
+    complex_path = tmp_path / "complex.json"
+    complex_path.write_text(emitted.replace('"m-1_0"', '"a"').replace('"m0_0"', '"a>a"'))
+    assert main(["end", str(complex_path)]) == 0
+    E = parse_algebra_text(capsys.readouterr().out)
+    assert E.space.all_labels() == ("u-1_0", "u0_0", "u0_1", "u1_0")
 
 
 def test_cli_deeply_nested_json_exits_two(tmp_path):
@@ -392,6 +420,30 @@ def test_cli_overlong_coefficient_exits_two_with_one_short_line(tmp_path, field,
     assert "longer than 4300 digits" in r.stderr
     assert "set_int_max_str_digits" not in r.stderr
     assert r.stderr.count("\n") == 1 and len(r.stderr) < 400
+
+
+@pytest.mark.parametrize("field, coeff, message", [
+    ('"rationals"', "1_0", "bad rational literal '1_0': Invalid literal for Fraction: '1_0'"),
+    ('"rationals"', "\u0663", "bad rational literal '\u0663': Invalid literal for Fraction: '\u0663'"),
+    ('"prime", "p": 7', "1_0", "bad residue literal '1_0'"),
+    ('"prime", "p": 7', "\u0663", "bad residue literal '\u0663'"),
+    ('"rationals"', "\uff11", "bad rational literal '\uff11': Invalid literal for Fraction: '\uff11'"),
+    ('"prime", "p": 7', "\uff11", "bad residue literal '\uff11'"),
+], ids=["rationals-underscore", "rationals-arabic-indic", "prime-underscore", "prime-arabic-indic",
+        "rationals-fullwidth", "prime-fullwidth"])
+def test_cli_coefficients_take_only_ascii_digits(tmp_path, capsys, field, coeff, message):
+    """The same on every Python: Fraction reads "1_0" as 10 from 3.11 on, and
+    int and Fraction read any Unicode decimal digit, so a fullwidth one made a
+    valid unit."""
+    text = json.dumps(json.loads((SAMPLES / "dual_numbers.json").read_text()))
+    text = text.replace('"kind": "rationals"', f'"kind": {field}')
+    path = tmp_path / "coeff.json"
+    path.write_text(text.replace('"unit": [[1, "1"]]', f'"unit": [[1, "{coeff}"]]'),
+                    encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"invalid input: {path}.unit[0]: {message}\n"
 
 
 def test_cli_unknown_subcommand_exits_two():
@@ -512,6 +564,14 @@ def test_cli_bad_field_descriptions_name_the_field(tmp_path, capsys, field, mess
      "--inner: bad rational literal '': Invalid literal for Fraction: ''"),
     (["--field", "prime", "--prime", "7", "--good-grading", "1", "--inner", "e12:"],
      "--inner: bad residue literal ''"),
+    (["--good-grading", "1", "--inner", "e12:1_0"],
+     "--inner: bad rational literal '1_0': Invalid literal for Fraction: '1_0'"),
+    (["--good-grading", "1", "--inner", "e12:\u0663"],
+     "--inner: bad rational literal '\u0663': Invalid literal for Fraction: '\u0663'"),
+    (["--field", "prime", "--prime", "7", "--good-grading", "1", "--inner", "e12:1_0"],
+     "--inner: bad residue literal '1_0'"),
+    (["--field", "prime", "--prime", "7", "--good-grading", "1", "--inner", "e12:\uff11"],
+     "--inner: bad residue literal '\uff11'"),
 ])
 def test_cli_bad_matrix_flags_name_the_flag(capsys, argv, message):
     assert main(["matrix", "-n", "2", *argv]) == 2
@@ -564,6 +624,83 @@ def test_reused_parser_answers_like_a_fresh_one(parser_builds, monkeypatch, caps
     assert reused == fresh
     assert reused[0] == reused[-1]
     assert len(parser_builds) == 1 + len(sequence)
+
+
+def test_constructors_look_up_library_functions_on_each_call(parser_builds, monkeypatch, capsys):
+    """A function rebound in dgbr.cli after the parser is built is the one a
+    constructor calls, as perfbench's tracer rebinds them."""
+    path = str(SAMPLES / "mat2_f1_z12.json")
+    assert main(["op", path]) == 0
+    calls = []
+    for name in ("opposite", "serialize_algebra"):
+        monkeypatch.setattr(cli, name, lambda *a, f=getattr(cli, name), name=name:
+                            calls.append(name) or f(*a))
+    assert main(["op", path]) == 0
+    assert calls == ["opposite", "serialize_algebra"]
+    assert len(parser_builds) == 1
+
+
+# the usage line of every subcommand, whitespace runs read as one space (argparse
+# wraps at the terminal width); file constructors take no --json
+USAGE = {
+    "validate": "dgbr validate [-h] [--json] file",
+    "op": "dgbr op [-h] file",
+    "tensor": "dgbr tensor [-h] left right",
+    "homology": "dgbr homology [-h] file",
+    "kernel": "dgbr kernel [-h] file",
+    "contracting": "dgbr contracting [-h] [--json] file",
+    "center": "dgbr center [-h] [--json] file",
+    "check": "dgbr check [-h] [--json] {central-simple,tgr-semisimple,semisimple} file",
+    "end": "dgbr end [-h] file",
+    "hom": "dgbr hom [-h] source target",
+    "matrix": "dgbr matrix [-h] [--field {rationals,prime}] [--prime PRIME] -n SIZE"
+              " [--good-grading GOOD_GRADING] [--inner INNER]",
+    "sandwich": "dgbr sandwich [-h] [--json] file",
+    "structure": "dgbr structure [-h] [--json] [--emit-complex] file",
+    "verify-iso": "dgbr verify-iso [-h] [--json] source target map",
+    "verify-equiv": "dgbr verify-equiv [-h] [--json] left right left_complex right_complex map",
+    "forget": "dgbr forget [-h] [--json] file",
+    "kunneth": "dgbr kunneth [-h] [--json] left right",
+    "catalog": "dgbr catalog [-h] [--json] [name]",
+}
+
+
+def test_every_subcommand_has_its_usage_line(capsys):
+    assert main(["--help"]) == 0
+    listed = re.search(r"\{([\w,-]+)\}", capsys.readouterr().out).group(1)
+    assert listed.split(",") == list(USAGE)
+    for name, usage in USAGE.items():
+        assert main([name, "--help"]) == 0
+        assert " ".join(capsys.readouterr().out.split("\n\n")[0].split()) == "usage: " + usage
+
+
+@pytest.mark.parametrize("argv", [
+    ["op", "--json", "algebras/dual_numbers.json"],
+    ["tensor", "--json", "algebras/dual_numbers.json", "algebras/dual_numbers.json"],
+    ["homology", "--json", "algebras/dual_numbers.json"],
+    ["kernel", "--json", "algebras/dual_numbers.json"],
+    ["end", "--json", "algebras/dual_numbers.json"],
+    ["hom", "--json", "algebras/dual_numbers.json", "algebras/dual_numbers.json"],
+    ["matrix", "--json", "-n", "2"],
+], ids=lambda argv: argv[0])
+def test_constructors_refuse_json(monkeypatch, capsys, argv):
+    monkeypatch.chdir(ROOT)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("\ndgbr: error: unrecognized arguments: --json\n")
+
+
+def test_structure_refuses_json_with_the_complex(capsys):
+    path = str(SAMPLES / "mat2_f1_z12.json")
+    for argv in (["structure", "--json", "--emit-complex", path],
+                 ["structure", path, "--emit-complex", "--json"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"usage: {USAGE['structure']}\n"
+            "dgbr structure: error: argument --json: not allowed with argument --emit-complex\n")
 
 
 def test_shipped_samples_parse_to_catalog_algebras():
