@@ -3,7 +3,9 @@
 Every isomorphism here is handled as an explicit witness: a degree-0 map that
 the machine checks for multiplicativity, unitality, compatibility with the
 differentials, and bijectivity.  Nothing is accepted on faith; failed checks
-are recorded on the witness rather than silently dropped.
+are recorded on the witness rather than silently dropped.  Multiplication by
+an element (lambda, rho, the left ideals A*e and A*d(e) of the structure
+theorem) is read off the table's operators with ``graded.operator_of``.
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ from .dg import (
     coords,
     homology_dims,
     ksign,
+    negate_coeffs,
     opposite,
     tensor_complex,
     tensor_product,
@@ -33,7 +36,8 @@ from .errors import (
     ShapeMismatch,
     ValidationError,
 )
-from .graded import GradedVectorSpace, HomogeneousMap, TensorBasis, _require_int, apply, operators
+from .graded import (GradedVectorSpace, HomogeneousMap, TensorBasis, _require_int, apply,
+                     operator_of, operators)
 from .homs import end_dg_algebra
 from .linalg import coset_basis, rref_rows
 
@@ -69,9 +73,9 @@ class IsoWitness:
 def verify_dg_iso(A: DgAlgebra, B: DgAlgebra, m: HomogeneousMap) -> IsoWitness:
     """Check that a degree-0 map is a unital, d-compatible, bijective algebra map.
 
-    Failed checks are recorded on the returned witness (with up to eight
-    failing basis pairs) instead of raising.  Unitality, d and bijectivity
-    are checked on the whole basis.  Multiplicativity may be checked on fewer
+    Failed checks are recorded on the returned witness instead of raising:
+    the first eight failures of products, unit, d and bijectivity, in that
+    order.  Unitality, d and bijectivity are checked on the whole basis.  Multiplicativity may be checked on fewer
     pairs: for linear unital m between associative A and B, the x with
     m(xy) = m(x)m(y) for every y form a subspace that holds 1 and is closed
     under products, since m(x1 x2 y) = m(x1)m(x2 y) = m(x1)m(x2)m(y) =
@@ -104,25 +108,15 @@ def verify_dg_iso(A: DgAlgebra, B: DgAlgebra, m: HomogeneousMap) -> IsoWitness:
         bad = []
     else:
         bad = list(itertools.islice(product_failures(range(A.dim)), 8))
-    is_hom = not bad
-    failures = [("product", A.label_of(i), A.label_of(j)) for i, j in bad]
-
-    if not is_unital and len(failures) < 8:
-        failures.append(("unit",))
-
-    commutes = True
-    for i in range(A.dim):
-        if apply(f, cols, A.dcols.get(i, empty)) != B.d_apply(cols.get(i, empty)):
-            commutes = False
-            if len(failures) < 8:
-                failures.append(("differential", A.label_of(i)))
-
+    d_fails = [i for i in range(A.dim)
+               if apply(f, cols, A.dcols.get(i, empty)) != B.d_apply(cols.get(i, empty))]
     bijective = m.inverse() is not None
-    if not bijective and len(failures) < 8:
-        failures.append(("bijectivity",))
-
-    return IsoWitness(A, B, m, IsoChecks(is_hom, is_unital, commutes, bijective,
-                                         tuple(failures)))
+    failures = ([("product", A.label_of(i), A.label_of(j)) for i, j in bad]
+                + [("unit",)] * (not is_unital)
+                + [("differential", A.label_of(i)) for i in d_fails]
+                + [("bijectivity",)] * (not bijective))
+    return IsoWitness(A, B, m, IsoChecks(not bad, is_unital, not d_fails, bijective,
+                                         tuple(failures[:8])))
 
 
 # -- left and right multiplication operators ----------------------------------
@@ -139,14 +133,8 @@ def _shift(A: DgAlgebra, aflat: dict) -> int:
 def lambda_map(A: DgAlgebra, a) -> HomogeneousMap:
     """Left multiplication x -> a*x by a homogeneous element, on the complex of A."""
     aflat = A.coeffs(a)
-    f = A.field
-    one = f.one
-    cols = {}
-    for x in range(A.dim):
-        col = A.mul(aflat, {x: one})
-        if col:
-            cols[x] = col
-    return HomogeneousMap(f, A.space, A.space, _shift(A, aflat), cols)
+    L, _ = operators(A.table)
+    return HomogeneousMap(A.field, A.space, A.space, _shift(A, aflat), operator_of(A.field, L, aflat))
 
 
 def rho_map(A: DgAlgebra, a) -> HomogeneousMap:
@@ -156,16 +144,11 @@ def rho_map(A: DgAlgebra, a) -> HomogeneousMap:
     a -> rho_a is multiplicative for the opposite product.
     """
     aflat = A.coeffs(a)
-    f = A.field
-    one = f.one
-    deg = A.space.flat_degrees()
-    cols = {}
-    for x in range(A.dim):
-        signed = {ai: c if ksign(deg[ai], deg[x]) > 0 else f.neg(c) for ai, c in aflat.items()}
-        col = A.mul({x: one}, signed)
-        if col:
-            cols[x] = col
-    return HomogeneousMap(f, A.space, A.space, _shift(A, aflat), cols)
+    f, s = A.field, _shift(A, aflat)
+    _, R = operators(A.table)
+    cols = {x: col if ksign(s, A.degree_of(x)) > 0 else negate_coeffs(f, col)
+            for x, col in operator_of(f, R, aflat).items()}
+    return HomogeneousMap(f, A.space, A.space, s, cols)
 
 
 # -- central simplicity --------------------------------------------------------
@@ -279,13 +262,15 @@ def _cosets(A: DgAlgebra, e: dict):
 
     ``n`` holds the nonzero e_k * d(e), k ascending, and ``basis`` the e_k * e
     independent of those before them, so M = span(n + basis); ``picks`` and
-    ``project`` are the ``coset_basis`` of ``basis`` modulo N.
+    ``project`` are the ``coset_basis`` of ``basis`` modulo N.  Both are read
+    off the right operators of e and d(e), whose columns they may share.
     """
-    f, one = A.field, A.field.one
-    de = A.d_apply(e)
-    ae = [p for p in (A.mul({k: one}, e) for k in range(A.dim)) if p]
-    n = [p for p in (A.mul({k: one}, de) for k in range(A.dim)) if p] if de else []
-    basis = [ae[p] for p in coset_basis(f, [], ae)[0]]
+    f = A.field
+    _, R = operators(A.table)
+    ae, de = operator_of(f, R, e), operator_of(f, R, A.d_apply(e))
+    n = [de[k] for k in sorted(de)]
+    basis: list = []
+    rref_rows(f, (ae[k] for k in sorted(ae)), basis.append)
     return (basis, n, *coset_basis(f, n, basis))
 
 
@@ -309,12 +294,13 @@ def idempotent_containment(A: DgAlgebra, i: int):
     if not (1 <= _require_int(i, "diagonal index") <= len(cands)):
         raise ShapeMismatch(f"diagonal index {i} out of range for {len(cands)} idempotents")
     basis, n, picks, _ = _cosets(A, cands[i - 1])
-    witness = basis[picks[0]] if picks else None
+    witness = dict(basis[picks[0]]) if picks else None
+    span: list = []
+    rref_rows(A.field, n, span.append)
 
     def dims(vecs):
-        return GradedVectorSpace.numbered("", [(A.degree_of(next(iter(v))), v) for v in vecs])[0].dims
-    span_dims = dims([n[p] for p in coset_basis(A.field, [], n)[0]])
-    return ContainmentCertificate(i, dims(basis), span_dims, witness is None), witness
+        return dict(sorted(Counter(A.degree_of(next(iter(v))) for v in vecs).items()))
+    return ContainmentCertificate(i, dims(basis), dims(span), witness is None), witness
 
 
 def choose_structure_idempotent(A: DgAlgebra) -> IdempotentChoice:
@@ -369,7 +355,7 @@ def structure_realize(A: DgAlgebra) -> StructureRealization:
 
 def _realize(A: DgAlgebra) -> StructureRealization:
     """The construction of ``structure_realize``, raising whenever a step fails."""
-    f, one = A.field, A.field.one
+    f = A.field
     choice = choose_structure_idempotent(A)
     e = _diagonal_candidates(A)[choice.index - 1]
     basis, _, picks, project = _cosets(A, e)
@@ -396,17 +382,16 @@ def _realize(A: DgAlgebra) -> StructureRealization:
             choice.index, A.label_of(next(iter(e))), dict(L.space.dims), A.dim))
     E = end_dg_algebra(L)
 
-    reps = [basis[p] for p in picks]
+    _, R = operators(A.table)
+    acts = [operator_of(f, R, basis[p]) for p in picks]  # acts[s][a] = e_a * rep s
     cols = {}
     for a in range(A.dim):
         lcols = {}
-        for s, v in enumerate(reps):
-            p = A.mul({a: one}, v)
-            if not p:
-                continue
-            img = coords(project, p, "structure", (a, s), "left multiplication leaves M")
-            if img:
-                lcols[s] = img
+        for s, act in enumerate(acts):
+            if a in act:
+                img = coords(project, act[a], "structure", (a, s), "left multiplication leaves M")
+                if img:
+                    lcols[s] = img
         coeffs = E.hom.from_map(HomogeneousMap(f, L.space, L.space, A.degree_of(a), lcols))
         if coeffs:
             cols[a] = coeffs

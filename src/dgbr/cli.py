@@ -50,7 +50,7 @@ from .errors import (
     ShapeMismatch,
     ValidationError,
 )
-from .fields import QQ
+from .fields import QQ, ascii_int
 from .formats import (
     _parse_coeff,
     _parse_field,
@@ -137,14 +137,18 @@ def _parse_cli_field(args):
     return _parse_field({"kind": "prime", "p": args.prime}, "--prime")
 
 
-def _parse_grading(text):
-    if text is None:
-        return ()
-    text = text.strip()
-    if not text:
-        return ()
+def _int_flag(text: str) -> int:
+    """An integer flag read by ``ascii_int``, rejected with argparse's message for int."""
     try:
-        return tuple(int(t) for t in text.split(","))
+        return ascii_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _parse_grading(text):
+    text = (text or "").strip()
+    try:
+        return tuple(ascii_int(t) for t in text.split(",")) if text else ()
     except ValueError:
         raise ParseError(f"bad grading {text!r}: comma-separated integers", "--good-grading")
 
@@ -391,8 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
         "hom complex of two complex files", "source", "target", report=False)
     sp = add("matrix", cmd_matrix, "good-graded matrix algebra constructor", report=False)
     sp.add_argument("--field", choices=("rationals", "prime"), default="rationals")
-    sp.add_argument("--prime", type=int)
-    sp.add_argument("-n", "--size", type=int, required=True)
+    sp.add_argument("--prime", type=_int_flag)
+    sp.add_argument("-n", "--size", type=_int_flag, required=True)
     sp.add_argument("--good-grading", dest="good_grading",
                     help="comma-separated superdiagonal degrees, e.g. 1,0")
     sp.add_argument("--inner",

@@ -60,6 +60,7 @@ from .graded import (
     clean_coeffs,
     clean_columns,
     kernel_of,
+    operator_of,
     operators,
     span_of,
 )
@@ -200,23 +201,6 @@ def validate_complex(field, space, dcols):
     return v
 
 
-def _left_operator(field, L, u):
-    """{k: u*ek}, the nonzero columns of left multiplication by u.
-
-    ``L`` is as in ``_associativity_failures``.  For u = em it is ``L[m]``
-    itself, shared and not copied.
-    """
-    if len(u) == 1:
-        (m, c), = u.items()
-        if c == field.one:
-            return L.get(m, {})
-    op: dict = {}
-    for m, c in u.items():
-        for k, col in L.get(m, {}).items():
-            add_into(field, op.setdefault(k, {}), col, scale=c)
-    return {k: col for k, col in op.items() if col}
-
-
 def _associativity_failures(field, L, table, only=None):
     """(i, j, k, (ei*ej)*ek, ei*(ej*ek)) for each basis triple whose sides differ, in order.
 
@@ -237,7 +221,7 @@ def _associativity_failures(field, L, table, only=None):
     for i in sorted(L) if only is None else only:
         li = L.get(i, empty)
         for j in sorted(set(li).union(*(reach.get(m, ()) for m in li))):
-            left = _left_operator(field, L, li.get(j, empty))
+            left = operator_of(field, L, li.get(j, empty))
             right = {k: v for k, jk in L.get(j, empty).items() if (v := apply(field, li, jk))}
             if left != right:
                 for k in sorted(left.keys() | right.keys()):
@@ -297,7 +281,7 @@ def _generators_certify(field, deg, unit, table, dcols, L, R, generators) -> boo
     # the words s1(s2(...(sk*1))): each product that rref_rows reports as
     # independent of those before it is appended and multiplied on in turn;
     # s*w applies the left operator of s, built once per generator
-    ops = [_left_operator(field, L, s) for s in gens]
+    ops = [operator_of(field, L, s) for s in gens]
     words: list = []
     products = (apply(field, op, w) for w in words for op in ops if len(words) < n)
     rref_rows(field, itertools.chain([unit], products), words.append)
@@ -810,8 +794,8 @@ class KComplex:
             raise ValidationError(violations)
 
     @classmethod
-    def point(cls, field, label="1"):
-        return cls(field, GradedVectorSpace({0: 1}, {0: (label,)}), {})
+    def point(cls, field):
+        return cls(field, GradedVectorSpace({0: 1}, {0: ("1",)}), {})
 
     def d_apply(self, u: dict) -> dict:
         return apply(self.field, self.dcols, u)

@@ -47,6 +47,13 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def ascii_int(text: str) -> int:
+    """The int of ``text`` in the grammar ``[+-]?[0-9]+`` after ``strip``; else ValueError."""
+    if not _INTEGER.fullmatch(text := text.strip()):
+        raise ValueError(f"not an integer literal: {text!r}")
+    return int(text, 10)
+
+
 def _literal(text: str) -> str:
     """The repr of a literal for an error message, cut to 40 characters."""
     if len(text) <= 40:
@@ -219,9 +226,7 @@ class PrimeField(Field):
         if "/" in text:
             raise ParseError(f"fractions are not residues: {_literal(text)}")
         try:
-            if not _INTEGER.fullmatch(text):
-                raise ValueError
-            return int(text, 10) % self.p
+            return ascii_int(text) % self.p
         except ValueError:
             reason = _too_long(text)
             raise ParseError(f"bad residue literal {_literal(text)}" + (reason and f": {reason}")) from None

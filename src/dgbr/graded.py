@@ -106,6 +106,24 @@ def operators(table) -> tuple:
     return L, R
 
 
+def operator_of(field: Field, ops, u: dict) -> dict:
+    """{k: column}, the nonzero columns of multiplication by the element u.
+
+    ``ops`` is the L or R of ``operators``: over L column k is u * e_k, over
+    R it is e_k * u.  For u = e_m it is ``ops[m]`` itself, which shares the
+    table's columns: copy a column before changing it or handing it out.
+    """
+    if len(u) == 1:
+        (m, c), = u.items()
+        if c == field.one:
+            return ops.get(m, {})
+    op: dict = {}
+    for m, c in u.items():
+        for k, col in ops.get(m, {}).items():
+            add_into(field, op.setdefault(k, {}), col, scale=c)
+    return {k: col for k, col in op.items() if col}
+
+
 def bilinear(field: Field, table, u: dict, v: dict) -> dict:
     """Sum of u[i] * v[j] * table[(i, j)]: a product table applied to two vectors."""
     mul = field.mul
@@ -334,10 +352,10 @@ def span_of(field, ambient: GradedVectorSpace, vecs, prefix: str) -> Subspace:
     return Subspace(space, HomogeneousMap(field, space, ambient, 0, dict(enumerate(cols))))
 
 
-def kernel_of(f: HomogeneousMap, label_prefix: str = "k") -> Subspace:
-    """ker(f), with one basis vector per free column of f's reduced form (free variable 1)."""
+def kernel_of(f: HomogeneousMap) -> Subspace:
+    """ker(f), labelled k{k}_{i}: one basis vector per free column of f's reduced form (free variable 1)."""
     basis, _ = kernel_columns(f.field, f.cols, f.source.total_dim)
-    return span_of(f.field, f.source, list(basis.values()), label_prefix)
+    return span_of(f.field, f.source, list(basis.values()), "k")
 
 
 def quotient_by(space: GradedVectorSpace, inclusion: HomogeneousMap) -> Quotient:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .dg import DgAlgebra, _show, ksign
 from .errors import AxiomViolation, ShapeMismatch, ValidationError
 from .fields import Field
-from .graded import GradedVectorSpace, _require_int, add_into
+from .graded import GradedVectorSpace, _require_int, add_into, apply, operator_of, operators
 
 
 def _matrix_unit_algebra(field: Field, space: GradedVectorSpace, units, dcols, *, hom=None) -> DgAlgebra:
@@ -98,23 +98,25 @@ def inner_differential(A: DgAlgebra, z) -> DgAlgebra:
         bad = sorted({deg[i] for i in zvec})
         raise ShapeMismatch(f"element is not homogeneous of degree 1 (degrees {bad})")
 
-    z2 = A.mul(zvec, zvec)
-    one = f.one
-    minus = f.neg(one)
-    for a in range(A.dim):
-        left = A.mul(z2, {a: one})
-        right = A.mul({a: one}, z2)
-        if left != right:
-            add_into(f, left, right, scale=minus)
+    # d = lambda_z - rho_z, column a signed; z^2 is central when its two operators agree
+    L, R = operators(A.table)
+    lz, rz = operator_of(f, L, zvec), operator_of(f, R, zvec)
+    z2 = apply(f, lz, zvec)
+    left, right = operator_of(f, L, z2), operator_of(f, R, z2)
+    minus = f.neg(f.one)
+    for a in sorted(left.keys() | right.keys()):
+        dd = dict(left.get(a, {}))
+        add_into(f, dd, right.get(a, {}), scale=minus)
+        if dd:
             raise ValidationError([AxiomViolation(
                 "inner-square", (a,),
-                f"z^2 is not central: d(d({A.space.label_of(a)})) = {_show(f, A.space, left)}",
+                f"z^2 is not central: d(d({A.space.label_of(a)})) = {_show(f, A.space, dd)}",
             )])
 
     dcols = {}
-    for a in range(A.dim):
-        col = A.mul(zvec, {a: one})
-        add_into(f, col, A.mul({a: one}, zvec), scale=minus if ksign(deg[a], 1) > 0 else None)
+    for a in sorted(lz.keys() | rz.keys()):
+        col = dict(lz.get(a, {}))
+        add_into(f, col, rz.get(a, {}), scale=minus if ksign(deg[a], 1) > 0 else None)
         if col:
             dcols[a] = col
     return DgAlgebra.build(f, A.space, A.unit, A.table, dcols, generators=A.generators)

@@ -1,4 +1,5 @@
 """Sandwich isomorphism, structure realization, equivalence witnesses, quaternions."""
+import copy
 import itertools
 import random
 
@@ -47,7 +48,13 @@ from dgbr.dg import (
     trivial_dg,
     unsigned_swap_map,
 )
-from dgbr.errors import FieldMismatch, NoSuitableIdempotent, NotCentralSimple, ShapeMismatch
+from dgbr.errors import (
+    FieldMismatch,
+    NoSuitableIdempotent,
+    NotCentralSimple,
+    ShapeMismatch,
+    ValidationError,
+)
 from dgbr.fields import GF, QQ
 from dgbr.graded import HomogeneousMap
 from dgbr.homs import end_dg_algebra
@@ -364,6 +371,25 @@ def test_verify_dg_iso_reports_failures_with_labels():
     assert ("differential", "X") in w.checks.failures
 
 
+@pytest.mark.parametrize("make, failures", [
+    (mat2_inner, (("product", "e21", "e11"), ("product", "e11", "e12"), ("product", "e12", "e21"),
+                  ("unit",), ("differential", "e21"), ("differential", "e11"), ("bijectivity",))),
+    (mat3_inner, (("product", "e31", "e11"), ("product", "e21", "e11"), ("product", "e11", "e12"),
+                  ("product", "e11", "e13"), ("product", "e12", "e21"), ("product", "e13", "e31"),
+                  ("unit",), ("differential", "e21"))),
+], ids=["mat2", "mat3-capped"])
+def test_verify_dg_iso_lists_failures_in_check_order_up_to_eight(make, failures):
+    """The identity with the e11 column dropped fails all four checks; on Mat_3
+    the cap of eight cuts off the later differential and bijectivity failures."""
+    A = make(QQ)
+    drop = A.space.all_labels().index("e11")
+    m = HomogeneousMap(QQ, A.space, A.space, 0, {i: {i: QQ.one} for i in range(A.dim) if i != drop})
+    checks = verify_dg_iso(A, A, m).checks
+    assert (checks.is_algebra_hom, checks.is_unital, checks.commutes_with_d, checks.is_bijective) == (
+        False, False, False, False)
+    assert checks.failures == failures
+
+
 def _count_mul(monkeypatch):
     """Count DgAlgebra.mul calls per algebra, keyed by id."""
     calls: dict = {}
@@ -421,6 +447,53 @@ def test_verify_dg_iso_falls_back_to_every_pair(monkeypatch):
         w = verify_dg_iso(B, B, m)
         assert calls == {id(B): products}
         assert w.checks.is_algebra_hom and w.checks.is_unital == (m is ident)
+
+
+def test_multiplication_operators_are_read_off_the_table(monkeypatch):
+    """lambda, rho, the containment test and inner differentials call no
+    DgAlgebra.mul: each reads the operators of the element off the table."""
+    M = good_grading_matrix_algebra(QQ, 3, (1, 1))
+    A = _mat3_inner(QQ)
+    u = A.element({"e12": 2, "e23": -3})
+    calls = _count_mul(monkeypatch)
+    lambda_map(A, u), rho_map(A, u), lambda_map(A, {0: QQ.one}), rho_map(A, {0: QQ.one})
+    for i in range(1, 4):
+        idempotent_containment(A, i)
+    inner_differential(M, M.element({"e12": 2}))
+    with pytest.raises(ValidationError, match="z\\^2 is not central"):
+        inner_differential(M, M.element({"e12": 1, "e23": 1}))
+    assert calls == {}
+
+
+@pytest.mark.parametrize("make", [mat2_inner, mat3_inner])
+def test_results_share_no_column_with_the_table(make):
+    """For u = e_m the operator of u is the table's own columns; what the
+    library hands out is a copy, so changing it leaves the algebra alone."""
+    A = make(QQ)
+    table = copy.deepcopy(A.table)
+    one = QQ.one
+    results = [action(A, {a: one}).flat_columns() for a in range(A.dim)
+               for action in (lambda_map, rho_map)]
+    results.append(inner_differential(A, A.element({"e12": 1})).dcols)
+    results.append(dict(enumerate(idempotent_containment(A, i)[1] or {}
+                                  for i in range(1, len(_diagonal_candidates(A)) + 1))))
+    sr = structure_realize(A)
+    results += [sr.witness.map.flat_columns(), {0: sr.idempotent.witness}]
+    assert A.table == table
+    for cols in results:
+        for col in cols.values():
+            col.clear()
+    assert A.table == table
+
+
+def test_a_rejected_inner_differential_leaves_the_table_alone():
+    """z = e12 + e23 squares to e13, whose operators are table columns; the
+    witness d(d(a)) is formed in a copy."""
+    M = good_grading_matrix_algebra(QQ, 3, (1, 1))
+    table = copy.deepcopy(M.table)
+    with pytest.raises(ValidationError, match=r"d\(d\(e31\)\) = 1\*e11 \+ -1\*e33"):
+        inner_differential(M, M.element({"e12": 1, "e23": 1}))
+    assert M.table == table
 
 
 def test_swap_iso_and_unsigned_failure():

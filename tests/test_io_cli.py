@@ -580,6 +580,37 @@ def test_cli_bad_matrix_flags_name_the_flag(capsys, argv, message):
     assert captured.err == f"invalid input: {message}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["-n", "\u0662", "--good-grading", "\u0663"],
+     "dgbr matrix: error: argument -n/--size: invalid int value: '\u0662'"),
+    (["-n", "2_0"], "dgbr matrix: error: argument -n/--size: invalid int value: '2_0'"),
+    (["-n", "2", "--good-grading", "1", "--field", "prime", "--prime", "1_1"],
+     "dgbr matrix: error: argument --prime: invalid int value: '1_1'"),
+    (["-n", "2", "--good-grading", "1", "--field", "prime", "--prime", "\uff17"],
+     "dgbr matrix: error: argument --prime: invalid int value: '\uff17'"),
+    (["-n", "2", "--good-grading", "\u0663"],
+     "invalid input: --good-grading: bad grading '\u0663': comma-separated integers"),
+    (["-n", "2", "--good-grading", "1_0"],
+     "invalid input: --good-grading: bad grading '1_0': comma-separated integers"),
+], ids=["arabic-indic-size", "underscore-size", "underscore-prime", "fullwidth-prime",
+        "arabic-indic-grading", "underscore-grading"])
+def test_cli_integer_flags_take_only_ascii_digits(capsys, argv, message):
+    """-n, --prime and --good-grading read the coefficient grammar [+-]?[0-9]+."""
+    assert main(["matrix", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == message
+
+
+def test_cli_integer_flags_keep_signs_and_spaces(capsys):
+    assert main(["matrix", "-n", " +3 ", "--good-grading", " +1 , -1 ",
+                 "--field", "prime", "--prime", " 7 "]) == 0
+    padded = capsys.readouterr().out
+    assert main(["matrix", "-n", "3", "--good-grading", "1,-1", "--field", "prime", "--prime", "7"]) == 0
+    assert capsys.readouterr().out == padded
+    assert parse_algebra_text(padded).field == GF(7)
+
+
 def test_importing_the_cli_builds_no_parser():
     code = textwrap.dedent("""
         import argparse

@@ -70,6 +70,8 @@ from dgbr.graded import (
     add_into,
     clean_coeffs,
     kernel_of,
+    operator_of,
+    operators,
     quotient_by,
 )
 from dgbr.homs import end_dg_algebra
@@ -130,6 +132,25 @@ def test_action_maps_intertwine_the_differential(field, i, a):
     du = A.d_apply(u)
     for action in (lambda_map, rho_map):
         assert E.hom.from_map(action(A, du)) == E.d_apply(E.hom.from_map(action(A, u)))
+
+
+@given(field=st.sampled_from([QQ, GF(2), GF(7)]), seed=seeds, named=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_operator_of_an_element_is_multiplication_by_it(field, seed, named):
+    """Over L column k is u * e_k, over R it is e_k * u, for u with several
+    terms and coefficients other than one; an absent column is a zero product."""
+    rng = random.Random(seed)
+    if named:
+        A = rng.choice([A for _, A in generators(field)])
+    else:
+        A = random_algebra(rng, field)
+    terms = rng.sample(range(A.dim), min(A.dim, rng.randint(1, 3)))
+    u = A.coeffs({i: rng.choice([2, 3, -1, 5]) for i in terms})
+    L, R = operators(A.table)
+    left, right = operator_of(field, L, u), operator_of(field, R, u)
+    for k in range(A.dim):
+        assert left.get(k, {}) == A.mul(u, {k: field.one})
+        assert right.get(k, {}) == A.mul({k: field.one}, u)
 
 
 @given(field=fields, seed=seeds)
