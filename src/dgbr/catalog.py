@@ -9,7 +9,6 @@ from __future__ import annotations
 import random
 
 from .brauer import (
-    equivalence_sides,
     forget_descriptor,
     idempotent_containment,
     kunneth_check,
@@ -296,13 +295,16 @@ def scenario_structure_mat2():
 def unit_equivalence_witness(A: DgAlgebra, sr) -> "IsoWitness":
     """A (x) End(point) -> K (x) End(L) assembled from a structure witness.
 
-    Both unit identifications are index-faithful: tensoring with the
-    one-dimensional factor keeps the flat order of the other side, so the
-    realization map's columns transfer verbatim.
+    The sides are those of ``equivalence_sides(A, K, point, sr.L)``, but End(L)
+    is the target of ``sr.witness``, which ``structure_realize`` built and
+    verified, so only End(point) is built here.  Both unit identifications
+    are index-faithful: tensoring with the one-dimensional factor keeps the
+    flat order of the other side, so the realization map's columns transfer
+    verbatim.
     """
     field = A.field
-    K = neutral(field)
-    T1, T2 = equivalence_sides(A, K, KComplex.point(field), sr.L)
+    T1 = tensor_product(A, end_dg_algebra(KComplex.point(field)))
+    T2 = tensor_product(neutral(field), sr.witness.target)
     m = HomogeneousMap(field, T1.space, T2.space, 0, sr.witness.map.flat_columns())
     return verify_dg_iso(T1, T2, m)
 

@@ -3,9 +3,13 @@
 An algebra is stored as structure constants over the flat basis order of its
 graded space: ``table[(i, j)]`` is the sparse product of basis elements i and
 j, ``dcols[i]`` the sparse differential column.  Absent entries are zero.
-Every constructor re-checks the axioms; nothing is trusted by construction.
-A caller's unit, table, d, elements and hint meet the one index check of
-``graded.clean_coeffs``; ``build`` checks each index of a product key too.
+Every constructor re-checks every axiom.  A caller's unit, table, d, elements
+and hint meet the one index check of ``graded.clean_coeffs``; ``build``
+checks each index of a product key too.  ``tensor_product``, ``opposite``,
+the kernel and homology algebras, ``matrix_algebras._matrix_unit_algebra``
+(good-graded Mat_n and End(C)) and ``inner_differential`` write only nonzero
+field values at basis indices, so they skip that coercion and go straight to
+validation (``DgAlgebra._checked``); they skip no axiom.
 
 There is one validation path.  ``validate_complex`` checks a (space, d) pair:
 d of degree +1 and d squared zero; ``KComplex`` raises on its result.
@@ -98,10 +102,13 @@ class DgAlgebra:
 
     @classmethod
     def build(cls, field, space, unit, table, diff, *, hom=None, generators=None):
-        """Validate structure data and wrap it; raises ValidationError when bad.
+        """Coerce a caller's structure data, validate it and wrap it; raises when bad.
 
-        ``generators`` is passed on to ``validate_structure`` and kept, and
-        ``generators_certified`` records whether they certified the algebra.
+        The unit, the product rows and d go through ``clean_coeffs``, a product
+        key must be a pair of basis indices, and empty products are dropped;
+        ``_checked`` then validates.  ``generators`` is passed on to
+        ``validate_structure`` and kept, and ``generators_certified`` records
+        whether they certified the algebra.
         """
         n = space.total_dim
         unit = clean_coeffs(field, unit, n, "unit index")
@@ -114,10 +121,19 @@ class DgAlgebra:
             if out:
                 tbl[key] = out
         dc = clean_columns(field, diff, n, n, "differential")
-        violations = validate_structure(field, space, unit, tbl, dc, generators=generators)
+        return cls._checked(field, space, unit, tbl, dc, hom=hom, generators=generators)
+
+    @classmethod
+    def _checked(cls, field, space, unit, table, dcols, *, hom=None, generators=None):
+        """Validate data that ``build`` would leave unchanged, and wrap its dicts.
+
+        Validation goes through the module-level name ``validate_structure``,
+        which the benchmark tracer wraps.
+        """
+        violations = validate_structure(field, space, unit, table, dcols, generators=generators)
         if violations:
             raise ValidationError(violations)
-        return cls(field, space, unit, tbl, dc, hom=hom, generators=generators,
+        return cls(field, space, unit, table, dcols, hom=hom, generators=generators,
                    _validated=True, _certified=violations.certified)
 
     @classmethod
@@ -387,7 +403,7 @@ def opposite(A: DgAlgebra) -> DgAlgebra:
         if ksign(deg[i], deg[j]) < 0:
             out = negate_coeffs(A.field, out)
         table[(j, i)] = out
-    return DgAlgebra.build(A.field, A.space, A.unit, table, A.dcols, generators=A.generators)
+    return DgAlgebra._checked(A.field, A.space, A.unit, table, A.dcols, generators=A.generators)
 
 
 def _tensor_basis(A, B) -> TensorBasis:
@@ -459,7 +475,7 @@ def tensor_product(A: DgAlgebra, B: DgAlgebra) -> DgAlgebra:
             for s in hint(A)]
     gens += [{idx[(i, j)]: f.mul(a, b) for i, a in A.unit.items() for j, b in s.items()}
              for s in hint(B)]
-    return DgAlgebra.build(f, tb.space, unit, table, _tensor_dcols(A, B, tb), generators=gens)
+    return DgAlgebra._checked(f, tb.space, unit, table, _tensor_dcols(A, B, tb), generators=gens)
 
 
 def swap_map(A: DgAlgebra, B: DgAlgebra) -> HomogeneousMap:
@@ -548,7 +564,7 @@ def _cycle_algebra(A: DgAlgebra, mod, zcols, prefix: str, axiom: str) -> KernelA
                 if out:
                     table[(i, j)] = out
     unit = coords(project, A.unit, axiom, (), "unit is not a cycle") if A.unit else {}
-    return KernelAlgebra(DgAlgebra.build(f, sub.space, unit, table, {}), sub.inclusion)
+    return KernelAlgebra(DgAlgebra._checked(f, sub.space, unit, table, {}), sub.inclusion)
 
 
 def kernel_subalgebra(A: DgAlgebra) -> KernelAlgebra:

@@ -82,14 +82,22 @@ def apply(field: Field, cols, u: dict) -> dict:
     """Sum of u[i] * cols[i] over sparse columns ``{col: {row: coeff}}``.
 
     The one sparse operator of the package: differentials, multiplication
-    tables and maps all apply through it.  Absent columns are zero.
+    tables and maps all apply through it.  Absent columns are zero.  The sum
+    starts from a copy of the first column with a nonzero coefficient, scaled
+    only when that coefficient is not one, so the result is always a new dict.
     """
-    acc: dict = {}
+    acc = None
     for i, c in u.items():
         col = cols.get(i)
-        if col:
+        if not col:
+            continue
+        if acc is not None:
             add_into(field, acc, col, scale=c)
-    return acc
+        elif c == field.one:
+            acc = dict(col)
+        elif not field.is_zero(c):
+            acc = {k: field.mul(c, x) for k, x in col.items()}
+    return {} if acc is None else acc
 
 
 def operators(table) -> tuple:

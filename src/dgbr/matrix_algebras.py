@@ -39,8 +39,8 @@ def _matrix_unit_algebra(field: Field, space: GradedVectorSpace, units, dcols, *
     table = {(s, t): {index[(a, c)]: one} for s, (a, b) in enumerate(units) for t, c in starting[b]}
     keys = sorted(starting)
     cycle = [{index[pair]: one} for pair in zip(keys, keys[1:] + keys[:1])] if len(keys) > 1 else []
-    return DgAlgebra.build(field, space, {index[(k, k)]: one for k in keys}, table, dcols,
-                           hom=hom, generators=cycle)
+    return DgAlgebra._checked(field, space, {index[(k, k)]: one for k in keys}, table, dcols,
+                              hom=hom, generators=cycle)
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,7 @@ def inner_differential(A: DgAlgebra, z) -> DgAlgebra:
         add_into(f, col, rz.get(a, {}), scale=minus if ksign(deg[a], 1) > 0 else None)
         if col:
             dcols[a] = col
-    return DgAlgebra.build(f, A.space, A.unit, A.table, dcols, generators=A.generators)
+    return DgAlgebra._checked(f, A.space, A.unit, A.table, dcols, generators=A.generators)
 
 
 def enumerate_good_gradings(n: int, bound: int) -> list:

@@ -590,16 +590,17 @@ def test_kunneth_right_side_is_the_convolution_of_the_factor_homologies(field):
 def test_kunneth_builds_no_algebra_and_tgr_only_the_kernel(monkeypatch):
     """Both reports are read off the complexes: ``kunneth_check`` builds no
     algebra, and ``is_tgr_semisimple`` only the kernel algebra its trace form
-    needs."""
+    needs.  Every algebra, through ``build`` or from a constructor, is
+    validated and wrapped by ``DgAlgebra._checked``, so that is spied on."""
     gens = [A for _, A in generators(QQ)]
     built = []
-    build = DgAlgebra.build.__func__
+    checked = DgAlgebra._checked.__func__
 
     def spy(cls, field, space, *args, **kwargs):
         built.append(dict(space.dims))
-        return build(cls, field, space, *args, **kwargs)
+        return checked(cls, field, space, *args, **kwargs)
 
-    monkeypatch.setattr(DgAlgebra, "build", classmethod(spy))
+    monkeypatch.setattr(DgAlgebra, "_checked", classmethod(spy))
     for A, B in itertools.product(gens, repeat=2):
         assert kunneth_check(A, B).matches
     assert built == []

@@ -411,6 +411,13 @@ def _bad_index_cases():
         "float-unit-key-and-row": lambda: DgAlgebra.build(QQ, point, {0.2: 1}, {(0.3, 0.4): {0.5: 1}}, {}),
         "algebra-d-column-float": lambda: DgAlgebra.build(
             QQ, point, {0: one}, {(0, 0): {0: one}}, {0.9: {0: one}}),
+        "product-key-past-end": lambda: DgAlgebra.build(QQ, point, {0: one}, {(0, 1): {0: one}}, {}),
+        "algebra-d-row-bool": lambda: DgAlgebra.build(
+            QQ, point, {0: one}, {(0, 0): {0: one}}, {0: {True: one}}),
+        "algebra-d-column-bool": lambda: DgAlgebra.build(
+            QQ, point, {0: one}, {(0, 0): {0: one}}, {False: {0: one}}),
+        "algebra-d-column-past-end": lambda: DgAlgebra.build(
+            QQ, point, {0: one}, {(0, 0): {0: one}}, {1: {0: one}}),
         "complex-d-row-bool": lambda: KComplex(QQ, pair, {0: {True: one}}),
         "complex-d-column-float": lambda: KComplex(QQ, pair, {0.0: {1: one}}),
         "element-float": lambda: dual_numbers(QQ).coeffs({0.9: one}),
