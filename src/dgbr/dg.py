@@ -504,10 +504,23 @@ def unsigned_swap_map(A: DgAlgebra, B: DgAlgebra) -> HomogeneousMap:
 # -- homology and kernel ------------------------------------------------------
 
 
-def _cycle_and_boundary_columns(A: DgAlgebra):
-    """In flat order: the kernel basis of d and the images d(e_j) at its pivots j."""
+def _cycles(A: DgAlgebra):
+    """The kernel basis of d in flat order, its projection, and the pivot columns of d.
+
+    ``basis[q]`` from ``kernel_columns`` has 1 at its free column j_q and 0 at
+    the other free columns, so a cycle's coordinates on the basis are its
+    entries at those columns, read off with no elimination.  ``project(v)``
+    returns them, q ascending, when d(v) = 0 and None otherwise.
+    """
     basis, pivots = kernel_columns(A.field, A.dcols, A.dim)
-    return list(basis.values()), [A.dcols[j] for j in pivots]
+    q_of = {j: q for q, j in enumerate(basis)}
+
+    def project(v: dict):
+        if A.d_apply(v):
+            return None
+        return {q_of[j]: x for j, x in sorted(v.items()) if j in q_of}
+
+    return list(basis.values()), project, pivots
 
 
 def homology_dims(C) -> dict:
@@ -526,7 +539,7 @@ def homology_dims(C) -> dict:
 
 
 def coords(project, vec: dict, axiom: str, witness: tuple, detail: str) -> dict:
-    """``project(vec)`` from ``coset_basis``, raising a one-violation ValidationError on None."""
+    """``project(vec)``, raising a one-violation ValidationError when it is None."""
     sol = project(vec)
     if sol is None:
         raise ValidationError([AxiomViolation(axiom, witness, detail)])
@@ -539,26 +552,28 @@ class KernelAlgebra:
     inclusion: HomogeneousMap
 
 
-def _cycle_algebra(A: DgAlgebra, mod, zcols, prefix: str, axiom: str) -> KernelAlgebra:
-    """Z/span(mod) for the cycles Z with kernel basis ``zcols`` (flat order), d = 0.
+def _cycle_algebra(A: DgAlgebra, reps, project, prefix: str, axiom: str) -> KernelAlgebra:
+    """The algebra on the cycles ``reps`` (flat order, labelled ``{prefix}{k}_{i}``), d = 0.
 
-    One ``coset_basis`` call picks the representatives, the cycles independent
-    of ``mod`` and of those before them, labelled ``{prefix}{k}_{i}``; the
-    inclusion sends each to its vector in A.  Products and the unit are their
-    coordinates on them modulo ``mod``.  Nothing else is checked: A passed
-    validation, so the graded Leibniz rule and d(1) = 0 hold.  For cycles z, z'
-    and homogeneous x, d(zz') = 0, d(x)z = d(xz) and z d(x) = (-1)^|z| d(zx),
-    so Z is a subalgebra holding 1 and the boundaries B = d(A) are a two-sided
-    ideal of Z: ``kernel_subalgebra`` is mod = [], ``homology`` mod = B.
+    ``project(v)`` gives the coordinates of a cycle v on ``reps`` (modulo the
+    boundaries, for H), or None when v is no cycle; the inclusion sends each
+    representative to its vector in A.  The product of reps i and j is the
+    left operator of rep i, formed once by ``operator_of``, applied to rep j,
+    and the table holds its coordinates.  Closure is checked on each product
+    and on the unit: a None raises ``axiom`` with witness (i, j), or () for
+    the unit.  It cannot fail on a validated A: by the graded Leibniz rule
+    and d(1) = 0, for cycles z, z' and homogeneous x, d(zz') = 0,
+    d(x)z = d(xz) and z d(x) = (-1)^|z| d(zx), so Z is a subalgebra holding 1
+    and the boundaries B = d(A) are a two-sided ideal of Z.
     """
     f = A.field
-    picks, project = coset_basis(f, mod, zcols)
-    reps = [zcols[p] for p in picks]
     sub = span_of(f, A.space, reps, prefix)
+    L, _ = operators(A.table)
     table: dict = {}
     for i, u in enumerate(reps):
+        Lu = operator_of(f, L, u)
         for j, v in enumerate(reps):
-            p = A.mul(u, v)
+            p = apply(f, Lu, v)
             if p:
                 out = coords(project, p, axiom, (i, j), "product of cycles is not a cycle")
                 if out:
@@ -568,22 +583,27 @@ def _cycle_algebra(A: DgAlgebra, mod, zcols, prefix: str, axiom: str) -> KernelA
 
 
 def kernel_subalgebra(A: DgAlgebra) -> KernelAlgebra:
-    """ker(d) with its inherited product and its inclusion into A."""
-    zcols, _ = _cycle_and_boundary_columns(A)
-    return _cycle_algebra(A, [], zcols, "z", "kernel-closure")
+    """ker(d) with its inherited product and its inclusion into A; coordinates are read off."""
+    zcols, project, _ = _cycles(A)
+    return _cycle_algebra(A, zcols, project, "z", "kernel-closure")
 
 
 def homology(A: DgAlgebra) -> DgAlgebra:
     """H(A) = Z/B with its induced product, as a dg-algebra with zero differential.
 
-    One ``coset_basis`` call gives it: the representatives of each degree are
-    the cycles independent of the boundaries and of the cycles before them,
-    and a cycle's coordinates on them modulo B are zero exactly when it is a
-    boundary.  That the product is well defined is not checked: it follows
-    from the Leibniz rule that validation certified (see ``_cycle_algebra``).
+    When B = d(A) is nonzero, one ``coset_basis`` call gives it: the
+    representatives of each degree are the cycles independent of the
+    boundaries and of the cycles before them, and a cycle's coordinates on
+    them modulo B are zero exactly when it is a boundary; when B = 0 they are
+    read off as for ker d.  That the product is well defined is not checked:
+    it follows from the Leibniz rule that validation certified (see
+    ``_cycle_algebra``).
     """
-    zcols, bcols = _cycle_and_boundary_columns(A)
-    return _cycle_algebra(A, bcols, zcols, "h", "homology").algebra
+    zcols, project, pivots = _cycles(A)
+    if pivots:
+        picks, project = coset_basis(A.field, [A.dcols[j] for j in pivots], zcols)
+        zcols = [zcols[p] for p in picks]
+    return _cycle_algebra(A, zcols, project, "h", "homology").algebra
 
 
 # -- contracting elements ----------------------------------------------------
@@ -654,16 +674,22 @@ def center(A: DgAlgebra) -> Subspace:
     the center is the kernel of these columns.  A homogeneous column meets only
     rows with |m| - |j| = |s|, so the system is block diagonal by degree, and
     its kernel in flat order is the kernel of each degree's block, entry for entry.
+    When A's generators are certified, the rows are only those with j a basis
+    term of a generator: the centralizer of x is a subalgebra holding 1, so x
+    commutes with every e_j once it commutes with generators of A.  The kernel
+    is the same, hence so are the row space, its reduced form and the basis.
     """
     f = A.field
     L, R = operators(A.table)
     minus = f.neg(f.one)
     empty: dict = {}
+    gens = {i for s in A.generators for i in s} if A.generators_certified else None
     cols: dict = {}
     for s in range(A.dim):
         Ls, Rs = L.get(s, empty), R.get(s, empty)
         col = cols[s] = {}
-        for j in Ls.keys() | Rs.keys():
+        js = Ls.keys() | Rs.keys()
+        for j in js if gens is None else js & gens:
             comm = dict(Ls.get(j, empty))
             add_into(f, comm, Rs.get(j, empty), scale=minus)
             col.update(((j, m), c) for m, c in comm.items())

@@ -42,6 +42,7 @@ from dgbr.catalog import (
     split_pair,
     unit_equivalence_witness,
 )
+from dgbr import dg
 from dgbr.brauer import structure_realize
 from dgbr.dg import (
     DgAlgebra,
@@ -248,6 +249,45 @@ def test_center_and_trace_radical_bases_match_the_dense_oracle(field):
             assert [_sparse(v) for v in rep.radical] == dense_trace_radical(A)
             traced += 1
     assert traced
+
+
+def _certified_center_cases(field):
+    """Good-graded Mat_2-Mat_4 with d = [e12, -], two tensor products of them
+    and End of random complexes: every hint here certifies its algebra."""
+    mats = []
+    for n in (2, 3, 4):
+        M = good_grading_matrix_algebra(field, n, (1,) * (n - 1))
+        mats.append(inner_differential(M, M.element({"e12": 1})))
+    rng = random.Random(13)
+    ends = [end_dg_algebra(C) for C in (random_complex(rng, field, max_total=4) for _ in range(8))
+            if C.space.total_dim > 1]
+    return mats + [tensor_product(mats[0], mats[0]), tensor_product(mats[0], mats[1])] + ends
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(7)], ids=str)
+def test_center_rows_come_from_certified_generators(field, monkeypatch):
+    """A certified hint restricts the commutator rows (j, m) to j among its
+    basis terms and leaves the center's basis that of the dense oracle; a hint
+    one unit short certifies nothing and keeps every row."""
+    rows = []
+    kernel_columns = dg.kernel_columns
+
+    def spy(f, cols, n):
+        rows.append({j for col in cols.values() for j, _ in col})
+        return kernel_columns(f, cols, n)
+
+    monkeypatch.setattr(dg, "kernel_columns", spy)
+    for A in _certified_center_cases(field):
+        assert A.generators_certified
+        assert center(A).inclusion.flat_columns() == dict(enumerate(dense_center(A)))
+        assert rows[-1] <= {i for s in A.generators for i in s}
+    M = good_grading_matrix_algebra(field, 3, (1, 1))
+    B = DgAlgebra.build(field, M.space, M.unit, M.table, M.dcols, generators=M.generators[1:])
+    assert not B.generators_certified
+    assert center(B).inclusion.flat_columns() == dict(enumerate(dense_center(B)))
+    every = {j for s in range(B.dim) for j in range(B.dim)
+             if B.table.get((s, j), {}) != B.table.get((j, s), {})}
+    assert rows[-1] == every and not every <= {i for s in B.generators for i in s}
 
 
 @pytest.mark.parametrize("p", [2, 3])
