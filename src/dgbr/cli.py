@@ -10,7 +10,10 @@ constructors share the handler `_construct(fn)`, which loads each file,
 applies fn and writes the result.
 The parser is built on the first `main` call and reused, since it holds no
 per-call state, so patching a `cmd_*` function after that call has no effect;
-`build_parser()` returns a fresh one.
+`build_parser()` returns a fresh one.  `--max-dim`, given before the
+subcommand, bounds the dimension of every algebra or complex read from a
+file and of `matrix -n N` (N squared); a larger input exits 2 before any
+table is built.
 """
 from __future__ import annotations
 
@@ -65,6 +68,10 @@ from .homs import end_dg_algebra, hom_of_complexes
 from .matrix_algebras import good_grading_matrix_algebra, inner_differential
 
 
+# above every shipped, README, test and benchmark input (Mat_64 has dimension 4096)
+MAX_DIM = 4096
+
+
 def _read_text(path: str) -> str:
     try:
         if path == "-":
@@ -75,12 +82,14 @@ def _read_text(path: str) -> str:
         raise ParseError(f"not UTF-8 text: {e}", path if path != "-" else "stdin") from None
 
 
-def _load_algebra(path: str) -> DgAlgebra:
-    return parse_algebra_text(_read_text(path), path if path != "-" else "stdin")
+def _load_algebra(args, name: str = "file") -> DgAlgebra:
+    path = getattr(args, name)
+    return parse_algebra_text(_read_text(path), path if path != "-" else "stdin", args.max_dim)
 
 
-def _load_complex(path: str) -> KComplex:
-    return parse_complex_text(_read_text(path), path if path != "-" else "stdin")
+def _load_complex(args, name: str = "file") -> KComplex:
+    path = getattr(args, name)
+    return parse_complex_text(_read_text(path), path if path != "-" else "stdin", args.max_dim)
 
 
 def _strkeys(d: dict) -> dict:
@@ -106,7 +115,7 @@ def _emit(args, ok: bool, lines, payload: dict) -> int:
 
 
 def cmd_validate(args) -> int:
-    A = _load_algebra(args.file)
+    A = _load_algebra(args)
     lines = [
         f"valid dg-algebra over {A.field}: total dim {A.dim}",
         f"degrees: {_dims_line(dict(A.space.dims))}",
@@ -122,7 +131,7 @@ def _construct(fn, load=_load_algebra, write=lambda X: serialize_algebra(X)):
     ``tensor_product`` here also reaches a parser built before it did.
     """
     def handler(args) -> int:
-        sys.stdout.write(write(fn(*(load(getattr(args, a)) for a in args.inputs))))
+        sys.stdout.write(write(fn(*(load(args, a) for a in args.inputs))))
         return 0
     return handler
 
@@ -171,6 +180,9 @@ def _parse_inner(A: DgAlgebra, text: str):
 
 
 def cmd_matrix(args) -> int:
+    dim = args.size ** 2
+    if dim > args.max_dim:
+        raise ShapeMismatch(f"-n {args.size}: dimension {dim} exceeds --max-dim {args.max_dim}")
     field = _parse_cli_field(args)
     A = good_grading_matrix_algebra(field, args.size, _parse_grading(args.good_grading))
     if args.inner:
@@ -183,7 +195,7 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_contracting(args) -> int:
-    A = _load_algebra(args.file)
+    A = _load_algebra(args)
     r = contracting_element(A)
     if r is None:
         return _emit(args, False,
@@ -206,7 +218,7 @@ def cmd_contracting(args) -> int:
 
 
 def cmd_center(args) -> int:
-    A = _load_algebra(args.file)
+    A = _load_algebra(args)
     sub = center(A)
     dims = dict(sub.space.dims)
     lines = [f"center dims: {_dims_line(dims)}", f"total: {sub.space.total_dim}"]
@@ -215,7 +227,7 @@ def cmd_center(args) -> int:
 
 
 def cmd_check(args) -> int:
-    A = _load_algebra(args.file)
+    A = _load_algebra(args)
     if args.property == "central-simple":
         verdict = is_central_simple(A)
         return _emit(args, verdict, [f"central simple: {verdict}"], {"verdict": verdict})
@@ -264,14 +276,14 @@ def _emit_witness(args, w, head=(), payload=()) -> int:
 
 
 def cmd_sandwich(args) -> int:
-    w = sandwich_iso(_load_algebra(args.file))
+    w = sandwich_iso(_load_algebra(args))
     return _emit_witness(args, w, [f"source dim {w.source.dim}, target dim {w.target.dim}"])
 
 
 def cmd_structure(args) -> int:
     if args.emit_complex and args.json:
         args.parser.error("argument --json: not allowed with argument --emit-complex")
-    A = _load_algebra(args.file)
+    A = _load_algebra(args)
     sr = structure_realize(A)
     if args.emit_complex:
         sys.stdout.write(serialize_complex(sr.L))
@@ -297,18 +309,18 @@ def _verify_map(args, lhs: DgAlgebra, rhs: DgAlgebra, head=()) -> int:
 
 
 def cmd_verify_iso(args) -> int:
-    A = _load_algebra(args.source)
-    B = _load_algebra(args.target)
+    A = _load_algebra(args, "source")
+    B = _load_algebra(args, "target")
     if A.field != B.field:
         raise FieldMismatch(f"{A.field} vs {B.field}")
     return _verify_map(args, A, B)
 
 
 def cmd_verify_equiv(args) -> int:
-    A = _load_algebra(args.left)
-    B = _load_algebra(args.right)
-    C1 = _load_complex(args.left_complex)
-    C2 = _load_complex(args.right_complex)
+    A = _load_algebra(args, "left")
+    B = _load_algebra(args, "right")
+    C1 = _load_complex(args, "left_complex")
+    C2 = _load_complex(args, "right_complex")
     if A.field != B.field:
         raise FieldMismatch(f"{A.field} vs {B.field}")
     lhs, rhs = equivalence_sides(A, B, C1, C2)
@@ -316,7 +328,7 @@ def cmd_verify_equiv(args) -> int:
 
 
 def cmd_forget(args) -> int:
-    d = forget_descriptor(_load_algebra(args.file))
+    d = forget_descriptor(_load_algebra(args))
     lines = [
         f"dimension: {d.dimension}",
         f"center dimension: {d.center_dimension}",
@@ -331,8 +343,8 @@ def cmd_forget(args) -> int:
 
 
 def cmd_kunneth(args) -> int:
-    A = _load_algebra(args.left)
-    B = _load_algebra(args.right)
+    A = _load_algebra(args, "left")
+    B = _load_algebra(args, "right")
     r = kunneth_check(A, B)
     lines = [
         f"homology dims of tensor: {_dims_line(r.left)}",
@@ -362,6 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dgbr",
         description="Exact-arithmetic toolkit for finite-dimensional dg-algebras.",
     )
+    p.add_argument("--max-dim", type=_int_flag, default=MAX_DIM,
+                   help=f"largest dimension of an input file or of matrix (default {MAX_DIM})")
     sub = p.add_subparsers(dest="command", required=True)
 
     def add(name, handler, help_text, *positionals, report=True):

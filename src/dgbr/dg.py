@@ -9,7 +9,8 @@ checks each index of a product key too.  ``tensor_product``, ``opposite``,
 the kernel and homology algebras, ``matrix_algebras._matrix_unit_algebra``
 (good-graded Mat_n and End(C)) and ``inner_differential`` write only nonzero
 field values at basis indices, so they skip that coercion and go straight to
-validation (``DgAlgebra._checked``); they skip no axiom.
+validation (``DgAlgebra._checked``).  They skip no axiom, though the kernel
+and homology algebras take associativity from A instead of enumerating it.
 
 There is one validation path.  ``validate_complex`` checks a (space, d) pair:
 d of degree +1 and d squared zero; ``KComplex`` raises on its result.
@@ -44,6 +45,19 @@ holds every word, and N = A.  Then, with d(1) = 0, the homogeneous x with
 d(xy) = d(x)y + (-1)^|x| x d(y) for all y form, degree by degree, a subspace
 that holds 1 and S and is closed under products by the same computation; the
 words are homogeneous, so it spans A too.
+
+The kernel and homology algebras take a third route: ``_cycle_algebra``
+passes the validated A as ``parent``, and when d = 0 ``validate_structure``
+skips only the associativity enumeration (Leibniz is void with d = 0); the
+degree, unit and complex checks still run.  For Z = ker d, the map
+iota: Z -> A sending basis vector q to its cycle is injective of degree 0.
+The closure check d(p) = 0 on every product p of two cycles means the
+coordinates read off p reconstruct it, so iota(xy) = iota(x)iota(y) on basis
+pairs, and iota(1) = 1 as the unit is checked to be a cycle too.  Then
+iota((xy)z) = iota(x(yz)) by associativity in A, and Z is associative.  For
+H, the coset projection pi: Z -> H is onto with kernel B, an ideal of Z by
+A's Leibniz rule, so pi(xy) = pi(x)pi(y) and associativity passes from Z down
+to H.  The closure check is thus the certificate; it always runs.
 """
 from __future__ import annotations
 
@@ -124,13 +138,14 @@ class DgAlgebra:
         return cls._checked(field, space, unit, tbl, dc, hom=hom, generators=generators)
 
     @classmethod
-    def _checked(cls, field, space, unit, table, dcols, *, hom=None, generators=None):
+    def _checked(cls, field, space, unit, table, dcols, *, hom=None, generators=None, parent=None):
         """Validate data that ``build`` would leave unchanged, and wrap its dicts.
 
         Validation goes through the module-level name ``validate_structure``,
-        which the benchmark tracer wraps.
+        which the benchmark tracer wraps; ``parent`` is passed on to it.
         """
-        violations = validate_structure(field, space, unit, table, dcols, generators=generators)
+        violations = validate_structure(field, space, unit, table, dcols, generators=generators,
+                                        parent=parent)
         if violations:
             raise ValidationError(violations)
         return cls(field, space, unit, table, dcols, hom=hom, generators=generators,
@@ -312,7 +327,7 @@ class _Violations(list):
     certified = False
 
 
-def validate_structure(field, space, unit, table, dcols, *, generators=None):
+def validate_structure(field, space, unit, table, dcols, *, generators=None, parent=None):
     """Complete axiom check; returns every violation found.
 
     The product axioms are checked around ``validate_complex``: every
@@ -321,7 +336,10 @@ def validate_structure(field, space, unit, table, dcols, *, generators=None):
     ``generators`` (a list of sparse vectors, or None) may certify those two
     axioms from fewer checks, as the module docstring explains; the list
     returned is the same with or without it, and its ``certified`` tells
-    whether the generators certified the two axioms.
+    whether the generators certified the two axioms.  ``parent``, a
+    validated ``DgAlgebra`` that the data was read off through a checked
+    multiplicative map (only ``_cycle_algebra`` passes one), skips the
+    associativity enumeration when d = 0, and nothing else.
     """
     v = _Violations()
     n = space.total_dim
@@ -371,7 +389,8 @@ def validate_structure(field, space, unit, table, dcols, *, generators=None):
         v.certified = True
         return v
 
-    for i, j, k, left, right in _associativity_failures(field, L, table):
+    inherited = not dcols and isinstance(parent, DgAlgebra)
+    for i, j, k, left, right in () if inherited else _associativity_failures(field, L, table):
         v.append(AxiomViolation(
             "associativity", (i, j, k),
             f"(e{i}*e{j})*e{k} = {show(left)} but e{i}*(e{j}*e{k}) = {show(right)}",
@@ -564,7 +583,10 @@ def _cycle_algebra(A: DgAlgebra, reps, project, prefix: str, axiom: str) -> Kern
     the unit.  It cannot fail on a validated A: by the graded Leibniz rule
     and d(1) = 0, for cycles z, z' and homogeneous x, d(zz') = 0,
     d(x)z = d(xz) and z d(x) = (-1)^|z| d(zx), so Z is a subalgebra holding 1
-    and the boundaries B = d(A) are a two-sided ideal of Z.
+    and the boundaries B = d(A) are a two-sided ideal of Z.  These checks
+    make the map to A (or from Z, for H) multiplicative, so the algebra is
+    validated with A as ``parent`` and inherits its associativity (see the
+    module docstring); every other axiom is checked.
     """
     f = A.field
     sub = span_of(f, A.space, reps, prefix)
@@ -579,7 +601,7 @@ def _cycle_algebra(A: DgAlgebra, reps, project, prefix: str, axiom: str) -> Kern
                 if out:
                     table[(i, j)] = out
     unit = coords(project, A.unit, axiom, (), "unit is not a cycle") if A.unit else {}
-    return KernelAlgebra(DgAlgebra._checked(f, sub.space, unit, table, {}), sub.inclusion)
+    return KernelAlgebra(DgAlgebra._checked(f, sub.space, unit, table, {}, parent=A), sub.inclusion)
 
 
 def kernel_subalgebra(A: DgAlgebra) -> KernelAlgebra:
@@ -597,7 +619,8 @@ def homology(A: DgAlgebra) -> DgAlgebra:
     them modulo B are zero exactly when it is a boundary; when B = 0 they are
     read off as for ker d.  That the product is well defined is not checked:
     it follows from the Leibniz rule that validation certified (see
-    ``_cycle_algebra``).
+    ``_cycle_algebra``).  Associativity is inherited from A through the
+    projection Z -> H, whose kernel B is an ideal; it is not enumerated.
     """
     zcols, project, pivots = _cycles(A)
     if pivots:

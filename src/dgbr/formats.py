@@ -53,10 +53,12 @@ def _parse_field(obj, where) -> Field:
         raise ParseError(str(e), where) from None
 
 
-def _parse_basis(items, where):
-    """Returns (space, perm) with perm[file index] = flat index."""
+def _parse_basis(items, where, max_dim=None):
+    """Returns (space, perm) with perm[file index] = flat index; at most ``max_dim`` entries."""
     if not isinstance(items, list):
         raise ParseError("basis must be a list", where)
+    if max_dim is not None and len(items) > max_dim:
+        raise ParseError(f"a basis of {len(items)} elements exceeds the size limit {max_dim}", where)
     seen = set()
     rows = []
     for t, entry in enumerate(items):
@@ -144,10 +146,10 @@ _IN = {"in": "index"}
 _LEFT_RIGHT = {"left": "left index", "right": "right index"}
 
 
-def algebra_from_obj(obj: dict, where: str = "algebra") -> DgAlgebra:
+def algebra_from_obj(obj: dict, where: str = "algebra", max_dim=None) -> DgAlgebra:
     _check_keys(obj, ("field", "basis", "unit"), where, ("mult", "diff"))
     field = _parse_field(obj["field"], f"{where}.field")
-    space, perm = _parse_basis(obj["basis"], f"{where}.basis")
+    space, perm = _parse_basis(obj["basis"], f"{where}.basis", max_dim)
     n = space.total_dim
     unit = _parse_sparse(field, obj["unit"], n, perm, f"{where}.unit")
     table = _parse_columns(field, obj.get("mult", []), "product", _LEFT_RIGHT,
@@ -157,10 +159,10 @@ def algebra_from_obj(obj: dict, where: str = "algebra") -> DgAlgebra:
     return DgAlgebra.build(field, space, unit, table, dcols)
 
 
-def complex_from_obj(obj: dict, where: str = "complex") -> KComplex:
+def complex_from_obj(obj: dict, where: str = "complex", max_dim=None) -> KComplex:
     _check_keys(obj, ("field", "basis"), where, ("diff",))
     field = _parse_field(obj["field"], f"{where}.field")
-    space, perm = _parse_basis(obj["basis"], f"{where}.basis")
+    space, perm = _parse_basis(obj["basis"], f"{where}.basis", max_dim)
     dcols = _parse_columns(field, obj.get("diff", []), "differential", _IN,
                            space.total_dim, perm, f"{where}.diff")
     return KComplex(field, space, dcols)
@@ -232,12 +234,12 @@ def serialize_complex(C: KComplex) -> str:
     return to_canonical_json(complex_to_obj(C))
 
 
-def parse_algebra_text(text: str, where: str = "input") -> DgAlgebra:
-    return algebra_from_obj(load_json(text, where), where)
+def parse_algebra_text(text: str, where: str = "input", max_dim=None) -> DgAlgebra:
+    return algebra_from_obj(load_json(text, where), where, max_dim)
 
 
-def parse_complex_text(text: str, where: str = "input") -> KComplex:
-    return complex_from_obj(load_json(text, where), where)
+def parse_complex_text(text: str, where: str = "input", max_dim=None) -> KComplex:
+    return complex_from_obj(load_json(text, where), where, max_dim)
 
 
 def map_to_obj(m: HomogeneousMap) -> dict:

@@ -16,12 +16,14 @@ import pytest
 from dense_oracle import bucketed_numbered, dense_kernel_basis, dense_solve
 
 from dgbr import dg
-from dgbr.catalog import dual_numbers, generators, mat2_inner, mat3_inner, random_algebra
+from dgbr.catalog import (dual_numbers, generators, mat2_inner, mat3_inner, random_algebra,
+                          split_pair)
 from dgbr.dg import DgAlgebra, homology, kernel_subalgebra, opposite, tensor_product
 from dgbr.errors import AxiomViolation, ValidationError
 from dgbr.fields import GF, QQ
 from dgbr.formats import serialize_algebra, serialize_map
 from dgbr.graded import GradedVectorSpace
+from dgbr.matrix_algebras import good_grading_matrix_algebra
 
 FIELDS = [QQ, GF(2), GF(7)]
 
@@ -166,3 +168,80 @@ def test_closure_is_checked_on_every_product_and_the_unit(field, monkeypatch):
             with pytest.raises(ValidationError) as err:
                 build(A)
             assert err.value.violations == [AxiomViolation(axiom, witness, detail)]
+
+
+def _inheritance_cases(field):
+    """Every pair of catalog factors tensored, random algebras, and dual^k for k <= 6."""
+    gens = [A for _, A in generators(field)]
+    rng = random.Random(47)
+    cases = [tensor_product(A, B) for A in gens for B in gens]
+    cases += [random_algebra(rng, field) for _ in range(8)]
+    power = dual_numbers(field)
+    cases.append(power)
+    for _ in range(5):
+        power = tensor_product(power, dual_numbers(field))
+        cases.append(power)
+    return cases
+
+
+def _spy_associativity(monkeypatch):
+    calls = []
+    enumerate_ = dg._associativity_failures
+    monkeypatch.setattr(dg, "_associativity_failures",
+                        lambda *a: calls.append(1) or enumerate_(*a))
+    return calls
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_inherited_associativity_agrees_with_the_complete_check(field, monkeypatch):
+    """ker d and H skip the associativity enumeration, as they inherit it from A;
+    the complete check (``validate`` passes no parent) finds nothing on them."""
+    cases = _inheritance_cases(field)
+    calls = _spy_associativity(monkeypatch)
+    built = [(kernel_subalgebra(A).algebra, homology(A)) for A in cases]
+    assert calls == []
+    monkeypatch.undo()
+    for Z, H in built:
+        assert not Z.generators_certified and not H.generators_certified
+        assert Z.validate() == [] and H.validate() == []
+
+
+def test_uncertified_tensor_products_still_enumerate(monkeypatch):
+    S = split_pair(QQ)
+    calls = _spy_associativity(monkeypatch)
+    assert not tensor_product(S, S).generators_certified
+    assert calls
+
+
+def _axioms(err):
+    return [v.axiom for v in err.value.violations]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_inherited_route_keeps_the_unit_and_degree_checks(field):
+    """A parent skips only associativity: a wrong unit or a product of the wrong
+    degree still raises, and a nonzero d falls back to the complete check."""
+    one = field.one
+    flat = good_grading_matrix_algebra(field, 2, (0,))  # e11, e12, e21, e22; d = 0
+    with pytest.raises(ValidationError) as err:
+        DgAlgebra._checked(field, flat.space, {0: one}, flat.table, {}, parent=flat)
+    assert "unit-law" in _axioms(err)
+    Z = kernel_subalgebra(mat2_inner(field)).algebra  # z0_0 = 1, z1_0
+    table = dict(Z.table)
+    table[(1, 1)] = {1: one}
+    with pytest.raises(ValidationError) as err:
+        DgAlgebra._checked(field, Z.space, Z.unit, table, {}, parent=Z)
+    assert _axioms(err) == ["degree-additivity"]
+    for A in (flat, mat2_inner(field)):
+        table = dict(A.table)
+        e11 = A.space.all_labels().index("e11")
+        del table[(e11, e11)]  # e11*e11 = 0: breaks the unit law and associativity
+        args = (field, A.space, A.unit, table, A.dcols)
+        complete = dg.validate_structure(*args)
+        assert "associativity" in [v.axiom for v in complete]
+        inherited = dg.validate_structure(*args, parent=A)
+        if A.dcols:
+            assert inherited == complete
+        else:
+            assert inherited == [v for v in complete if v.axiom != "associativity"]
+        assert dg.validate_structure(*args, parent="not an algebra") == complete

@@ -8,7 +8,7 @@ import textwrap
 
 import pytest
 
-from dgbr import cli
+from dgbr import cli, formats
 from dgbr.catalog import dual_numbers, mat2_inner, mat3_inner, split_pair
 from dgbr.cli import main
 from dgbr.dg import KComplex, tensor_product, trivial_dg
@@ -741,3 +741,30 @@ def test_shipped_samples_parse_to_catalog_algebras():
         (SAMPLES / "dual_numbers_f2.json").read_text()) == dual_numbers(GF(2))
     assert parse_algebra_text(
         (SAMPLES / "mat2_f1_z12.json").read_text()) == mat2_inner(QQ)
+
+
+def test_max_dim_refuses_larger_inputs_before_building(monkeypatch, capsys, tmp_path):
+    """Above ``--max-dim``, ``matrix -n N`` (dimension N squared) and a file whose
+    basis is larger exit 2 with one line; no table is parsed or built."""
+    assert main(["--max-dim", "4", "matrix", "-n", "2"]) == 0
+    assert cli.build_parser().parse_args(["catalog"]).max_dim == cli.MAX_DIM
+    capsys.readouterr()
+    cplx = tmp_path / "mat2.json"
+    cplx.write_text(serialize_complex(mat2_inner(QQ).complex()))
+    dual, mat2 = str(SAMPLES / "dual_numbers.json"), str(SAMPLES / "mat2_f1_z12.json")
+    built = []
+    monkeypatch.setattr(cli, "good_grading_matrix_algebra", lambda *a: built.append(a))
+    monkeypatch.setattr(formats, "_parse_columns", lambda *a, **k: built.append(a))
+    over = "{}.basis: a basis of {} elements exceeds the size limit {}".format
+    cases = [
+        (["--max-dim", "3", "matrix", "-n", "2"], "-n 2: dimension 4 exceeds --max-dim 3"),
+        (["--max-dim", "1", "validate", dual], over(dual, 2, 1)),
+        (["--max-dim", "3", "end", str(cplx)], over(cplx, 4, 3)),
+        (["--max-dim", "3", "kunneth", mat2, dual], over(mat2, 4, 3)),
+    ]
+    for argv, message in cases:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"invalid input: {message}\n"
+    assert built == []
