@@ -5,7 +5,12 @@ the machine checks for multiplicativity, unitality, compatibility with the
 differentials, and bijectivity.  Nothing is accepted on faith; failed checks
 are recorded on the witness rather than silently dropped.  Multiplication by
 an element (lambda, rho, the left ideals A*e and A*d(e) of the structure
-theorem) is read off the table's operators with ``graded.operator_of``.
+theorem, the sandwich rows, the products a witness is checked on) is read
+off the table's operators with ``graded.operator_of``.  Where most products
+vanish, only the tuples on which a side can be nonzero are visited: the
+sandwich rows come from the nonzero triple products e_i e_x e_j, and
+``verify_dg_iso`` skips each pair (i, j) on which both m(e_i e_j) and
+m(e_i)m(e_j) are zero by their supports.
 """
 from __future__ import annotations
 
@@ -84,6 +89,11 @@ def verify_dg_iso(A: DgAlgebra, B: DgAlgebra, m: HomogeneousMap) -> IsoWitness:
     every basis y.  If m is not unital, A's hint is not certified, or a
     product fails there, every basis pair is checked, so the failures are
     those of the complete loop, in its order.
+
+    Each row i forms B's left operator of m(e_i) once, and m(e_i)m(e_j) is
+    that operator applied to m(e_j).  Only the j with e_i e_j nonzero or with
+    a term of m(e_j) that the operator moves are compared: on every other j,
+    m(e_i e_j) = 0 = m(e_i)m(e_j), so skipping them changes no failure.
     """
     if A.field != B.field:
         raise ShapeMismatch("algebras over different fields")
@@ -93,13 +103,18 @@ def verify_dg_iso(A: DgAlgebra, B: DgAlgebra, m: HomogeneousMap) -> IsoWitness:
         raise ShapeMismatch("expected a degree-0 map between the two underlying spaces")
     f = A.field
     cols = m.flat_columns()
+    (LA, _), (LB, _) = operators(A.table), operators(B.table)
+    hits: dict = {}  # target index t -> the j with t a term of m(e_j)
+    for j, col in cols.items():
+        for t in col:
+            hits.setdefault(t, []).append(j)
     empty: dict = {}
 
     def product_failures(rows):
         for i in rows:
-            ci = cols.get(i, empty)
-            for j in range(A.dim):
-                if apply(f, cols, A.table.get((i, j), empty)) != B.mul(ci, cols.get(j, empty)):
+            li, mi = LA.get(i, empty), operator_of(f, LB, cols.get(i, empty))
+            for j in sorted(set(li).union(*(hits.get(t, ()) for t in mi))):
+                if apply(f, cols, li.get(j, empty)) != apply(f, mi, cols.get(j, empty)):
                     yield i, j
 
     is_unital = apply(f, cols, A.unit) == B.unit
@@ -165,14 +180,26 @@ def is_central_simple(A: DgAlgebra) -> bool:
 
 def _sandwich_rows(A: DgAlgebra, pairs):
     """For each (i, j) of ``pairs``, the row whose entry x*n + t is the e_t
-    coefficient of e_i e_x e_j, read off the left and right operators."""
+    coefficient of e_i e_x e_j.
+
+    One pass over the nonzero triple products builds every row: for each i
+    and each x with e_i e_x nonzero, column j of the left operator of e_i e_x
+    is (e_i e_x) e_j, and its entries go into row (i, j) at x*n + t.  For
+    Mat_n that is n^4 nonzero triples, not n^5 products of which nearly all
+    are zero.
+    """
     n, f = A.dim, A.field
-    L, R = operators(A.table)
-    empty: dict = {}
-    for i, j in pairs:
-        Rj = R.get(j, empty)
-        yield {x * n + t: c for x, ix in L.get(i, empty).items()
-               for t, c in apply(f, Rj, ix).items()}
+    L, _ = operators(A.table)
+    rows: dict = {}
+    for i, li in L.items():
+        for x, ix in li.items():
+            base = x * n
+            for j, col in operator_of(f, L, ix).items():
+                row = rows.setdefault((i, j), {})
+                for t, c in col.items():
+                    row[base + t] = c
+    for pair in pairs:
+        yield rows.get(pair, {})
 
 
 @dataclass(frozen=True)
@@ -191,12 +218,13 @@ def forget_descriptor(A: DgAlgebra) -> UngradedDescriptor:
     e_i (x) e_j -> (x -> e_i x e_j), ungraded and with no signs, is bijective.
     Both sides have dimension n^2, so that holds exactly when the n^2
     ``_sandwich_rows`` are independent; the rank comes from the sparse
-    elimination kernel.
+    elimination kernel.  The rows are built from the nonzero triple products
+    e_i e_x e_j, and only when the center is K.
     """
     n = A.dim
     c = center(A).space.total_dim
-    rows = _sandwich_rows(A, itertools.product(range(n), repeat=2))
-    return UngradedDescriptor(n, c, c == 1 and len(rref_rows(A.field, rows)[1]) == n * n)
+    return UngradedDescriptor(n, c, c == 1 and len(rref_rows(
+        A.field, _sandwich_rows(A, itertools.product(range(n), repeat=2)))[1]) == n * n)
 
 
 # -- the sandwich isomorphism --------------------------------------------------

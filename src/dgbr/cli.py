@@ -12,8 +12,10 @@ The parser is built on the first `main` call and reused, since it holds no
 per-call state, so patching a `cmd_*` function after that call has no effect;
 `build_parser()` returns a fresh one.  `--max-dim`, given before the
 subcommand, bounds the dimension of every algebra or complex read from a
-file and of `matrix -n N` (N squared); a larger input exits 2 before any
-table is built.
+file, of `matrix -n N` (N squared) and of the outputs of `tensor` (the
+product of the dimensions), `end` (the square) and `hom` (the product); a
+larger input or output exits 2 before the table that would exceed it is
+built.
 """
 from __future__ import annotations
 
@@ -124,14 +126,21 @@ def cmd_validate(args) -> int:
     return _emit(args, True, lines, payload)
 
 
-def _construct(fn, load=_load_algebra, write=lambda X: serialize_algebra(X)):
+def _construct(fn, load=_load_algebra, write=lambda X: serialize_algebra(X), out_dim=None):
     """The handler of a file constructor: load each positional file, apply
     ``fn`` and write the result as canonical JSON.  Rows pass lambdas, which
     look up the library function on each call, so a tracer that rebinds
     ``tensor_product`` here also reaches a parser built before it did.
+    ``out_dim`` maps the inputs' dimensions to the output's, which must not
+    exceed ``--max-dim``; it is checked before ``fn`` runs.
     """
     def handler(args) -> int:
-        sys.stdout.write(write(fn(*(load(args, a) for a in args.inputs))))
+        inputs = [load(args, a) for a in args.inputs]
+        dim = out_dim(*(X.space.total_dim for X in inputs)) if out_dim else 0
+        if dim > args.max_dim:
+            raise ShapeMismatch(
+                f"{args.command}: output dimension {dim} exceeds --max-dim {args.max_dim}")
+        sys.stdout.write(write(fn(*inputs)))
         return 0
     return handler
 
@@ -390,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("validate", cmd_validate, "parse and fully validate an algebra file", "file")
     add("op", _construct(lambda A: opposite(A)), "opposite algebra, canonical JSON on stdout",
         "file", report=False)
-    add("tensor", _construct(lambda A, B: tensor_product(A, B)),
+    add("tensor", _construct(lambda A, B: tensor_product(A, B), out_dim=lambda a, b: a * b),
         "graded tensor product of two algebra files", "left", "right", report=False)
     add("homology", _construct(lambda A: homology(A)), "homology algebra (zero differential)",
         "file", report=False)
@@ -402,10 +411,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("property",
                     choices=("central-simple", "tgr-semisimple", "semisimple"))
     sp.add_argument("file")
-    add("end", _construct(lambda C: end_dg_algebra(C), _load_complex),
+    add("end", _construct(lambda C: end_dg_algebra(C), _load_complex, out_dim=lambda c: c * c),
         "endomorphism dg-algebra of a complex file", "file", report=False)
     add("hom", _construct(lambda C, D: hom_of_complexes(C, D).complex(), _load_complex,
-                          lambda H: serialize_complex(H)),
+                          lambda H: serialize_complex(H), lambda c, d: c * d),
         "hom complex of two complex files", "source", "target", report=False)
     sp = add("matrix", cmd_matrix, "good-graded matrix algebra constructor", report=False)
     sp.add_argument("--field", choices=("rationals", "prime"), default="rationals")

@@ -665,11 +665,12 @@ def contracting_element(A: DgAlgebra):
 
     ker = kernel_of(HomogeneousMap(f, A.space, A.space, 1, A.dcols))
     kcols = ker.inclusion.flat_columns()
+    lz = operator_of(f, operators(A.table)[0], z)
     # per degree: the kernel basis there and z times the kernel basis one above
     by_deg: dict[int, list] = {}
     retraction_ok = True
     for i, ncol in kcols.items():
-        zn = A.mul(z, ncol)
+        zn = apply(f, lz, ncol)
         k = ker.space.degree_of(i)
         by_deg.setdefault(k, []).append(ncol)
         by_deg.setdefault(k - 1, []).append(zn)

@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+import dense_oracle
 from dense_oracle import dense_candidates, dense_is_central_simple
 
 from dgbr import brauer
@@ -417,23 +418,46 @@ def test_sandwich_map_rejects_an_end_algebra_of_another_complex():
         sandwich_map(A, T, end_dg_algebra(mat2_inner(GF(7)).complex()))
 
 
+def _count_target_rows(monkeypatch):
+    """Count, per table, the ``operator_of`` calls of ``brauer`` over that
+    table's left operators.  ``verify_dg_iso`` makes one over the target's
+    for each row i it checks, the operator of m(e_i)."""
+    owners, calls = [], {}
+    ops, op_of = brauer.operators, brauer.operator_of
+
+    def operators_spy(table):
+        L, R = ops(table)
+        owners.append((L, table))
+        return L, R
+
+    def operator_of_spy(field, o, u):
+        for L, table in owners:
+            if o is L:
+                calls[id(table)] = calls.get(id(table), 0) + 1
+        return op_of(field, o, u)
+
+    monkeypatch.setattr(brauer, "operators", operators_spy)
+    monkeypatch.setattr(brauer, "operator_of", operator_of_spy)
+    return calls
+
+
 def test_sandwich_iso_checks_products_only_on_the_hint_rows(monkeypatch):
     """T = A (x) A^op of Mat_3 has a certified hint with 18 basis terms: each
     factor's 3 cycle units tensored with the other's unit, a sum of 3 terms.
-    So the target multiplies 18 * 81 pairs instead of all 81 * 81."""
+    So the target's operator is formed for 18 rows instead of all 81."""
     A = _mat3_inner(GF(10007))
-    calls = _count_mul(monkeypatch)
+    calls = _count_target_rows(monkeypatch)
     w = sandwich_iso(A)
     assert w.verified and w.source.generators_certified
     assert len({i for s in w.source.generators for i in s}) == 2 * 3 * 3
-    assert calls[id(w.target)] == 18 * 81
+    assert calls[id(w.target.table)] == 18
 
 
 def test_verify_dg_iso_falls_back_to_every_pair(monkeypatch):
     """A hint that does not generate Mat_3 is kept but not certified, and a map
-    that is not unital is never checked on the hint alone: either way all
-    9 * 9 product pairs are multiplied out.  The identity on the certified
-    algebra takes only the 3 rows of its cycle hint."""
+    that is not unital is never checked on the hint alone: either way all 9
+    rows are checked.  The identity on the certified algebra takes only the
+    3 rows of its cycle hint."""
     A = _mat3_inner(GF(10007))
     e12 = A.element({"e12": 1})
     partial = DgAlgebra.build(A.field, A.space, A.unit, A.table, A.dcols, generators=[e12])
@@ -441,12 +465,46 @@ def test_verify_dg_iso_falls_back_to_every_pair(monkeypatch):
     assert partial.generators == [e12]
     ident = HomogeneousMap.identity(A.field, A.space)
     zero = HomogeneousMap.zero(A.field, A.space, A.space)
-    calls = _count_mul(monkeypatch)
-    for B, m, products in ((partial, ident, 81), (A, zero, 81), (A, ident, 3 * 9)):
+    calls = _count_target_rows(monkeypatch)
+    for B, m, rows in ((partial, ident, 9), (A, zero, 9), (A, ident, 3)):
         calls.clear()
         w = verify_dg_iso(B, B, m)
-        assert calls == {id(B): products}
+        assert calls == {id(B.table): rows}
         assert w.checks.is_algebra_hom and w.checks.is_unital == (m is ident)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+@pytest.mark.parametrize("n", [2, 3])
+def test_verify_dg_iso_finds_failures_zero_on_one_side(field, n):
+    """The pairs skipped are those zero on both sides, so failures zero on one
+    side are all found, in the complete loop's order.  Sending every e_ab to
+    1 fails only where e_ab e_cd = 0 (b != c) yet 1 * 1 = 1: j lies outside
+    A's left operator of e_i.  Sending every e_ab to e12, whose square is
+    zero, and the identity with e12 sent to 0, fail only where m(e_i e_j) is
+    nonzero and m(e_i)m(e_j) = 0: no term of m(e_j) meets the operator of
+    m(e_i).  The last map is unital, so it first runs the hint rows."""
+    A = good_grading_matrix_algebra(field, n, (0,) * (n - 1))
+    e12, one = A.element({"e12": 1}), A.field.one
+    maps = [
+        {i: dict(A.unit) for i in range(A.dim)},
+        {i: e12 for i in range(A.dim)},
+        {i: {i: one} for i in range(A.dim) if {i: one} != e12},
+    ]
+    for cols in maps:
+        m = HomogeneousMap(field, A.space, A.space, 0, cols)
+        checks = verify_dg_iso(A, A, m).checks
+        assert not checks.is_algebra_hom
+        assert checks == dense_oracle.full_iso_checks(A, A, m)
+
+
+def test_central_simplicity_builds_no_sandwich_rows_when_the_center_is_not_k(monkeypatch):
+    """The sandwich rows are built only when the center is K."""
+    built = []
+    monkeypatch.setattr(brauer, "_sandwich_rows", lambda A, pairs: built.append(A) or [])
+    for A in (dual_numbers(QQ), split_pair(QQ), dual_numbers(GF(7)), split_pair(GF(7))):
+        assert center(A).space.total_dim == 2
+        assert not is_central_simple(A)
+    assert built == []
 
 
 def test_multiplication_operators_are_read_off_the_table(monkeypatch):

@@ -745,14 +745,18 @@ def test_shipped_samples_parse_to_catalog_algebras():
 
 def test_max_dim_refuses_larger_inputs_before_building(monkeypatch, capsys, tmp_path):
     """Above ``--max-dim``, ``matrix -n N`` (dimension N squared) and a file whose
-    basis is larger exit 2 with one line; no table is parsed or built."""
-    assert main(["--max-dim", "4", "matrix", "-n", "2"]) == 0
+    basis is larger exit 2 with one line; no table is parsed or built.  So do
+    the outputs of ``tensor`` (dim A * dim B), ``end`` (dim C squared) and
+    ``hom`` (dim C * dim D): their inputs are read, and nothing is built."""
+    cplx, two = tmp_path / "mat2.json", str(tmp_path / "dual.json")
+    cplx.write_text(serialize_complex(mat2_inner(QQ).complex()))
+    (tmp_path / "dual.json").write_text(serialize_complex(dual_numbers(QQ).complex()))
+    dual, mat2 = str(SAMPLES / "dual_numbers.json"), str(SAMPLES / "mat2_f1_z12.json")
+    for argv in (["matrix", "-n", "2"], ["tensor", dual, dual], ["end", two], ["hom", two, two]):
+        assert main(["--max-dim", "4", *argv]) == 0
     assert cli.build_parser().parse_args(["catalog"]).max_dim == cli.MAX_DIM
     capsys.readouterr()
-    cplx = tmp_path / "mat2.json"
-    cplx.write_text(serialize_complex(mat2_inner(QQ).complex()))
-    dual, mat2 = str(SAMPLES / "dual_numbers.json"), str(SAMPLES / "mat2_f1_z12.json")
-    built = []
+    parse_columns, built = formats._parse_columns, []
     monkeypatch.setattr(cli, "good_grading_matrix_algebra", lambda *a: built.append(a))
     monkeypatch.setattr(formats, "_parse_columns", lambda *a, **k: built.append(a))
     over = "{}.basis: a basis of {} elements exceeds the size limit {}".format
@@ -767,4 +771,15 @@ def test_max_dim_refuses_larger_inputs_before_building(monkeypatch, capsys, tmp_
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"invalid input: {message}\n"
+    assert built == []
+
+    monkeypatch.setattr(formats, "_parse_columns", parse_columns)
+    for name in ("tensor_product", "end_dg_algebra", "hom_of_complexes"):
+        monkeypatch.setattr(cli, name, lambda *a, name=name: built.append(name))
+    out = "{}: output dimension 4 exceeds --max-dim 3".format
+    for argv in (["tensor", dual, dual], ["end", two], ["hom", two, two]):
+        assert main(["--max-dim", "3", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"invalid input: {out(argv[0])}\n"
     assert built == []
