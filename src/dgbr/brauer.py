@@ -6,9 +6,9 @@ differentials, and bijectivity.  Nothing is accepted on faith; failed checks
 are recorded on the witness rather than silently dropped.  Multiplication by
 an element (lambda, rho, the left ideals A*e and A*d(e) of the structure
 theorem, the sandwich rows, the products a witness is checked on) is read
-off the table's operators with ``graded.operator_of``.  Where most products
-vanish, only the tuples on which a side can be nonzero are visited: the
-sandwich rows come from the nonzero triple products e_i e_x e_j, and
+off the algebra's ``left``/``right`` with ``graded.operator_of``.  Where
+most products vanish, only the tuples on which a side can be nonzero are
+visited: the sandwich rows come from the nonzero triple products e_i e_x e_j, and
 ``verify_dg_iso`` skips each pair (i, j) on which both m(e_i e_j) and
 m(e_i)m(e_j) are zero by their supports.
 """
@@ -41,8 +41,7 @@ from .errors import (
     ShapeMismatch,
     ValidationError,
 )
-from .graded import (GradedVectorSpace, HomogeneousMap, TensorBasis, _require_int, apply,
-                     operator_of, operators)
+from .graded import GradedVectorSpace, HomogeneousMap, TensorBasis, _require_int, apply, operator_of
 from .homs import end_dg_algebra
 from .linalg import coset_basis, rref_rows
 
@@ -103,7 +102,6 @@ def verify_dg_iso(A: DgAlgebra, B: DgAlgebra, m: HomogeneousMap) -> IsoWitness:
         raise ShapeMismatch("expected a degree-0 map between the two underlying spaces")
     f = A.field
     cols = m.flat_columns()
-    (LA, _), (LB, _) = operators(A.table), operators(B.table)
     hits: dict = {}  # target index t -> the j with t a term of m(e_j)
     for j, col in cols.items():
         for t in col:
@@ -112,7 +110,7 @@ def verify_dg_iso(A: DgAlgebra, B: DgAlgebra, m: HomogeneousMap) -> IsoWitness:
 
     def product_failures(rows):
         for i in rows:
-            li, mi = LA.get(i, empty), operator_of(f, LB, cols.get(i, empty))
+            li, mi = A.left.get(i, empty), operator_of(f, B.left, cols.get(i, empty))
             for j in sorted(set(li).union(*(hits.get(t, ()) for t in mi))):
                 if apply(f, cols, li.get(j, empty)) != apply(f, mi, cols.get(j, empty)):
                     yield i, j
@@ -148,8 +146,7 @@ def _shift(A: DgAlgebra, aflat: dict) -> int:
 def lambda_map(A: DgAlgebra, a) -> HomogeneousMap:
     """Left multiplication x -> a*x by a homogeneous element, on the complex of A."""
     aflat = A.coeffs(a)
-    L, _ = operators(A.table)
-    return HomogeneousMap(A.field, A.space, A.space, _shift(A, aflat), operator_of(A.field, L, aflat))
+    return HomogeneousMap(A.field, A.space, A.space, _shift(A, aflat), operator_of(A.field, A.left, aflat))
 
 
 def rho_map(A: DgAlgebra, a) -> HomogeneousMap:
@@ -160,9 +157,8 @@ def rho_map(A: DgAlgebra, a) -> HomogeneousMap:
     """
     aflat = A.coeffs(a)
     f, s = A.field, _shift(A, aflat)
-    _, R = operators(A.table)
     cols = {x: col if ksign(s, A.degree_of(x)) > 0 else negate_coeffs(f, col)
-            for x, col in operator_of(f, R, aflat).items()}
+            for x, col in operator_of(f, A.right, aflat).items()}
     return HomogeneousMap(f, A.space, A.space, s, cols)
 
 
@@ -189,12 +185,11 @@ def _sandwich_rows(A: DgAlgebra, pairs):
     are zero.
     """
     n, f = A.dim, A.field
-    L, _ = operators(A.table)
     rows: dict = {}
-    for i, li in L.items():
+    for i, li in A.left.items():
         for x, ix in li.items():
             base = x * n
-            for j, col in operator_of(f, L, ix).items():
+            for j, col in operator_of(f, A.left, ix).items():
                 row = rows.setdefault((i, j), {})
                 for t, c in col.items():
                     row[base + t] = c
@@ -294,8 +289,7 @@ def _cosets(A: DgAlgebra, e: dict):
     off the right operators of e and d(e), whose columns they may share.
     """
     f = A.field
-    _, R = operators(A.table)
-    ae, de = operator_of(f, R, e), operator_of(f, R, A.d_apply(e))
+    ae, de = operator_of(f, A.right, e), operator_of(f, A.right, A.d_apply(e))
     n = [de[k] for k in sorted(de)]
     basis: list = []
     rref_rows(f, (ae[k] for k in sorted(ae)), basis.append)
@@ -410,8 +404,7 @@ def _realize(A: DgAlgebra) -> StructureRealization:
             choice.index, A.label_of(next(iter(e))), dict(L.space.dims), A.dim))
     E = end_dg_algebra(L)
 
-    _, R = operators(A.table)
-    acts = [operator_of(f, R, basis[p]) for p in picks]  # acts[s][a] = e_a * rep s
+    acts = [operator_of(f, A.right, basis[p]) for p in picks]  # acts[s][a] = e_a * rep s
     cols = {}
     for a in range(A.dim):
         lcols = {}

@@ -449,6 +449,8 @@ def main(argv=None) -> int:
         _PARSER = build_parser()
     try:
         args = _PARSER.parse_args(argv)
+        if [getattr(args, a) for a in args.inputs].count("-") > 1:
+            raise ParseError("'-' (standard input) can name only one input", args.command)
         return args.fn(args)
     except SystemExit as e:
         # argparse exits 2 on bad usage, which matches the invalid-input code

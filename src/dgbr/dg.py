@@ -16,7 +16,10 @@ There is one validation path.  ``validate_complex`` checks a (space, d) pair:
 d of degree +1 and d squared zero; ``KComplex`` raises on its result.
 ``validate_structure`` is that plus the product axioms (degree additivity,
 unit laws, associativity, graded Leibniz, d(1) = 0).  Every product in it is
-an ``apply`` of a left or right multiplication operator.
+an ``apply`` of a left or right multiplication operator.  ``_checked`` keeps
+the operators validation formed as the algebra's ``left`` and ``right``, which
+every other product routine reads; they share the table's columns, so copy a
+column before changing it.
 Associativity is checked one pair (i, j) at a time, as two operators in k:
 k -> (ei*ej)*ek, the left operator of ei*ej, and k -> ei*(ej*ek).  They are
 compared whole, and the k are walked only when they differ.  Leibniz is
@@ -98,7 +101,7 @@ class DgAlgebra:
     """A validated dg-algebra over an exact field."""
 
     def __init__(self, field, space, unit, table, dcols, *, hom=None, generators=None,
-                 _validated=False, _certified=False):
+                 _validated=False, _certified=False, _ops=None):
         if not _validated:
             raise ShapeMismatch("use DgAlgebra.build so the axioms get checked")
         self.field = field
@@ -111,6 +114,7 @@ class DgAlgebra:
         # whether validation certified associativity and Leibniz from the words
         # over ``generators``, which proves that they generate the algebra
         self.generators_certified = _certified
+        self.left, self.right = _ops  # left[i][j] = right[j][i] = ei*ej
 
     # -- construction ------------------------------------------------------
 
@@ -149,7 +153,7 @@ class DgAlgebra:
         if violations:
             raise ValidationError(violations)
         return cls(field, space, unit, table, dcols, hom=hom, generators=generators,
-                   _validated=True, _certified=violations.certified)
+                   _validated=True, _certified=violations.certified, _ops=violations.ops)
 
     @classmethod
     def zero_algebra(cls, field):
@@ -322,9 +326,10 @@ def _generators_certify(field, deg, unit, table, dcols, L, R, generators) -> boo
 
 
 class _Violations(list):
-    """A list of violations that also records whether generators certified it."""
+    """A list of violations, whether generators certified it, and the operators (L, R)."""
 
     certified = False
+    ops = None
 
 
 def validate_structure(field, space, unit, table, dcols, *, generators=None, parent=None):
@@ -371,7 +376,7 @@ def validate_structure(field, space, unit, table, dcols, *, generators=None, par
                 v.append(AxiomViolation("unit-degree", (i,), f"unit has a degree-{deg[i]} component"))
                 break
 
-    L, R = operators(table)
+    L, R = v.ops = operators(table)
     empty: dict = {}
     one = field.one
     if unit:
@@ -590,10 +595,9 @@ def _cycle_algebra(A: DgAlgebra, reps, project, prefix: str, axiom: str) -> Kern
     """
     f = A.field
     sub = span_of(f, A.space, reps, prefix)
-    L, _ = operators(A.table)
     table: dict = {}
     for i, u in enumerate(reps):
-        Lu = operator_of(f, L, u)
+        Lu = operator_of(f, A.left, u)
         for j, v in enumerate(reps):
             p = apply(f, Lu, v)
             if p:
@@ -665,7 +669,7 @@ def contracting_element(A: DgAlgebra):
 
     ker = kernel_of(HomogeneousMap(f, A.space, A.space, 1, A.dcols))
     kcols = ker.inclusion.flat_columns()
-    lz = operator_of(f, operators(A.table)[0], z)
+    lz = operator_of(f, A.left, z)
     # per degree: the kernel basis there and z times the kernel basis one above
     by_deg: dict[int, list] = {}
     retraction_ok = True
@@ -704,13 +708,12 @@ def center(A: DgAlgebra) -> Subspace:
     is the same, hence so are the row space, its reduced form and the basis.
     """
     f = A.field
-    L, R = operators(A.table)
     minus = f.neg(f.one)
     empty: dict = {}
     gens = {i for s in A.generators for i in s} if A.generators_certified else None
     cols: dict = {}
     for s in range(A.dim):
-        Ls, Rs = L.get(s, empty), R.get(s, empty)
+        Ls, Rs = A.left.get(s, empty), A.right.get(s, empty)
         col = cols[s] = {}
         js = Ls.keys() | Rs.keys()
         for j in js if gens is None else js & gens:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .dg import DgAlgebra, _show, ksign
 from .errors import AxiomViolation, ShapeMismatch, ValidationError
 from .fields import Field
-from .graded import GradedVectorSpace, _require_int, add_into, apply, operator_of, operators
+from .graded import GradedVectorSpace, _require_int, add_into, apply, operator_of
 
 
 def _matrix_unit_algebra(field: Field, space: GradedVectorSpace, units, dcols, *, hom=None) -> DgAlgebra:
@@ -99,10 +99,9 @@ def inner_differential(A: DgAlgebra, z) -> DgAlgebra:
         raise ShapeMismatch(f"element is not homogeneous of degree 1 (degrees {bad})")
 
     # d = lambda_z - rho_z, column a signed; z^2 is central when its two operators agree
-    L, R = operators(A.table)
-    lz, rz = operator_of(f, L, zvec), operator_of(f, R, zvec)
+    lz, rz = operator_of(f, A.left, zvec), operator_of(f, A.right, zvec)
     z2 = apply(f, lz, zvec)
-    left, right = operator_of(f, L, z2), operator_of(f, R, z2)
+    left, right = operator_of(f, A.left, z2), operator_of(f, A.right, z2)
     minus = f.neg(f.one)
     for a in sorted(left.keys() | right.keys()):
         dd = dict(left.get(a, {}))

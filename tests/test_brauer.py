@@ -418,25 +418,27 @@ def test_sandwich_map_rejects_an_end_algebra_of_another_complex():
         sandwich_map(A, T, end_dg_algebra(mat2_inner(GF(7)).complex()))
 
 
-def _count_target_rows(monkeypatch):
-    """Count, per table, the ``operator_of`` calls of ``brauer`` over that
-    table's left operators.  ``verify_dg_iso`` makes one over the target's
-    for each row i it checks, the operator of m(e_i)."""
-    owners, calls = [], {}
-    ops, op_of = brauer.operators, brauer.operator_of
+def _count_target_rows(monkeypatch, *algebras):
+    """Count, per algebra B, the ``operator_of`` calls of ``brauer`` over
+    ``B.left``, keyed by ``id(B.table)``.  ``verify_dg_iso`` makes one over the
+    target's for each row i it checks, the operator of m(e_i).  Algebras built
+    while the spy runs are seen through the constructor; ``algebras`` are
+    those built before it."""
+    owners, calls = list(algebras), {}
+    op_of, checked = brauer.operator_of, DgAlgebra._checked.__func__
 
-    def operators_spy(table):
-        L, R = ops(table)
-        owners.append((L, table))
-        return L, R
+    def checked_spy(cls, *args, **kwargs):
+        B = checked(cls, *args, **kwargs)
+        owners.append(B)
+        return B
 
     def operator_of_spy(field, o, u):
-        for L, table in owners:
-            if o is L:
-                calls[id(table)] = calls.get(id(table), 0) + 1
+        for B in owners:
+            if o is B.left:
+                calls[id(B.table)] = calls.get(id(B.table), 0) + 1
         return op_of(field, o, u)
 
-    monkeypatch.setattr(brauer, "operators", operators_spy)
+    monkeypatch.setattr(DgAlgebra, "_checked", classmethod(checked_spy))
     monkeypatch.setattr(brauer, "operator_of", operator_of_spy)
     return calls
 
@@ -465,7 +467,7 @@ def test_verify_dg_iso_falls_back_to_every_pair(monkeypatch):
     assert partial.generators == [e12]
     ident = HomogeneousMap.identity(A.field, A.space)
     zero = HomogeneousMap.zero(A.field, A.space, A.space)
-    calls = _count_target_rows(monkeypatch)
+    calls = _count_target_rows(monkeypatch, A, partial)
     for B, m, rows in ((partial, ident, 9), (A, zero, 9), (A, ident, 3)):
         calls.clear()
         w = verify_dg_iso(B, B, m)

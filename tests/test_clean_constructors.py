@@ -14,12 +14,12 @@ import pytest
 from dense_oracle import FRACTION_QQ, _dense_matrix, _dense_product
 from hypothesis import given, settings, strategies as st
 
-from dgbr import brauer, catalog
+from dgbr import brauer, catalog, dg
 from dgbr.brauer import equivalence_sides, structure_realize, verify_dg_iso
 from dgbr.catalog import generators, mat2_inner, neutral, random_algebra, unit_equivalence_witness
 from dgbr.dg import DgAlgebra, KComplex, homology, kernel_subalgebra, opposite, tensor_product
 from dgbr.fields import GF, QQ
-from dgbr.graded import apply, clean_coeffs, clean_columns
+from dgbr.graded import apply, clean_coeffs, clean_columns, operators
 from dgbr.homs import end_dg_algebra
 from dgbr.matrix_algebras import good_grading_matrix_algebra, inner_differential
 
@@ -42,6 +42,7 @@ def assert_as_built(X):
     assert Y == X
     assert Y.generators == X.generators
     assert Y.generators_certified == X.generators_certified
+    assert (X.left, X.right) == operators(X.table)
 
 
 def assert_constructions_as_built(A, B):
@@ -141,3 +142,34 @@ def test_apply_matches_the_dense_product_and_returns_a_new_dict(field):
             assert got == want
             got.clear()
             assert cols == before
+
+
+def test_each_algebra_forms_its_operators_once(monkeypatch):
+    """Validation forms the operators of every algebra built, and nothing forms
+    them again: central simplicity, the structure and unit-equivalence witnesses
+    of Mat_3 and Mat_4 with d = [e12, -], and the sandwich of Mat_3, make one
+    ``operators`` call per algebra they build."""
+    built, formed = [], []
+    operators_, checked = dg.operators, DgAlgebra._checked.__func__
+
+    def operators_spy(table):
+        formed.append(table)
+        return operators_(table)
+
+    def checked_spy(cls, *args, **kwargs):
+        built.append(checked(cls, *args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(dg, "operators", operators_spy)
+    monkeypatch.setattr(DgAlgebra, "_checked", classmethod(checked_spy))
+    f = GF(10007)
+    for n in (3, 4):
+        M = good_grading_matrix_algebra(f, n, (1,) * (n - 1))
+        A = inner_differential(M, M.element({"e12": 1}))
+        assert brauer.is_central_simple(A)
+        unit_equivalence_witness(A, structure_realize(A))
+        if n == 3:
+            assert brauer.sandwich_iso(A).verified
+    assert len(built) > 8
+    assert len(formed) == len(built)
+    assert all(X.table is table for X, table in zip(built, formed))

@@ -342,6 +342,20 @@ def test_cli_exit_code_bad_input():
     assert r2.returncode == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("tensor", "-", "-"),
+    ("kunneth", "-", "-"),
+    ("verify-iso", "-", "-", "map.json"),
+])
+def test_cli_rejects_standard_input_named_twice(argv):
+    """Standard input can be read once: naming it for two inputs exits 2 before
+    reading anything, even when what it holds is valid."""
+    r = run_cli(*argv, stdin=serialize_algebra(dual_numbers(QQ)))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == f"invalid input: {argv[0]}: '-' (standard input) can name only one input\n"
+
+
 def test_cli_tensor_with_colliding_labels_numbers_the_basis(tmp_path, capsys):
     # x (x) y@z and x@y (x) z would both be labelled x@y@z
     paths = []
