@@ -43,7 +43,7 @@ from .errors import (
 )
 from .graded import GradedVectorSpace, HomogeneousMap, TensorBasis, _require_int, apply, operator_of
 from .homs import end_dg_algebra
-from .linalg import coset_basis, rref_rows
+from .linalg import coset_basis, rref_rows, transpose
 
 
 @dataclass(frozen=True)
@@ -102,10 +102,7 @@ def verify_dg_iso(A: DgAlgebra, B: DgAlgebra, m: HomogeneousMap) -> IsoWitness:
         raise ShapeMismatch("expected a degree-0 map between the two underlying spaces")
     f = A.field
     cols = m.flat_columns()
-    hits: dict = {}  # target index t -> the j with t a term of m(e_j)
-    for j, col in cols.items():
-        for t in col:
-            hits.setdefault(t, []).append(j)
+    hits = transpose(cols)  # target index t -> the j with t a term of m(e_j)
     empty: dict = {}
 
     def product_failures(rows):

@@ -77,7 +77,6 @@ from .graded import (
     TensorBasis,
     add_into,
     apply,
-    bilinear,
     clean_coeffs,
     clean_columns,
     kernel_of,
@@ -85,7 +84,7 @@ from .graded import (
     operators,
     span_of,
 )
-from .linalg import Factored, coset_basis, kernel_columns, rref_rows
+from .linalg import Factored, coset_basis, kernel_columns, rref_rows, transpose
 
 
 def ksign(m: int, n: int) -> int:
@@ -186,7 +185,8 @@ class DgAlgebra:
     # -- arithmetic on sparse elements --------------------------------------
 
     def mul(self, u: dict, v: dict) -> dict:
-        return bilinear(self.field, self.table, u, v)
+        """The product u * v of sparse elements, as an ``apply`` over the left operators."""
+        return apply(self.field, {i: apply(self.field, self.left.get(i, {}), v) for i in u}, u)
 
     def d_apply(self, u: dict) -> dict:
         return apply(self.field, self.dcols, u)
@@ -276,10 +276,7 @@ def _leibniz_failures(field, L, R, dcols, deg, only=None):
     """
     if not dcols:  # d = 0: both sides vanish on every pair
         return
-    hits: dict = {}
-    for j, col in dcols.items():
-        for k in col:
-            hits.setdefault(k, []).append(j)
+    hits = transpose(dcols)
     empty: dict = {}
     minus = field.neg(field.one)
     for i in sorted(set(L) | set(dcols)) if only is None else only:
@@ -490,8 +487,8 @@ def tensor_product(A: DgAlgebra, B: DgAlgebra) -> DgAlgebra:
                 table[(idx[(i1, j1)], idx[(i2, j2)])] = out
 
     def hint(X):
-        # a factor without a hint is generated by its basis elements other than 1
-        if X.generators is not None:
+        # a factor without a certified hint is generated by its basis elements other than 1
+        if X.generators_certified:
             return X.generators
         return [e for e in ({i: f.one} for i in range(X.dim)) if e != X.unit]
 

@@ -132,17 +132,6 @@ def operator_of(field: Field, ops, u: dict) -> dict:
     return {k: col for k, col in op.items() if col}
 
 
-def bilinear(field: Field, table, u: dict, v: dict) -> dict:
-    """Sum of u[i] * v[j] * table[(i, j)]: a product table applied to two vectors."""
-    mul = field.mul
-    coeffs = {}
-    for i, a in u.items():
-        for j, b in v.items():
-            if (i, j) in table:
-                coeffs[i, j] = mul(a, b)
-    return apply(field, table, coeffs)
-
-
 class GradedVectorSpace:
     """Finite-dimensional graded space; equality compares dimension data only."""
 

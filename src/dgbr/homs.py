@@ -16,6 +16,7 @@ from __future__ import annotations
 from .dg import DgAlgebra, KComplex, ksign
 from .errors import FieldMismatch, ShapeMismatch
 from .graded import GradedVectorSpace, HomogeneousMap
+from .linalg import transpose
 from .matrix_algebras import _matrix_unit_algebra
 
 
@@ -61,11 +62,7 @@ def hom_of_complexes(C: KComplex, D: KComplex) -> HomComplex:
         for mi in range(len(degM)) for nj in range(len(degN))))
     unit_index = {pair: t for t, pair in enumerate(units)}
 
-    # transpose of the source differential: which basis vectors map onto mi
-    rev: dict[int, dict] = {}
-    for src, col in C.dcols.items():
-        for tgt, c in col.items():
-            rev.setdefault(tgt, {})[src] = c
+    rev = transpose(C.dcols)  # which basis vectors d_C maps onto mi
 
     # d has degree +1, so no unit mi -> nj2 of d_D o f is a unit mi2 -> nj of f o d_C
     dcols: dict = {}

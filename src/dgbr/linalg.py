@@ -4,12 +4,13 @@ Every subspace, map and system in the package is held as sparse dicts, and
 all elimination runs through one kernel, ``rref_rows``, a Gauss-Jordan on
 rows stored as ``{col: value}`` dicts of field values: structure matrices
 built from matrix units are mostly zero, and it touches only their nonzeros.
-The entry points are ``rref_rows`` itself, ``kernel_columns`` for the kernel
-of sparse columns, ``Factored``, which reduces sparse columns once and solves
-against many sparse right-hand sides, each solve one sparse product
-``T * b``, and ``coset_basis``, which takes span(mod + sub) modulo span(mod)
-from one ``Factored``: every quotient in the package (a homology, the
-structure theorem's L = M/N, ``quotient_by``) is one call of it.
+``transpose`` is the one regrouping of sparse columns into such rows.  The
+entry points are ``rref_rows`` itself, ``kernel_columns`` for the kernel of
+sparse columns, ``Factored``, which reduces sparse columns once and solves
+against many sparse right-hand sides, each solve one sparse product ``T * b``,
+and ``coset_basis``, which takes span(mod + sub) modulo span(mod) from one
+``Factored``: every quotient in the package (a homology, the structure
+theorem's L = M/N, ``quotient_by``) is one call of it.
 
 No dense path is left in the library.  ``Matrix`` keeps dense rows only for
 the benchmark harness, which patches its ``__init__``, ``rref`` and
@@ -19,6 +20,15 @@ from __future__ import annotations
 
 from .errors import ShapeMismatch
 from .fields import Field
+
+
+def transpose(cols) -> dict:
+    """The rows ``{row key: {col: value}}`` of sparse columns, row keys in first-seen order."""
+    rows: dict = {}
+    for j, col in cols.items():
+        for key, x in col.items():
+            rows.setdefault(key, {})[j] = x
+    return rows
 
 
 def rref_rows(field: Field, rows, on_pivot=None):
@@ -91,11 +101,7 @@ def kernel_columns(field: Field, cols, n: int):
     the j entry of each pivot row at its pivot; ``pivots`` are the leftmost
     independent columns.  Absent columns are zero.
     """
-    rows: dict = {}
-    for j, col in cols.items():
-        for key, x in col.items():
-            rows.setdefault(key, {})[j] = x
-    reduced, pivots = rref_rows(field, rows.values())
+    reduced, pivots = rref_rows(field, transpose(cols).values())
     is_pivot = set(pivots)
     basis = {j: {j: field.one} for j in range(n) if j not in is_pivot}
     for p, row in zip(pivots, reduced):
@@ -179,17 +185,13 @@ class Factored:
 
     def __init__(self, field: Field, cols):
         n = len(cols)
-        rows: dict = {}  # row key -> that row of [A | I]
-        for j, col in enumerate(cols):
-            for key, x in col.items():
-                row = rows.get(key)
-                if row is None:
-                    row = rows[key] = {n + len(rows): field.one}
-                row[j] = x
+        rows = transpose(dict(enumerate(cols)))  # row key -> that row of A, then of [A | I]
+        for r, row in enumerate(rows.values()):
+            row[n + r] = field.one
         reduced, pivots = rref_rows(field, rows.values())
         self.field = field
         self.pivots = tuple(p for p in pivots if p < n)
-        tcols: list = [[] for _ in rows]
+        tcols: list = [[] for _ in rows]  # T's half only: transposing all of [A | I] is slower
         for i, row in enumerate(reduced):
             for k, x in row.items():
                 if k >= n:

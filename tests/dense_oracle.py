@@ -31,6 +31,8 @@ the x with xa nilpotent for all a are the Jacobson radical, a subspace.
 ``dense_hom_differential`` is d(f) = d_D f - (-1)^|f| f d_C on the units of
 Hom(C, D), multiplied out as dense matrices, as ``hom_differential`` applied it
 to a map before Hom elements were kept only as unit coordinates.
+``table_product`` is the product of two elements summed term by term from
+the table, which ``DgAlgebra.mul`` is checked against.
 ``FractionField`` is the rational field as it was before integral values
 became ``int``: every value it makes is a ``Fraction``.  All of them are kept
 only as oracles for the tests.
@@ -313,6 +315,17 @@ def _dense_coords(field, space, k, basis, v):
     """Coordinates of a degree-k vector on the given columns by ``dense_solve``, or None."""
     rhs = [v.get(i, field.zero) for i in _positions(space, k)]
     return dense_solve(field, _dense_cols(field, space, k, basis), len(basis), rhs)
+
+
+def table_product(A, u, v):
+    """The sum of u_i v_j A.table[(i, j)], over every pair of terms of u and v."""
+    f = A.field
+    out = {}
+    for i, a in u.items():
+        for j, b in v.items():
+            for k, c in A.table.get((i, j), {}).items():
+                out[k] = f.add(out.get(k, f.zero), f.mul(f.mul(a, b), c))
+    return {k: x for k, x in out.items() if not f.is_zero(x)}
 
 
 def dense_candidates(A):

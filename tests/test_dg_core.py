@@ -122,17 +122,17 @@ def test_hinted_constructions_are_certified_from_their_generators(monkeypatch):
 
 def test_certificate_words_grow_from_generator_operators(monkeypatch):
     """Mat_3 with d tensored with its opposite is certified from its hint, and
-    no word of the certificate is multiplied through ``bilinear``."""
+    no word of the certificate is multiplied through ``DgAlgebra.mul``."""
     A = mat3_inner(GF(10007))
     T = tensor_product(A, opposite(A))
     calls = []
-    product = dg.bilinear
+    product = DgAlgebra.mul
 
     def spy(*args):
         calls.append(args)
         return product(*args)
 
-    monkeypatch.setattr(dg, "bilinear", spy)
+    monkeypatch.setattr(DgAlgebra, "mul", spy)
     violations = T.validate()
     assert violations == [] and violations.certified
     assert calls == []
@@ -442,3 +442,14 @@ def test_malformed_hints_fall_back_to_the_complete_check(hint):
     assert hinted == plain and hinted.table == plain.table
     assert hinted.validate() == plain.validate() == []
     assert hinted.generators is hint and not hinted.generators_certified
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+@pytest.mark.parametrize("hint", [[{99: 1}], [{"x": 1}]], ids=["past-end", "text-index"])
+def test_tensor_product_ignores_a_hint_that_certified_nothing(field, hint):
+    """A factor whose hint fell back to the complete check is generated by its
+    basis in the tensor product, as if it had no hint."""
+    D = dual_numbers(field)
+    A = DgAlgebra.build(field, D.space, D.unit, D.table, D.dcols, generators=hint)
+    assert not A.generators_certified
+    assert tensor_product(A, D) == tensor_product(D, A) == tensor_product(D, D)

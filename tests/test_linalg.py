@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from dgbr.errors import FieldMismatch, ShapeMismatch
 from dgbr.fields import GF, QQ
 from dgbr.graded import GradedVectorSpace, HomogeneousMap
-from dgbr.linalg import Factored, Matrix, coset_basis, kernel_columns, rref_rows
+from dgbr.linalg import Factored, Matrix, coset_basis, kernel_columns, rref_rows, transpose
 
 
 def mat(rows, field=QQ):
@@ -272,3 +272,24 @@ def test_coset_basis_matches_the_dense_oracle(data):
             want = {q: c for q, c in enumerate(want[len(kept) - len(picks):]) if not f.is_zero(c)}
         assert project(sparse(f, rhs)) == reshuffled(sparse(f, rhs)) == want
     assert project(sparse(f, in_span)) is not None
+
+
+def test_transpose_of_no_columns_is_no_rows():
+    assert transpose({}) == {}
+    assert transpose({0: {}, 1: {}}) == {}
+
+
+def test_transpose_keeps_row_keys_in_first_seen_order():
+    cols = {2: {"b": 1, (0, 1): 2}, 0: {"a": 3, "b": 4}, 5: {(0, 1): 5}}
+    rows = transpose(cols)
+    assert rows == {"b": {2: 1, 0: 4}, (0, 1): {2: 2, 5: 5}, "a": {0: 3}}
+    assert list(rows) == ["b", (0, 1), "a"]
+    assert [list(row) for row in rows.values()] == [[2, 0], [2, 5], [0]]
+
+
+@given(cols=st.dictionaries(st.integers(-3, 20), st.dictionaries(
+    st.one_of(st.integers(0, 9), st.text(max_size=2), st.tuples(st.integers(0, 3), st.integers(0, 3))),
+    st.integers(1, 9), min_size=1, max_size=6), max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_transpose_twice_gives_back_nonempty_columns(cols):
+    assert transpose(transpose(cols)) == cols

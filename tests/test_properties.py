@@ -17,6 +17,7 @@ from dense_oracle import (
     dense_trace_radical,
     dense_validate_structure,
     full_iso_checks,
+    table_product,
 )
 from hypothesis import given, settings, strategies as st
 
@@ -152,6 +153,24 @@ def test_operator_of_an_element_is_multiplication_by_it(field, seed, named):
     for k in range(A.dim):
         assert left.get(k, {}) == A.mul(u, {k: field.one})
         assert right.get(k, {}) == A.mul({k: field.one}, u)
+
+
+@given(field=st.sampled_from([QQ, GF(2), GF(7)]), seed=seeds, named=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_mul_is_the_table_summed_over_both_factors(field, seed, named):
+    """``A.mul`` agrees with the table summed term by term, on random sparse
+    elements with several terms, coefficients other than one, and zero."""
+    rng = random.Random(seed)
+    A = rng.choice([A for _, A in generators(field)]) if named else random_algebra(rng, field)
+
+    def element():
+        terms = rng.sample(range(A.dim), min(A.dim, rng.randint(0, 4)))
+        return A.coeffs({i: rng.choice([1, 2, 3, -1, 5]) for i in terms})
+
+    for _ in range(5):
+        u, v = element(), element()
+        assert A.mul(u, v) == table_product(A, u, v)
+        assert A.mul(u, {}) == A.mul({}, v) == {}
 
 
 @given(field=fields, seed=seeds)
