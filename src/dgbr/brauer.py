@@ -83,9 +83,9 @@ def verify_dg_iso(A: DgAlgebra, B: DgAlgebra, m: HomogeneousMap) -> IsoWitness:
     pairs: for linear unital m between associative A and B, the x with
     m(xy) = m(x)m(y) for every y form a subspace that holds 1 and is closed
     under products, since m(x1 x2 y) = m(x1)m(x2 y) = m(x1)m(x2)m(y) =
-    m(x1 x2)m(y).  When validation certified that A's ``generators`` generate
-    A, it is therefore enough that x runs over their basis terms, against
-    every basis y.  If m is not unital, A's hint is not certified, or a
+    m(x1 x2)m(y).  When A keeps ``generators`` (validation certified that they
+    generate A), it is therefore enough that x runs over their basis terms,
+    against every basis y.  If m is not unital, A keeps no hint, or a
     product fails there, every basis pair is checked, so the failures are
     those of the complete loop, in its order.
 
@@ -113,7 +113,7 @@ def verify_dg_iso(A: DgAlgebra, B: DgAlgebra, m: HomogeneousMap) -> IsoWitness:
                     yield i, j
 
     is_unital = apply(f, cols, A.unit) == B.unit
-    if (is_unital and A.generators_certified
+    if (is_unital and A.generators is not None
             and next(product_failures(sorted({i for s in A.generators for i in s})), None) is None):
         bad = []
     else:

@@ -28,18 +28,17 @@ the support of the tables reaches; a skipped tuple has both sides zero, so
 the list is that of a loop over all triples and pairs, in order.
 
 A constructor may pass ``generators``, a hint S of homogeneous sparse
-vectors, which the algebra keeps.  When every other axiom holds,
-``validate_structure`` first tries to certify associativity and Leibniz from
-S: the words s1(s2(...(sk*1))) over S, grown by elimination from the left
-operator of each s, built once, must span A, and both axioms must hold with x
-a basis term of S, against every basis y and z.
-If that fails, or the hint is empty, rejected by ``clean_coeffs``, not
+vectors.  When every other axiom holds, ``validate_structure`` first tries to
+certify associativity and Leibniz from S: the words s1(s2(...(sk*1))) over S,
+grown by elimination from the left operator of each s, built once, must span
+A, and both axioms must hold with x a basis term of S, against every basis y
+and z.  If that fails, or the hint is empty, rejected by ``clean_coeffs``, not
 homogeneous or has basis terms in over half the basis, the complete
 enumeration runs unchanged, so the list never depends on the hint.  The
-algebra records in ``generators_certified`` whether the certificate
-succeeded: only then is S known to generate A, so only then may
-``brauer.verify_dg_iso`` check an isomorphism on S alone; a kept hint that
-fell back proves nothing.
+algebra keeps as ``generators`` only what the certificate proved: S after
+``clean_coeffs`` when it succeeded, else None, so a hint that fell back is
+dropped.  A kept S generates A, so ``tensor_product``, ``center`` and
+``brauer.verify_dg_iso`` may work from it alone.
 
 The certificate is exact.  N = {x : (xy)z = x(yz) for all y, z} is a
 subspace holding S, and 1 by the unit laws.  It is closed under products:
@@ -100,7 +99,7 @@ class DgAlgebra:
     """A validated dg-algebra over an exact field."""
 
     def __init__(self, field, space, unit, table, dcols, *, hom=None, generators=None,
-                 _validated=False, _certified=False, _ops=None):
+                 _validated=False, _ops=None):
         if not _validated:
             raise ShapeMismatch("use DgAlgebra.build so the axioms get checked")
         self.field = field
@@ -109,10 +108,7 @@ class DgAlgebra:
         self.table = table
         self.dcols = dcols
         self.hom = hom
-        self.generators = generators
-        # whether validation certified associativity and Leibniz from the words
-        # over ``generators``, which proves that they generate the algebra
-        self.generators_certified = _certified
+        self.generators = generators  # the certified hint, clean, or None
         self.left, self.right = _ops  # left[i][j] = right[j][i] = ei*ej
 
     # -- construction ------------------------------------------------------
@@ -124,8 +120,8 @@ class DgAlgebra:
         The unit, the product rows and d go through ``clean_coeffs``, a product
         key must be a pair of basis indices, and empty products are dropped;
         ``_checked`` then validates.  ``generators`` is passed on to
-        ``validate_structure`` and kept, and ``generators_certified`` records
-        whether they certified the algebra.
+        ``validate_structure``; the algebra keeps it, cleaned, only if it
+        certified the algebra, and None otherwise.
         """
         n = space.total_dim
         unit = clean_coeffs(field, unit, n, "unit index")
@@ -145,14 +141,15 @@ class DgAlgebra:
         """Validate data that ``build`` would leave unchanged, and wrap its dicts.
 
         Validation goes through the module-level name ``validate_structure``,
-        which the benchmark tracer wraps; ``parent`` is passed on to it.
+        which the benchmark tracer wraps; ``parent`` is passed on to it.  The
+        algebra keeps the hint that validation certified, or None.
         """
         violations = validate_structure(field, space, unit, table, dcols, generators=generators,
                                         parent=parent)
         if violations:
             raise ValidationError(violations)
-        return cls(field, space, unit, table, dcols, hom=hom, generators=generators,
-                   _validated=True, _certified=violations.certified, _ops=violations.ops)
+        return cls(field, space, unit, table, dcols, hom=hom, generators=violations.generators,
+                   _validated=True, _ops=violations.ops)
 
     @classmethod
     def zero_algebra(cls, field):
@@ -291,10 +288,10 @@ def _leibniz_failures(field, L, R, dcols, deg, only=None):
                 yield i, j, lhs, rhs
 
 
-def _generators_certify(field, deg, unit, table, dcols, L, R, generators) -> bool:
-    """Associativity and Leibniz follow from their checks on the generators.
+def _generators_certify(field, deg, unit, table, dcols, L, R, generators):
+    """The hint after ``clean_coeffs`` when associativity and Leibniz follow from it, else None.
 
-    See the module docstring for why.  False, never an error, for a hint that
+    See the module docstring for why.  None, never an error, for a hint that
     is empty, not homogeneous or not generating, or that ``clean_coeffs``
     rejects (an index that is not an int in range, a value that is no scalar),
     or on any failure; also when the hint's basis terms are over half the basis, as the complete
@@ -304,12 +301,10 @@ def _generators_certify(field, deg, unit, table, dcols, L, R, generators) -> boo
     try:
         gens = [s for s in (clean_coeffs(field, s, n, "generator index") for s in generators) if s]
     except DgError:
-        return False
+        return None
     support = sorted({i for s in gens for i in s})
-    if not support or 2 * len(support) > n:
-        return False
-    if any(len({deg[i] for i in s}) > 1 for s in gens):
-        return False
+    if not support or 2 * len(support) > n or any(len({deg[i] for i in s}) > 1 for s in gens):
+        return None
     # the words s1(s2(...(sk*1))): each product that rref_rows reports as
     # independent of those before it is appended and multiplied on in turn;
     # s*w applies the left operator of s, built once per generator
@@ -317,15 +312,17 @@ def _generators_certify(field, deg, unit, table, dcols, L, R, generators) -> boo
     words: list = []
     products = (apply(field, op, w) for w in words for op in ops if len(words) < n)
     rref_rows(field, itertools.chain([unit], products), words.append)
-    return (len(words) == n
+    if (len(words) == n
             and next(_associativity_failures(field, L, table, support), None) is None
-            and next(_leibniz_failures(field, L, R, dcols, deg, support), None) is None)
+            and next(_leibniz_failures(field, L, R, dcols, deg, support), None) is None):
+        return gens
+    return None
 
 
 class _Violations(list):
-    """A list of violations, whether generators certified it, and the operators (L, R)."""
+    """A list of violations, the hint that certified it (clean) or None, and the operators (L, R)."""
 
-    certified = False
+    generators = None
     ops = None
 
 
@@ -337,9 +334,9 @@ def validate_structure(field, space, unit, table, dcols, *, generators=None, par
     Associativity and Leibniz skip only tuples whose two sides are both zero.
     ``generators`` (a list of sparse vectors, or None) may certify those two
     axioms from fewer checks, as the module docstring explains; the list
-    returned is the same with or without it, and its ``certified`` tells
-    whether the generators certified the two axioms.  ``parent``, a
-    validated ``DgAlgebra`` that the data was read off through a checked
+    returned is the same with or without it, and its ``generators`` is the
+    hint after ``clean_coeffs`` when it certified them, else None.  ``parent``,
+    a validated ``DgAlgebra`` that the data was read off through a checked
     multiplicative map (only ``_cycle_algebra`` passes one), skips the
     associativity enumeration when d = 0, and nothing else.
     """
@@ -387,8 +384,8 @@ def validate_structure(field, space, unit, table, dcols, *, generators=None, par
     complex_v = validate_complex(field, space, dcols)
     du = apply(field, dcols, unit)
     if (generators is not None and not v and not complex_v and not du
-            and _generators_certify(field, deg, unit, table, dcols, L, R, generators)):
-        v.certified = True
+            and (gens := _generators_certify(field, deg, unit, table, dcols, L, R, generators))):
+        v.generators = gens
         return v
 
     inherited = not dcols and isinstance(parent, DgAlgebra)
@@ -488,9 +485,7 @@ def tensor_product(A: DgAlgebra, B: DgAlgebra) -> DgAlgebra:
 
     def hint(X):
         # a factor without a certified hint is generated by its basis elements other than 1
-        if X.generators_certified:
-            return X.generators
-        return [e for e in ({i: f.one} for i in range(X.dim)) if e != X.unit]
+        return X.generators or [e for e in ({i: f.one} for i in range(X.dim)) if e != X.unit]
 
     gens = [{idx[(i, j)]: f.mul(a, b) for i, a in s.items() for j, b in B.unit.items()}
             for s in hint(A)]
@@ -699,7 +694,7 @@ def center(A: DgAlgebra) -> Subspace:
     the center is the kernel of these columns.  A homogeneous column meets only
     rows with |m| - |j| = |s|, so the system is block diagonal by degree, and
     its kernel in flat order is the kernel of each degree's block, entry for entry.
-    When A's generators are certified, the rows are only those with j a basis
+    When A keeps a certified hint, the rows are only those with j a basis
     term of a generator: the centralizer of x is a subalgebra holding 1, so x
     commutes with every e_j once it commutes with generators of A.  The kernel
     is the same, hence so are the row space, its reduced form and the basis.
@@ -707,7 +702,7 @@ def center(A: DgAlgebra) -> Subspace:
     f = A.field
     minus = f.neg(f.one)
     empty: dict = {}
-    gens = {i for s in A.generators for i in s} if A.generators_certified else None
+    gens = None if A.generators is None else {i for s in A.generators for i in s}
     cols: dict = {}
     for s in range(A.dim):
         Ls, Rs = A.left.get(s, empty), A.right.get(s, empty)

@@ -32,7 +32,8 @@ the x with xa nilpotent for all a are the Jacobson radical, a subspace.
 Hom(C, D), multiplied out as dense matrices, as ``hom_differential`` applied it
 to a map before Hom elements were kept only as unit coordinates.
 ``table_product`` is the product of two elements summed term by term from
-the table, which ``DgAlgebra.mul`` is checked against.
+the table, which ``DgAlgebra.mul`` is checked against; every oracle here
+multiplies through it, so none shares the product routine under test.
 ``FractionField`` is the rational field as it was before integral values
 became ``int``: every value it makes is a ``Fraction``.  All of them are kept
 only as oracles for the tests.
@@ -120,7 +121,7 @@ def dense_sandwich_rank(A):
         for j in range(n):
             col = [f.zero] * (n * n)
             for x in range(n):
-                for t, c in A.mul({i: one}, A.table.get((x, j), {})).items():
+                for t, c in table_product(A, {i: one}, A.table.get((x, j), {})).items():
                     col[x * n + t] = c
             cols.append(col)
     rows = [tuple(col[r] for col in cols) for r in range(n * n)]
@@ -332,7 +333,7 @@ def dense_candidates(A):
     """The degree-0 basis elements that square to themselves, in flat order."""
     one = A.field.one
     return [{i: one} for i in range(A.dim)
-            if A.degree_of(i) == 0 and A.mul({i: one}, {i: one}) == {i: one}]
+            if A.degree_of(i) == 0 and table_product(A, {i: one}, {i: one}) == {i: one}]
 
 
 def bucketed_space(entries):
@@ -358,7 +359,7 @@ def bucketed_numbered(prefix, entries):
 def _ideal(A, g):
     """Nonzero products e_k * g grouped by degree, k ascending within a degree."""
     one = A.field.one
-    return _by_degree(A.space, [A.mul({k: one}, g) for k in range(A.dim)] if g else [])
+    return _by_degree(A.space, [table_product(A, {k: one}, g) for k in range(A.dim)] if g else [])
 
 
 def dense_containment(A, e):
@@ -420,7 +421,7 @@ def dense_realization(A):
     for a in range(A.dim):
         lmaps[a] = {}
         for s, (_, _, v) in enumerate(flat):
-            img = project(A.mul({a: one}, v))
+            img = project(table_product(A, {a: one}, v))
             if img:
                 lmaps[a][s] = img
     out.update(dims={k: len(rs) for k, (_, rs) in cosets.items() if rs},
@@ -468,7 +469,7 @@ def dense_homology(A):
     table = {}
     for i, (_, u) in enumerate(flat):
         for j, (_, v) in enumerate(flat):
-            img = project(A.mul(u, v))
+            img = project(table_product(A, u, v))
             if img:
                 table[(i, j)] = img
     unit = project(A.unit) if flat else {}
@@ -602,7 +603,7 @@ def full_iso_checks(A, B, m):
         ci = cols.get(i, empty)
         for j in range(A.dim):
             lhs = apply(f, cols, A.table.get((i, j), empty))
-            rhs = B.mul(ci, cols.get(j, empty))
+            rhs = table_product(B, ci, cols.get(j, empty))
             if lhs != rhs:
                 is_hom = False
                 if len(failures) < 8:

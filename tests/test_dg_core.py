@@ -1,8 +1,13 @@
 """Core dg-algebra layer: validation, opposites, tensors, homology, kernels."""
+import random
+from collections import Counter
+
 import pytest
 
 from dgbr import dg
-from dgbr.catalog import dual_numbers, mat2_inner, mat3_inner, neutral, split_pair
+from dgbr.brauer import sandwich_iso
+from dgbr.catalog import dual_numbers, mat2_inner, mat3_inner, neutral, random_algebra, split_pair
+from dgbr.catalog import generators as catalog_generators
 from dgbr.dg import (
     DgAlgebra,
     KComplex,
@@ -24,7 +29,7 @@ from dgbr.errors import ShapeMismatch, ValidationError
 from dgbr.fields import GF, QQ
 from dgbr.graded import GradedVectorSpace
 from dgbr.homs import end_dg_algebra
-from dgbr.matrix_algebras import good_grading_matrix_algebra
+from dgbr.matrix_algebras import good_grading_matrix_algebra, inner_differential
 
 
 def coeffs_by_label(A, d):
@@ -122,20 +127,25 @@ def test_hinted_constructions_are_certified_from_their_generators(monkeypatch):
 
 def test_certificate_words_grow_from_generator_operators(monkeypatch):
     """Mat_3 with d tensored with its opposite is certified from its hint, and
-    no word of the certificate is multiplied through ``DgAlgebra.mul``."""
+    the certificate forms the left operator of each generator once, not once
+    per word.  Each generator has three terms, while the associativity check
+    forms operators only of products of two basis elements, single terms in T,
+    so the calls on a generator are the certificate's."""
     A = mat3_inner(GF(10007))
     T = tensor_product(A, opposite(A))
+    assert all(len(s) == 3 for s in T.generators)
+    assert all(len(out) == 1 for out in T.table.values())
     calls = []
-    product = DgAlgebra.mul
+    form = dg.operator_of
 
-    def spy(*args):
-        calls.append(args)
-        return product(*args)
+    def spy(field, ops, u):
+        calls.append(u)
+        return form(field, ops, u)
 
-    monkeypatch.setattr(DgAlgebra, "mul", spy)
+    monkeypatch.setattr(dg, "operator_of", spy)
     violations = T.validate()
-    assert violations == [] and violations.certified
-    assert calls == []
+    assert violations == [] and violations.generators == T.generators
+    assert sum(u in T.generators for u in calls) == len(T.generators) == 6
 
 
 def test_opposite_signs_and_involution():
@@ -434,14 +444,14 @@ def test_indices_outside_the_basis_are_shape_mismatches(case):
 @pytest.mark.parametrize("hint", [[{0.5: 1}], [{0: "x"}], [{0: 1.5}], [{True: 1}], [{-1: 1}], [{2: 1}]],
                          ids=["float-index", "text-value", "float-value", "bool-index", "negative", "past-end"])
 def test_malformed_hints_fall_back_to_the_complete_check(hint):
-    """A hint that ``clean_coeffs`` rejects is kept as given, certifies nothing
-    and leaves the algebra exactly as it is without a hint."""
+    """A hint that ``clean_coeffs`` rejects is dropped, certifies nothing and
+    leaves the algebra exactly as it is without a hint."""
     A = dual_numbers(QQ)
     plain = DgAlgebra.build(A.field, A.space, A.unit, A.table, A.dcols)
     hinted = DgAlgebra.build(A.field, A.space, A.unit, A.table, A.dcols, generators=hint)
     assert hinted == plain and hinted.table == plain.table
     assert hinted.validate() == plain.validate() == []
-    assert hinted.generators is hint and not hinted.generators_certified
+    assert hinted.generators is None
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
@@ -451,5 +461,56 @@ def test_tensor_product_ignores_a_hint_that_certified_nothing(field, hint):
     basis in the tensor product, as if it had no hint."""
     D = dual_numbers(field)
     A = DgAlgebra.build(field, D.space, D.unit, D.table, D.dcols, generators=hint)
-    assert not A.generators_certified
+    assert A.generators is None
     assert tensor_product(A, D) == tensor_product(D, A) == tensor_product(D, D)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+def test_a_certified_hint_is_kept_as_field_values(field):
+    """Mat_2's cycle hint written with text coefficients certifies the algebra,
+    which keeps it coerced; products and the sandwich witness then use field
+    values, as for the algebra built without the text."""
+    M = good_grading_matrix_algebra(field, 2, (1,))
+    text = [{i: "1" for i in s} for s in M.generators]
+    A = DgAlgebra.build(field, M.space, M.unit, M.table, M.dcols, generators=text)
+    assert A.generators is not None
+    assert A.generators == M.generators and repr(A.generators) == repr(M.generators)
+    D = dual_numbers(field)
+    T, expected = tensor_product(A, D), tensor_product(M, D)
+    assert T == expected and T.generators == expected.generators
+    assert sandwich_iso(A).verified
+
+
+def _hinted_variants(A):
+    """A, and A rebuilt with its hint short of one vector and with a hint that
+    ``clean_coeffs`` rejects."""
+    out = [A]
+    for hint in ((A.generators or [])[1:], [{99: 1}]):
+        out.append(DgAlgebra.build(A.field, A.space, A.unit, A.table, A.dcols, generators=hint))
+    return out
+
+
+def _inner_differentials(A):
+    """A with d = [z, -] for the first degree-1 basis element z whose square is central."""
+    for i in range(A.dim):
+        if A.degree_of(i) == 1:
+            try:
+                return [inner_differential(A, {i: 1})]
+            except ValidationError:
+                continue
+    return []
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(7)], ids=str)
+def test_derived_constructions_keep_the_certificate_of_their_source(field):
+    """A^op, and A with a new inner d, keep a hint exactly when A does: the
+    hint's words span the same subalgebra, and its size and homogeneity do not
+    change, so a hint that did not certify A certifies neither."""
+    rng = random.Random(11)
+    pool = [A for _, A in catalog_generators(field)] + [random_algebra(rng, field) for _ in range(12)]
+    seen = Counter()
+    for A in (X for B in pool for X in _hinted_variants(B)):
+        for kind, derived in [("op", opposite(A))] + [("inner", X) for X in _inner_differentials(A)]:
+            assert (derived.generators is None) == (A.generators is None)
+            seen[kind, A.generators is None] += 1
+    assert len(seen) == 4  # both constructions, from sources with and without a hint
