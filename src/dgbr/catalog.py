@@ -300,7 +300,10 @@ def unit_equivalence_witness(A: DgAlgebra, sr) -> "IsoWitness":
     verified, so only End(point) is built here.  Both unit identifications
     are index-faithful: tensoring with the one-dimensional factor keeps the
     flat order of the other side, so the realization map's columns transfer
-    verbatim.
+    verbatim.  For the same reason each side is A's (End(L)'s) unit, table and
+    d entry for entry, and ``tensor_product`` builds it on those dicts: it
+    inherits associativity, Leibniz and the hint, and only the degree, unit
+    and complex checks run again.
     """
     field = A.field
     T1 = tensor_product(A, end_dg_algebra(KComplex.point(field)))

@@ -10,7 +10,8 @@ the kernel and homology algebras, ``matrix_algebras._matrix_unit_algebra``
 (good-graded Mat_n and End(C)) and ``inner_differential`` write only nonzero
 field values at basis indices, so they skip that coercion and go straight to
 validation (``DgAlgebra._checked``).  They skip no axiom, though the kernel
-and homology algebras take associativity from A instead of enumerating it.
+and homology algebras, and the algebras built on a validated algebra's own
+table, take what they inherit instead of enumerating it.
 
 There is one validation path.  ``validate_complex`` checks a (space, d) pair:
 d of degree +1 and d squared zero; ``KComplex`` raises on its result.
@@ -60,6 +61,22 @@ iota((xy)z) = iota(x(yz)) by associativity in A, and Z is associative.  For
 H, the coset projection pi: Z -> H is onto with kernel B, an ideal of Z by
 A's Leibniz rule, so pi(xy) = pi(x)pi(y) and associativity passes from Z down
 to H.  The closure check is thus the certificate; it always runs.
+
+An algebra built on a validated algebra P's own dicts takes the shared-table
+route: ``inner_differential``, and ``tensor_product`` with a one-dimensional
+factor, pass P as ``parent`` with ``P.table is table``, ``P.unit is unit``
+and ``P.space == space`` (equal dims give equal flat degrees, as flat order
+is degree-ascending).  Nothing product-related is new then.  L and R are P's,
+associativity was certified on these very objects and is not enumerated
+again, and P's certified generators still generate, as the words depend only
+on table and unit; they are not grown again.  Leibniz is void when d is
+P's d too.  Otherwise it is checked with x a basis term of P's generators,
+against every basis y: by the argument above, the x satisfying it form a
+subspace closed under products, which needs associativity, degree
+additivity and d(1) = 0, the last two checked here.  If P keeps no hint, or
+a failure shows up there, the complete Leibniz loop runs, so the list is
+the complete check's.  The degree, unit, complex and d(1) = 0 checks run as
+always.
 """
 from __future__ import annotations
 
@@ -292,12 +309,15 @@ def _generators_certify(field, deg, unit, table, dcols, L, R, generators):
     """The hint after ``clean_coeffs`` when associativity and Leibniz follow from it, else None.
 
     See the module docstring for why.  None, never an error, for a hint that
-    is empty, not homogeneous or not generating, or that ``clean_coeffs``
-    rejects (an index that is not an int in range, a value that is no scalar),
-    or on any failure; also when the hint's basis terms are over half the basis, as the complete
-    check then costs less than the certificate.
+    is no list or tuple of dicts, empty, not homogeneous or not generating, or
+    that ``clean_coeffs`` rejects (an index that is not an int in range, a
+    value that is no scalar), or on any failure; also when the hint's basis
+    terms are over half the basis, as the complete check then costs less than
+    the certificate.
     """
     n = len(deg)
+    if not isinstance(generators, (list, tuple)) or not all(isinstance(s, dict) for s in generators):
+        return None
     try:
         gens = [s for s in (clean_coeffs(field, s, n, "generator index") for s in generators) if s]
     except DgError:
@@ -335,10 +355,18 @@ def validate_structure(field, space, unit, table, dcols, *, generators=None, par
     ``generators`` (a list of sparse vectors, or None) may certify those two
     axioms from fewer checks, as the module docstring explains; the list
     returned is the same with or without it, and its ``generators`` is the
-    hint after ``clean_coeffs`` when it certified them, else None.  ``parent``,
-    a validated ``DgAlgebra`` that the data was read off through a checked
-    multiplicative map (only ``_cycle_algebra`` passes one), skips the
-    associativity enumeration when d = 0, and nothing else.
+    hint after ``clean_coeffs`` when it certified them, else None.
+
+    ``parent`` is a validated ``DgAlgebra``.  When ``parent.table is table``,
+    ``parent.unit is unit`` and ``parent.space == space`` (the shared-table
+    route of the module docstring), L and R are the parent's operators,
+    associativity is not enumerated, the list's ``generators`` is
+    ``parent.generators`` and ``generators`` is not read; Leibniz is void
+    when ``dcols is parent.dcols`` and otherwise checked on the basis terms of
+    ``parent.generators``, falling back to the complete loop.  Any other
+    parent is one whose data ``_cycle_algebra`` read off through a checked
+    multiplicative map: it skips the associativity enumeration when d = 0,
+    and nothing else.
     """
     v = _Violations()
     n = space.total_dim
@@ -370,7 +398,9 @@ def validate_structure(field, space, unit, table, dcols, *, generators=None, par
                 v.append(AxiomViolation("unit-degree", (i,), f"unit has a degree-{deg[i]} component"))
                 break
 
-    L, R = v.ops = operators(table)
+    shared = (isinstance(parent, DgAlgebra) and parent.table is table and parent.unit is unit
+              and parent.space == space)
+    L, R = v.ops = (parent.left, parent.right) if shared else operators(table)
     empty: dict = {}
     one = field.one
     if unit:
@@ -383,12 +413,19 @@ def validate_structure(field, space, unit, table, dcols, *, generators=None, par
 
     complex_v = validate_complex(field, space, dcols)
     du = apply(field, dcols, unit)
-    if (generators is not None and not v and not complex_v and not du
+    clean = not v and not complex_v and not du
+    leibniz_holds = False
+    if shared:
+        v.generators = parent.generators
+        terms = sorted({i for s in parent.generators or () for i in s})
+        leibniz_holds = dcols is parent.dcols or (
+            clean and terms and next(_leibniz_failures(field, L, R, dcols, deg, terms), None) is None)
+    elif (generators is not None and clean
             and (gens := _generators_certify(field, deg, unit, table, dcols, L, R, generators))):
         v.generators = gens
         return v
 
-    inherited = not dcols and isinstance(parent, DgAlgebra)
+    inherited = shared or (not dcols and isinstance(parent, DgAlgebra))
     for i, j, k, left, right in () if inherited else _associativity_failures(field, L, table):
         v.append(AxiomViolation(
             "associativity", (i, j, k),
@@ -397,7 +434,7 @@ def validate_structure(field, space, unit, table, dcols, *, generators=None, par
 
     v += complex_v
 
-    for i, j, lhs, rhs in _leibniz_failures(field, L, R, dcols, deg):
+    for i, j, lhs, rhs in () if leibniz_holds else _leibniz_failures(field, L, R, dcols, deg):
         v.append(AxiomViolation(
             "leibniz", (i, j),
             f"d(e{i}*e{j}) = {show(lhs)} but the rule gives {show(rhs)}",
@@ -459,9 +496,21 @@ def tensor_complex(A, B) -> "KComplex":
 
 
 def tensor_product(A: DgAlgebra, B: DgAlgebra) -> DgAlgebra:
-    """Graded tensor product with the sign rule on interchanged factors."""
+    """Graded tensor product with the sign rule on interchanged factors.
+
+    When one factor Y has dimension 1 and unit 1 (``neutral``, End(point)),
+    validation made e0*e0 = e0 of degree 0 and d = 0 on it.  The tensor basis
+    then keeps the flat order of the other factor X, every Koszul sign is +1
+    and every coefficient is multiplied by 1, so the unit, table and d of
+    X (x) Y are X's entry for entry.  The product is built on X's own dicts,
+    with X as ``parent`` (the shared-table route of the module docstring),
+    and keeps X's certified hint; only its labels are the tensor basis's.
+    """
     tb = _tensor_basis(A, B)
     f = A.field
+    for X, Y in ((A, B), (B, A)):
+        if Y.dim == 1 and Y.unit == {0: f.one}:
+            return DgAlgebra._checked(f, tb.space, X.unit, X.table, X.dcols, parent=X)
     idx = tb.index
     degA = A.space.flat_degrees()
     degB = B.space.flat_degrees()

@@ -89,7 +89,9 @@ def inner_differential(A: DgAlgebra, z) -> DgAlgebra:
 
     Rejected when z is not homogeneous of degree 1 or when z^2 fails to be
     central; the latter comes with a witness basis element a and the value of
-    d(d(a)) = z^2 a - a z^2.
+    d(d(a)) = z^2 a - a z^2.  The result keeps A's unit, table, operators
+    and hint and is validated with A as ``parent``: of the product axioms
+    only Leibniz is checked again, on A's certified hint (see ``dg``).
     """
     f = A.field
     zvec = A.coeffs(z)
@@ -118,7 +120,7 @@ def inner_differential(A: DgAlgebra, z) -> DgAlgebra:
         add_into(f, col, rz.get(a, {}), scale=minus if ksign(deg[a], 1) > 0 else None)
         if col:
             dcols[a] = col
-    return DgAlgebra._checked(f, A.space, A.unit, A.table, dcols, generators=A.generators)
+    return DgAlgebra._checked(f, A.space, A.unit, A.table, dcols, parent=A)
 
 
 def enumerate_good_gradings(n: int, bound: int) -> list:

@@ -34,6 +34,9 @@ to a map before Hom elements were kept only as unit coordinates.
 ``table_product`` is the product of two elements summed term by term from
 the table, which ``DgAlgebra.mul`` is checked against; every oracle here
 multiplies through it, so none shares the product routine under test.
+``dense_tensor`` is the signed tensor product from its definition, on
+every pair of basis pairs, for ``tensor_product`` and the shortcut it takes
+when a factor is one-dimensional.
 ``FractionField`` is the rational field as it was before integral values
 became ``int``: every value it makes is a ``Fraction``.  All of them are kept
 only as oracles for the tests.
@@ -327,6 +330,48 @@ def table_product(A, u, v):
             for k, c in A.table.get((i, j), {}).items():
                 out[k] = f.add(out.get(k, f.zero), f.mul(f.mul(a, b), c))
     return {k: x for k, x in out.items() if not f.is_zero(x)}
+
+
+def dense_tensor(A, B):
+    """``(space, unit, table, dcols)`` of A (x) B, straight from the definition.
+
+    The basis is a@b over pairs of basis elements, left factor major within
+    a degree, laid out by ``bucketed_space``.  The unit is 1@1, the product is
+    (a@b)(a'@b') = (-1)^{|b||a'|} aa'@bb' and d(a@b) = d(a)@b + (-1)^{|a|} a@d(b),
+    each summed term by term on every pair.
+    """
+    f = A.field
+    space, pairs = bucketed_space(
+        (A.degree_of(i) + B.degree_of(j), f"{A.label_of(i)}@{B.label_of(j)}", (i, j))
+        for i in range(A.dim) for j in range(B.dim))
+    index = {pair: t for t, pair in enumerate(pairs)}
+
+    def tensor(u, v, scale):
+        out = {}
+        for i, a in u.items():
+            for j, b in v.items():
+                c = f.mul(f.mul(scale, a), b)
+                if not f.is_zero(c):
+                    out[index[(i, j)]] = c
+        return out
+
+    one = f.one
+
+    def sign(m, n):
+        return one if ksign(m, n) > 0 else f.neg(one)
+
+    table, dcols = {}, {}
+    for s, (i1, j1) in enumerate(pairs):
+        for t, (i2, j2) in enumerate(pairs):
+            out = tensor(table_product(A, {i1: one}, {i2: one}), table_product(B, {j1: one}, {j2: one}),
+                         sign(B.degree_of(j1), A.degree_of(i2)))
+            if out:
+                table[(s, t)] = out
+        col = tensor(A.dcols.get(i1, {}), {j1: one}, one)
+        add_into(f, col, tensor({i1: one}, B.dcols.get(j1, {}), sign(A.degree_of(i1), 1)))
+        if col:
+            dcols[s] = col
+    return space, tensor(A.unit, B.unit, one), table, dcols
 
 
 def dense_candidates(A):

@@ -147,10 +147,12 @@ def test_apply_matches_the_dense_product_and_returns_a_new_dict(field):
 
 
 def test_each_algebra_forms_its_operators_once(monkeypatch):
-    """Validation forms the operators of every algebra built, and nothing forms
+    """Validation forms the operators of every table built, and nothing forms
     them again: central simplicity, the structure and unit-equivalence witnesses
     of Mat_3 and Mat_4 with d = [e12, -], and the sandwich of Mat_3, make one
-    ``operators`` call per algebra they build."""
+    ``operators`` call per table they build.  The inner differentials and the
+    two sides of the unit witness are built on their parent's table, and share
+    its operators."""
     built, formed = [], []
     operators_, checked = dg.operators, DgAlgebra._checked.__func__
 
@@ -173,5 +175,12 @@ def test_each_algebra_forms_its_operators_once(monkeypatch):
         if n == 3:
             assert brauer.sandwich_iso(A).verified
     assert len(built) > 8
-    assert len(formed) == len(built)
-    assert all(X.table is table for X, table in zip(built, formed))
+    ops = {id(table): operators_(table) for table in formed}
+    assert len(ops) == len(formed)  # no table's operators formed twice
+    assert {id(X.table) for X in built} == ops.keys()
+    first = {}
+    for X in built:
+        Y = first.setdefault(id(X.table), X)
+        assert X.left is Y.left and X.right is Y.right
+        assert (X.left, X.right) == ops[id(X.table)]
+    assert len(formed) == len(built) - 6  # Mat_n with d, A (x) End(point), K (x) End(L), n = 3, 4

@@ -8,22 +8,29 @@ while the two functions still ran their own loops, so they hold that sharing
 the routine changes no label, column or serialized byte.  The kernel algebra
 is also checked against dense elimination, and closure against algebras that
 break the Leibniz rule.
+
+The algebras built on a validated algebra's own table (inner differentials,
+and tensor products with a one-dimensional factor) inherit its certificate
+the same way.  They are checked here against the complete check and against
+``dense_tensor``, and so are the hints that validation must drop, not raise on.
 """
 import hashlib
 import random
 
 import pytest
-from dense_oracle import bucketed_numbered, dense_kernel_basis, dense_solve
+from dense_oracle import bucketed_numbered, dense_kernel_basis, dense_solve, dense_tensor
 
 from dgbr import dg
-from dgbr.catalog import (dual_numbers, generators, mat2_inner, mat3_inner, random_algebra,
-                          split_pair)
-from dgbr.dg import DgAlgebra, homology, kernel_subalgebra, opposite, tensor_product
+from dgbr.brauer import structure_realize
+from dgbr.catalog import (dual_numbers, generators, mat2_inner, mat3_inner, neutral,
+                          random_algebra, split_pair)
+from dgbr.dg import DgAlgebra, KComplex, homology, kernel_subalgebra, opposite, tensor_product
 from dgbr.errors import AxiomViolation, ValidationError
 from dgbr.fields import GF, QQ
 from dgbr.formats import serialize_algebra, serialize_map
 from dgbr.graded import GradedVectorSpace
-from dgbr.matrix_algebras import good_grading_matrix_algebra
+from dgbr.homs import end_dg_algebra
+from dgbr.matrix_algebras import good_grading_matrix_algebra, inner_differential
 
 FIELDS = [QQ, GF(2), GF(7)]
 
@@ -192,11 +199,11 @@ def _inheritance_cases(field):
     return cases
 
 
-def _spy_associativity(monkeypatch):
+def _spy(monkeypatch, name):
+    """The calls to ``dg.<name>``, recorded from now until the patch is undone."""
     calls = []
-    enumerate_ = dg._associativity_failures
-    monkeypatch.setattr(dg, "_associativity_failures",
-                        lambda *a: calls.append(1) or enumerate_(*a))
+    wrapped = getattr(dg, name)
+    monkeypatch.setattr(dg, name, lambda *a: calls.append(1) or wrapped(*a))
     return calls
 
 
@@ -205,7 +212,7 @@ def test_inherited_associativity_agrees_with_the_complete_check(field, monkeypat
     """ker d and H skip the associativity enumeration, as they inherit it from A;
     the complete check (``validate`` passes no parent) finds nothing on them."""
     cases = _inheritance_cases(field)
-    calls = _spy_associativity(monkeypatch)
+    calls = _spy(monkeypatch, "_associativity_failures")
     built = [(kernel_subalgebra(A).algebra, homology(A)) for A in cases]
     assert calls == []
     monkeypatch.undo()
@@ -216,7 +223,7 @@ def test_inherited_associativity_agrees_with_the_complete_check(field, monkeypat
 
 def test_uncertified_tensor_products_still_enumerate(monkeypatch):
     S = split_pair(QQ)
-    calls = _spy_associativity(monkeypatch)
+    calls = _spy(monkeypatch, "_associativity_failures")
     assert tensor_product(S, S).generators is None
     assert calls
 
@@ -253,3 +260,118 @@ def test_inherited_route_keeps_the_unit_and_degree_checks(field):
         else:
             assert inherited == [v for v in complete if v.axiom != "associativity"]
         assert dg.validate_structure(*args, parent="not an algebra") == complete
+
+
+# -- the shared-table route ------------------------------------------------------
+
+
+def _complete(X):
+    """The complete check on X's data: no hint, no parent."""
+    return dg.validate_structure(X.field, X.space, X.unit, X.table, X.dcols)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_shared_table_constructions_inherit_the_certificate(field, monkeypatch):
+    """An inner differential on Mat_3, A (x) End(point), K (x) End(L) and K (x) K
+    neither enumerate associativity nor grow certificate words; each keeps its
+    parent's table, operators and hint, and the complete check finds nothing."""
+    M = good_grading_matrix_algebra(field, 3, (1, 1))
+    A = mat3_inner(field)
+    point, K = end_dg_algebra(KComplex.point(field)), neutral(field)
+    EndL = structure_realize(A).witness.target
+    assoc, certify = _spy(monkeypatch, "_associativity_failures"), _spy(monkeypatch, "_generators_certify")
+    built = [(inner_differential(M, M.element({"e12": 1})), M), (tensor_product(A, point), A),
+             (tensor_product(K, EndL), EndL), (tensor_product(K, K), K)]
+    assert assoc == [] and certify == []
+    monkeypatch.undo()
+    for T, X in built:
+        assert T.table is X.table and T.unit is X.unit
+        assert T.left is X.left and T.right is X.right
+        assert T.generators is X.generators
+        assert _complete(T) == []
+    assert built[0][0] == A and built[0][0].dcols
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_leibniz_breakers_on_a_shared_table_give_the_complete_list(field):
+    """d(e12) = e13 on graded Mat_3 is of degree +1, squares to zero and kills 1,
+    but d(e12 e22) = e13 while d(e12)e22 - e12 d(e22) = 0.  On A's own table the
+    failure shows on the hint, and the list is the complete check's, with a hint
+    or without one."""
+    one = field.one
+    M = good_grading_matrix_algebra(field, 3, (1, 1))
+    bare = DgAlgebra.build(field, M.space, M.unit, M.table, {})  # no hint
+    assert M.generators and bare.generators is None
+    labels = M.space.all_labels()
+    e12, e13 = labels.index("e12"), labels.index("e13")
+    for parent in (M, bare):
+        for d in ({e12: {e13: one}}, {e12: {e13: one}, e13: {e12: one}}):
+            args = (field, parent.space, parent.unit, parent.table, d)
+            complete = dg.validate_structure(*args)
+            assert "leibniz" in [v.axiom for v in complete]
+            assert dg.validate_structure(*args, parent=parent) == complete
+            with pytest.raises(ValidationError) as err:
+                DgAlgebra._checked(*args, parent=parent)
+            assert err.value.violations == complete
+        good = inner_differential(parent, parent.element({"e12": 1}))
+        assert good.table is parent.table and _complete(good) == []
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_copies_and_other_spaces_do_not_take_the_shared_route(field, monkeypatch):
+    """A copied unit, a copied table or a space with other dims enumerates
+    associativity again, and the list is the complete check's."""
+    A = mat3_inner(field)
+    flat = good_grading_matrix_algebra(field, 3, (0, 0)).space  # dim 9, all of degree 0
+    cases = [(A.space, dict(A.unit), A.table), (A.space, A.unit, dict(A.table)), (flat, A.unit, A.table)]
+    for space, unit, table in cases:
+        args = (field, space, unit, table, A.dcols)
+        complete = dg.validate_structure(*args)
+        calls = _spy(monkeypatch, "_associativity_failures")
+        got = dg.validate_structure(*args, parent=A)
+        monkeypatch.undo()
+        assert calls and got == complete
+        assert (got == []) == (space is A.space)
+
+
+def _tensor_cases(field):
+    """Every pair of catalog factors, and End(point) and K on either side of
+    Mat_3 with d and of End(L)."""
+    gens = [A for _, A in generators(field)]
+    A = mat3_inner(field)
+    EndL = structure_realize(A).witness.target
+    ones = (end_dg_algebra(KComplex.point(field)), neutral(field))
+    return ([(X, Y) for X in gens for Y in gens]
+            + [pair for X in (A, EndL) for Y in ones for pair in ((X, Y), (Y, X))])
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_tensor_product_matches_the_dense_definition(field):
+    """``tensor_product`` gives ``dense_tensor``'s labels, unit, table and d, and
+    the serialized bytes of the algebra ``build`` makes from them, whether or
+    not a factor is one-dimensional."""
+    for X, Y in _tensor_cases(field):
+        T = tensor_product(X, Y)
+        space, unit, table, dcols = dense_tensor(X, Y)
+        assert T.space.all_labels() == space.all_labels()
+        assert (T.unit, T.table, T.dcols) == (unit, table, dcols)
+        G = DgAlgebra.build(field, space, unit, table, dcols)
+        assert T == G and serialize_algebra(T) == serialize_algebra(G)
+
+
+BAD_HINTS = [[[1]], [None], 5, "ab"]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+@pytest.mark.parametrize("hint", BAD_HINTS, ids=repr)
+def test_a_malformed_hint_falls_back_to_the_complete_check(field, hint):
+    """A hint that is no list of sparse vectors is dropped, never an error: the
+    algebra keeps no hint, and the list is the one without a hint."""
+    D = dual_numbers(field)
+    assert DgAlgebra.build(field, D.space, D.unit, D.table, D.dcols, generators=hint).generators is None
+    broken = dict(D.table)
+    del broken[(1, 1)]  # 1*1 = 0
+    for table in (D.table, broken):
+        args = (field, D.space, D.unit, table, D.dcols)
+        got = dg.validate_structure(*args, generators=hint)
+        assert got == dg.validate_structure(*args) and got.generators is None
