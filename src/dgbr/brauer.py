@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from .dg import (
     DgAlgebra,
     KComplex,
+    _trace_form_radical,
     center,
     coords,
     homology_dims,
@@ -163,10 +164,11 @@ def rho_map(A: DgAlgebra, a) -> HomogeneousMap:
 
 
 def is_central_simple(A: DgAlgebra) -> bool:
-    """Center of dimension 1 and bijective sandwich map A (x) A^op -> End_K(A).
+    """Center of dimension 1 and A simple, forgetting grading and differential.
 
-    The criterion is exact in every characteristic; ``forget_descriptor``
-    computes it.
+    ``forget_descriptor`` computes it, exactly in every characteristic: by
+    the trace-form radical when char K = 0 or char K > dim A, else by the
+    rank of the sandwich map A (x) A^op -> End_K(A).
     """
     return forget_descriptor(A).is_central_simple
 
@@ -206,17 +208,35 @@ class UngradedDescriptor:
 def forget_descriptor(A: DgAlgebra) -> UngradedDescriptor:
     """Dimension, center dimension and central simplicity, with the center computed once.
 
-    A is central simple when its center is K and the sandwich map
-    e_i (x) e_j -> (x -> e_i x e_j), ungraded and with no signs, is bijective.
-    Both sides have dimension n^2, so that holds exactly when the n^2
-    ``_sandwich_rows`` are independent; the rank comes from the sparse
-    elimination kernel.  The rows are built from the nonzero triple products
-    e_i e_x e_j, and only when the center is K.
+    A is central simple when its center is K and it is simple; the center is
+    tested first, and nothing else is formed when it is not K.  Then, with
+    n = dim A and p = char K:
+
+    - p = 0 or p > n: A is simple iff the trace-form radical I of
+      ``dg._trace_form_radical`` (x with tr(L_x L_y) = 0 for all y, from an
+      n x n Gram matrix) is zero.  I is a two-sided ideal, as
+      tr(L_{y(zx)}) = tr(L_{(yz)x}) and tr(L_{y(xz)}) = tr(L_y L_x L_z) =
+      tr(L_{(zy)x}).  For x in I, tr(L_x^k) = tr(L_{x x^(k-1)}) = 0 for every
+      k >= 1, so L_x is nilpotent by Newton's identities (p = 0 or p > n),
+      and x = L_x(1) is nilpotent.  So I is a nil ideal, inside rad(A); and
+      rad(A) lies in I, as x y is nilpotent for x in rad(A).  Hence
+      I = rad(A).  A semisimple A with center K has one Wedderburn
+      component, as each adds a dimension to the center, so it is simple.
+    - 0 < p <= n: the sandwich map e_i (x) e_j -> (x -> e_i x e_j),
+      ungraded and with no signs, is bijective exactly when A is central
+      simple.  Both sides have dimension n^2, so that holds exactly when the
+      n^2 ``_sandwich_rows`` are independent; the rank comes from the sparse
+      elimination kernel, and the rows from the nonzero triple products.
     """
     n = A.dim
     c = center(A).space.total_dim
-    return UngradedDescriptor(n, c, c == 1 and len(rref_rows(
-        A.field, _sandwich_rows(A, itertools.product(range(n), repeat=2)))[1]) == n * n)
+    if c != 1:
+        return UngradedDescriptor(n, c, False)
+    radical = _trace_form_radical(A)
+    if radical is not None:
+        return UngradedDescriptor(n, c, not radical)
+    rank = len(rref_rows(A.field, _sandwich_rows(A, itertools.product(range(n), repeat=2)))[1])
+    return UngradedDescriptor(n, c, rank == n * n)
 
 
 # -- the sandwich isomorphism --------------------------------------------------
@@ -249,10 +269,11 @@ def sandwich_iso(A: DgAlgebra) -> IsoWitness:
     Requires A central simple.  Only the center is checked up front; when it
     is K, the witness's bijectivity decides.  If A is central simple, the
     parity x -> (-1)^{|x|} x is inner (Skolem-Noether), so the signed map has
-    the rank of the unsigned one in ``forget_descriptor``.  If the map is a
-    verified isomorphism, T = End_K(A) is simple, so A's graded radical R,
-    with R (x) A^op an ideal of T, is zero, and A with center K is central
-    simple.
+    the rank of the unsigned one, which is n^2 exactly when A is central
+    simple (``forget_descriptor`` ranks it only when 0 < char K <= dim A).
+    If the map is a verified isomorphism, T = End_K(A) is simple, so A's
+    graded radical R, with R (x) A^op an ideal of T, is zero, and A with
+    center K is central simple.
     """
     c = center(A).space.total_dim
     if c == 1:

@@ -781,36 +781,52 @@ class SemisimplicityReport:
 _EXHAUSTIVE_CAP = 4096
 
 
+def _trace_form_radical(A: DgAlgebra):
+    """Basis of the kernel of the trace form (x, y) -> tr(L_x L_y), or None when 0 < p <= dim.
+
+    Built from the n x n Gram matrix only when the characteristic p of K is 0
+    or exceeds n = dim A: that is when the kernel is the radical of A (see
+    ``is_semisimple_ungraded``).
+    """
+    f, n = A.field, A.dim
+    if 0 < f.characteristic() <= n:
+        return None
+    # tr(L_x L_y) = tr(L_{xy}); precompute traces of left multiplications
+    trace: dict = {}
+    for (m, k), out in A.table.items():
+        if k in out:
+            trace[m] = f.add(trace.get(m, f.zero), out[k])
+    # column j of the Gram matrix holds tr(L_{e_i e_j}) at row i
+    gram: dict = {}
+    for (i, j), out in A.table.items():
+        acc = f.zero
+        for m, c in out.items():
+            if m in trace:
+                acc = f.add(acc, f.mul(c, trace[m]))
+        if not f.is_zero(acc):
+            gram.setdefault(j, {})[i] = acc
+    return tuple(kernel_columns(f, gram, n)[0].values())
+
+
 def is_semisimple_ungraded(A: DgAlgebra) -> SemisimplicityReport:
     """Semisimplicity of the underlying ungraded algebra.
 
     Characteristic zero or p > dim: radical = kernel of the trace form
-    tr(L_x L_y).  Small finite cases: exhaustive search for the maximal nil
-    ideal.  Anything else is reported as indeterminate rather than guessed.
+    tr(L_x L_y).  For x in the kernel every tr(L_x^k) vanishes, and Newton's
+    identities make L_x nilpotent from that only when p = 0 or p > dim (the
+    proof is in ``brauer.forget_descriptor``).  For 0 < p <= dim the form can
+    vanish on a simple algebra: on Mat_p over GF(p), tr(L_x) = p tr(x) = 0.
+    Small finite cases: exhaustive search for the maximal nil ideal.
+    Anything else is reported as indeterminate rather than guessed.
     """
     f = A.field
     n = A.dim
     if n == 0:
         return SemisimplicityReport(True, "trace-form", (), "zero algebra")
-    p = f.characteristic()
-    if p == 0 or p > n:
-        # tr(L_x L_y) = tr(L_{xy}); precompute traces of left multiplications
-        trace: dict = {}
-        for (m, k), out in A.table.items():
-            if k in out:
-                trace[m] = f.add(trace.get(m, f.zero), out[k])
-        # column j of the Gram matrix holds tr(L_{e_i e_j}) at row i
-        gram: dict = {}
-        for (i, j), out in A.table.items():
-            acc = f.zero
-            for m, c in out.items():
-                if m in trace:
-                    acc = f.add(acc, f.mul(c, trace[m]))
-            if not f.is_zero(acc):
-                gram.setdefault(j, {})[i] = acc
-        radical = tuple(kernel_columns(f, gram, n)[0].values())
+    radical = _trace_form_radical(A)
+    if radical is not None:
         return SemisimplicityReport(not radical, "trace-form", radical)
-
+    p = f.characteristic()
     if p ** n <= _EXHAUSTIVE_CAP:
         elems = [
             {i: c for i, c in enumerate(tup) if c}

@@ -305,7 +305,7 @@ class HomogeneousMap:
         return self.source == other.source and self.target == other.target and self.cols == other.cols
 
     def inverse(self) -> "HomogeneousMap | None":
-        """Inverse of a degree-0 map, solved column by column; None when singular."""
+        """Inverse of a degree-0 map, read off one ``Factored``; None when singular."""
         if self.degree != 0:
             raise ShapeMismatch("only degree-0 maps are inverted")
         if self.source != self.target:
@@ -314,9 +314,7 @@ class HomogeneousMap:
         solver = Factored(self.field, [self.cols.get(j, {}) for j in range(n)])
         if solver.pivots != tuple(range(n)):
             return None
-        one = self.field.one
-        return HomogeneousMap(self.field, self.target, self.source, 0,
-                              {i: solver.solve({i: one}) for i in range(n)})
+        return HomogeneousMap(self.field, self.target, self.source, 0, solver.inverse())
 
     def __repr__(self):
         return f"HomogeneousMap(degree={self.degree}, {len(self.cols)} nonzero columns)"

@@ -222,6 +222,17 @@ class Factored:
             return None
         return {self.pivots[i]: y[i] for i in sorted(y) if not is_zero(y[i])}
 
+    def inverse(self) -> dict:
+        """A^-1 as sparse columns ``{row key: {column: value}}``, when every column is a pivot.
+
+        With as many nonzero rows as pivots, rref(A) = I and T * A = I, so
+        column t of A^-1 is T's column at row key t, read off with no solve.
+        The caller checks that every column is a pivot.
+        """
+        if len(self.pivots) != len(self._tcols):
+            raise ShapeMismatch("A has more nonzero rows than pivots")
+        return {key: dict(tcol) for key, tcol in self._tcols.items()}
+
 
 def coset_basis(field: Field, mod, sub):
     """span(mod + sub) modulo span(mod), from one elimination of sparse vectors.

@@ -132,7 +132,12 @@ def dense_sandwich_rank(A):
 
 
 def dense_is_central_simple(A):
-    """Center of dimension 1 and a sandwich map of full rank n^2."""
+    """Center of dimension 1 and a sandwich map of full rank n^2.
+
+    The oracle for both criteria of ``brauer.forget_descriptor``: the
+    trace-form radical (char K = 0 or char K > n) and the sparse sandwich
+    rank (0 < char K <= n).  It ranks the dense rows in every characteristic.
+    """
     n = A.dim
     return n > 0 and center(A).space.total_dim == 1 and dense_sandwich_rank(A) == n * n
 

@@ -31,6 +31,7 @@ from dgbr.catalog import (
     mat3_inner,
     neutral,
     random_algebra,
+    random_small,
     split_pair,
     unit_equivalence_witness,
 )
@@ -506,6 +507,86 @@ def test_central_simplicity_builds_no_sandwich_rows_when_the_center_is_not_k(mon
         assert center(A).space.total_dim == 2
         assert not is_central_simple(A)
     assert built == []
+
+
+def _spy_criteria(monkeypatch):
+    """Count the calls of the two central-simplicity criteria: (gram, rows)."""
+    calls = {"gram": 0, "rows": 0}
+    gram, rows = brauer._trace_form_radical, brauer._sandwich_rows
+
+    def gram_spy(A):
+        calls["gram"] += 1
+        return gram(A)
+
+    def rows_spy(A, pairs):
+        calls["rows"] += 1
+        return rows(A, pairs)
+    monkeypatch.setattr(brauer, "_trace_form_radical", gram_spy)
+    monkeypatch.setattr(brauer, "_sandwich_rows", rows_spy)
+    return calls
+
+
+def test_central_simplicity_forms_no_gram_when_the_center_is_not_k(monkeypatch):
+    """Neither the trace form nor the sandwich rows are formed when the center is not K."""
+    calls = _spy_criteria(monkeypatch)
+    for A in (dual_numbers(QQ), split_pair(QQ), dual_numbers(GF(7)), split_pair(GF(7)),
+              split_pair(GF(10007)), tensor_product(split_pair(QQ), mat2_inner(QQ))):
+        assert center(A).space.total_dim > 1
+        assert not is_central_simple(A)
+    assert calls == {"gram": 0, "rows": 0}
+
+
+def _inner_mat(field, n):
+    M = good_grading_matrix_algebra(field, n, (1,) + (0,) * (n - 2))
+    return inner_differential(M, M.element({"e12": 1}))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(10007)], ids=repr)
+def test_central_simplicity_in_large_characteristic_builds_no_sandwich_rows(monkeypatch, field):
+    calls = _spy_criteria(monkeypatch)
+    for n in (2, 3, 4, 5):
+        assert is_central_simple(_inner_mat(field, n))
+    assert calls == {"gram": 4, "rows": 0}
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3)], ids=repr)
+def test_central_simplicity_in_small_characteristic_ranks_the_sandwich_rows_once(monkeypatch, field):
+    calls, seen = _spy_criteria(monkeypatch), []
+    for n in (2, 3):
+        A = _inner_mat(field, n)
+        assert A.dim >= field.characteristic()
+        assert is_central_simple(A)
+        seen.append(calls["rows"])
+    assert seen == [1, 2]
+
+
+def test_central_simplicity_matches_the_dense_oracle_on_both_branches(monkeypatch):
+    """Both criteria against the dense n^2 x n^2 sandwich rank of the oracle.
+
+    Over QQ and GF(10007) every case goes through the trace form; over GF(7)
+    the cases of dimension 7 and up, and Mat_2 over GF(3), go through the
+    sandwich rows.
+    """
+    rng = random.Random(37)
+    cases = []
+    for field in (QQ, GF(7), GF(10007)):
+        draws = [random_algebra(rng, field) for _ in range(12)]
+        draws += [random_small(rng, field) for _ in range(6)]
+        draws = [A for A in draws if A.dim <= 16]
+        cases += draws
+        cases += [T for A, B in zip(draws, draws[1:]) for T in [tensor_product(A, B)] if T.dim <= 16]
+        T2 = upper_triangular(field)
+        cases += [T2, tensor_product(T2, mat2_inner(field)), neutral(field),
+                  DgAlgebra.zero_algebra(field)]
+    Q = quaternion_algebra(QQ, -1, -1)
+    cases += [Q, tensor_product(Q, Q)]
+    cases += [good_grading_matrix_algebra(GF(p), 2, (1,)) for p in (5, 3)]
+    calls = _spy_criteria(monkeypatch)
+    verdicts = [is_central_simple(A) for A in cases]
+    assert verdicts == [dense_is_central_simple(A) for A in cases]
+    assert True in verdicts and False in verdicts
+    assert calls["gram"] > 0 and calls["rows"] > 0
+    assert verdicts[-4:] == [True, True, True, True]
 
 
 def test_multiplication_operators_are_read_off_the_table(monkeypatch):

@@ -293,3 +293,55 @@ def test_transpose_keeps_row_keys_in_first_seen_order():
 @settings(max_examples=100, deadline=None)
 def test_transpose_twice_gives_back_nonempty_columns(cols):
     assert transpose(transpose(cols)) == cols
+
+
+# -- inverses read off the transform ------------------------------------------------
+
+
+@st.composite
+def invertible(draw, max_side=6):
+    """(field, rows): L * U with a row permutation, L lower triangular with a
+    nonzero diagonal and U upper unitriangular, over QQ, GF(2) or GF(10007)."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(10007)]))
+    k = draw(st.integers(1, max_side))
+    nonzero = st.integers(1, 9).map(field.coerce).filter(lambda x: not field.is_zero(x))
+
+    def entry(i, j, diagonal):
+        if i == j:
+            return draw(nonzero) if diagonal else field.one
+        return field.coerce(draw(sparse_entries))
+    L = [[entry(i, j, True) if j <= i else field.zero for j in range(k)] for i in range(k)]
+    U = [[entry(i, j, False) if j >= i else field.zero for j in range(k)] for i in range(k)]
+    rows = [matvec(field, zip(*U), r) for r in L]
+    return field, draw(st.permutations(rows))
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_inverse_is_read_off_the_transform(data):
+    f, rows = data.draw(invertible())
+    k = len(rows)
+    inv = square_map(f, rows).inverse()
+    assert map_rows(inv, k) == dense_inverse(f, rows)
+    solver = Factored(f, sparse_columns(f, rows, k))
+    assert inv.cols == {i: solver.solve({i: f.one}) for i in range(k)}
+    # repeating the first row in place of the last makes the map singular
+    if k > 1:
+        singular = [*rows[:-1], rows[0]]
+        assert square_map(f, singular).inverse() is None is dense_inverse(f, singular)
+
+
+def test_inverse_makes_no_solve(monkeypatch):
+    solves = []
+    real = Factored.solve
+    monkeypatch.setattr(Factored, "solve", lambda self, rhs: solves.append(rhs) or real(self, rhs))
+    F = GF(10007)
+    rows = mat([[2, 1, 0], [0, 1, 5], [3, 0, 1]], F).rows
+    inv = square_map(F, rows).inverse()
+    assert solves == []
+    assert map_rows(inv, 3) == dense_inverse(F, rows)
+
+
+def test_factored_inverse_needs_as_many_nonzero_rows_as_pivots():
+    with pytest.raises(ShapeMismatch):
+        Factored(QQ, [{0: QQ.one, 1: QQ.one}]).inverse()
