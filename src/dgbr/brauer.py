@@ -22,6 +22,7 @@ from .dg import (
     DgAlgebra,
     KComplex,
     _trace_form_radical,
+    _unless_certified,
     center,
     coords,
     homology_dims,
@@ -80,15 +81,17 @@ def verify_dg_iso(A: DgAlgebra, B: DgAlgebra, m: HomogeneousMap) -> IsoWitness:
 
     Failed checks are recorded on the returned witness instead of raising:
     the first eight failures of products, unit, d and bijectivity, in that
-    order.  Unitality, d and bijectivity are checked on the whole basis.  Multiplicativity may be checked on fewer
-    pairs: for linear unital m between associative A and B, the x with
-    m(xy) = m(x)m(y) for every y form a subspace that holds 1 and is closed
-    under products, since m(x1 x2 y) = m(x1)m(x2 y) = m(x1)m(x2)m(y) =
-    m(x1 x2)m(y).  When A keeps ``generators`` (validation certified that they
-    generate A), it is therefore enough that x runs over their basis terms,
-    against every basis y.  If m is not unital, A keeps no hint, or a
-    product fails there, every basis pair is checked, so the failures are
-    those of the complete loop, in its order.
+    order.  Unitality, d and bijectivity are checked on the whole basis.
+    Multiplicativity may be checked on fewer pairs: for linear unital m
+    between associative A and B, the x with m(xy) = m(x)m(y) for every y
+    form a subspace that holds 1 and is closed under products, since
+    m(x1 x2 y) = m(x1)m(x2 y) = m(x1)m(x2)m(y) = m(x1 x2)m(y).  When A keeps
+    ``generators`` (validation certified that they generate A), products are
+    therefore checked with x a basis term of them, against every basis y,
+    by ``dg._unless_certified``, the rule validation settles associativity
+    and Leibniz by: if m is not unital, A keeps no hint, or a product fails
+    there, every basis pair is checked, so the failures are those of the
+    complete loop, in its order.
 
     Each row i forms B's left operator of m(e_i) once, and m(e_i)m(e_j) is
     that operator applied to m(e_j).  Only the j with e_i e_j nonzero or with
@@ -107,18 +110,15 @@ def verify_dg_iso(A: DgAlgebra, B: DgAlgebra, m: HomogeneousMap) -> IsoWitness:
     empty: dict = {}
 
     def product_failures(rows):
-        for i in rows:
+        for i in range(A.dim) if rows is None else rows:
             li, mi = A.left.get(i, empty), operator_of(f, B.left, cols.get(i, empty))
             for j in sorted(set(li).union(*(hits.get(t, ()) for t in mi))):
                 if apply(f, cols, li.get(j, empty)) != apply(f, mi, cols.get(j, empty)):
                     yield i, j
 
     is_unital = apply(f, cols, A.unit) == B.unit
-    if (is_unital and A.generators is not None
-            and next(product_failures(sorted({i for s in A.generators for i in s})), None) is None):
-        bad = []
-    else:
-        bad = list(itertools.islice(product_failures(range(A.dim)), 8))
+    hint = A.generators if is_unital else None
+    bad = list(itertools.islice(_unless_certified(product_failures, hint), 8))
     d_fails = [i for i in range(A.dim)
                if apply(f, cols, A.dcols.get(i, empty)) != B.d_apply(cols.get(i, empty))]
     bijective = m.inverse() is not None

@@ -12,8 +12,10 @@ The parser is built on the first `main` call and reused, since it holds no
 per-call state, so patching a `cmd_*` function after that call has no effect;
 `build_parser()` returns a fresh one.  `--max-dim`, given before the
 subcommand, bounds the dimension of every algebra or complex read from a
-file, of `matrix -n N` (N squared) and of the outputs of `tensor` (the
-product of the dimensions), `end` (the square) and `hom` (the product); a
+file, of `matrix -n N` (N squared), of the outputs of `tensor` (the product
+of the dimensions), `end` (the square) and `hom` (the product), and of the
+algebras that `sandwich` (A (x) A-op and End(A), dim A squared), `kunneth`
+(A (x) B) and `verify-equiv` (A (x) End(C1) and B (x) End(C2)) build; a
 larger input or output exits 2 before the table that would exceed it is
 built.
 """
@@ -136,13 +138,17 @@ def _construct(fn, load=_load_algebra, write=lambda X: serialize_algebra(X), out
     """
     def handler(args) -> int:
         inputs = [load(args, a) for a in args.inputs]
-        dim = out_dim(*(X.space.total_dim for X in inputs)) if out_dim else 0
-        if dim > args.max_dim:
-            raise ShapeMismatch(
-                f"{args.command}: output dimension {dim} exceeds --max-dim {args.max_dim}")
+        if out_dim:
+            _bound(args, "output dimension", out_dim(*(X.space.total_dim for X in inputs)))
         sys.stdout.write(write(fn(*inputs)))
         return 0
     return handler
+
+
+def _bound(args, what: str, dim: int) -> None:
+    """Refuse to build something of dimension ``dim`` above ``--max-dim``."""
+    if dim > args.max_dim:
+        raise ShapeMismatch(f"{args.command}: {what} {dim} exceeds --max-dim {args.max_dim}")
 
 
 def _parse_cli_field(args):
@@ -285,7 +291,9 @@ def _emit_witness(args, w, head=(), payload=()) -> int:
 
 
 def cmd_sandwich(args) -> int:
-    w = sandwich_iso(_load_algebra(args))
+    A = _load_algebra(args)
+    _bound(args, "A (x) A-op dimension", A.dim ** 2)
+    w = sandwich_iso(A)
     return _emit_witness(args, w, [f"source dim {w.source.dim}, target dim {w.target.dim}"])
 
 
@@ -332,6 +340,8 @@ def cmd_verify_equiv(args) -> int:
     C2 = _load_complex(args, "right_complex")
     if A.field != B.field:
         raise FieldMismatch(f"{A.field} vs {B.field}")
+    _bound(args, "A (x) End(C1) dimension", A.dim * C1.space.total_dim ** 2)
+    _bound(args, "B (x) End(C2) dimension", B.dim * C2.space.total_dim ** 2)
     lhs, rhs = equivalence_sides(A, B, C1, C2)
     return _verify_map(args, lhs, rhs, [f"lhs dim {lhs.dim}, rhs dim {rhs.dim}"])
 
@@ -354,6 +364,7 @@ def cmd_forget(args) -> int:
 def cmd_kunneth(args) -> int:
     A = _load_algebra(args, "left")
     B = _load_algebra(args, "right")
+    _bound(args, "A (x) B dimension", A.dim * B.dim)
     r = kunneth_check(A, B)
     lines = [
         f"homology dims of tensor: {_dims_line(r.left)}",
@@ -384,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact-arithmetic toolkit for finite-dimensional dg-algebras.",
     )
     p.add_argument("--max-dim", type=_int_flag, default=MAX_DIM,
-                   help=f"largest dimension of an input file or of matrix (default {MAX_DIM})")
+                   help=f"largest dimension of an input file or of an algebra built (default {MAX_DIM})")
     sub = p.add_subparsers(dest="command", required=True)
 
     def add(name, handler, help_text, *positionals, report=True):

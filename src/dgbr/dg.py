@@ -9,9 +9,7 @@ checks each index of a product key too.  ``tensor_product``, ``opposite``,
 the kernel and homology algebras, ``matrix_algebras._matrix_unit_algebra``
 (good-graded Mat_n and End(C)) and ``inner_differential`` write only nonzero
 field values at basis indices, so they skip that coercion and go straight to
-validation (``DgAlgebra._checked``).  They skip no axiom, though the kernel
-and homology algebras, and the algebras built on a validated algebra's own
-table, take what they inherit instead of enumerating it.
+validation (``DgAlgebra._checked``).
 
 There is one validation path.  ``validate_complex`` checks a (space, d) pair:
 d of degree +1 and d squared zero; ``KComplex`` raises on its result.
@@ -28,55 +26,45 @@ checked on the pairs where a side can be nonzero.  Both visit only the tuples
 the support of the tables reaches; a skipped tuple has both sides zero, so
 the list is that of a loop over all triples and pairs, in order.
 
-A constructor may pass ``generators``, a hint S of homogeneous sparse
-vectors.  When every other axiom holds, ``validate_structure`` first tries to
-certify associativity and Leibniz from S: the words s1(s2(...(sk*1))) over S,
-grown by elimination from the left operator of each s, built once, must span
-A, and both axioms must hold with x a basis term of S, against every basis y
-and z.  If that fails, or the hint is empty, rejected by ``clean_coeffs``, not
-homogeneous or has basis terms in over half the basis, the complete
-enumeration runs unchanged, so the list never depends on the hint.  The
-algebra keeps as ``generators`` only what the certificate proved: S after
-``clean_coeffs`` when it succeeded, else None, so a hint that fell back is
-dropped.  A kept S generates A, so ``tensor_product``, ``center`` and
+Each of associativity and Leibniz is inherited, certified or enumerated.
+Associativity is inherited when ``parent`` is a validated ``DgAlgebra`` and
+the table is shared or d = 0, Leibniz when the table is shared and d is the
+parent's own object.  Otherwise the axiom is certified with x a basis term
+of the hint S, against every basis y (and z), and enumerated in full when
+there is no hint or a failure shows up there (``_unless_certified``), so the
+list never depends on the hint or the route.  S is read once degree
+additivity, the unit laws, the complex and d(1) = 0 hold.  On a shared table
+it is the parent's; otherwise it is the caller's ``generators`` if the words
+s1(s2(...(sk*1))), grown by elimination from the left operator of each s,
+span A, and it is not empty, rejected by ``clean_coeffs``, inhomogeneous or
+on over half the basis.  Leibniz is certified only once associativity holds.
+The algebra keeps S as ``generators`` when the list is empty, else None; a
+kept S generates A, so ``tensor_product``, ``center`` and
 ``brauer.verify_dg_iso`` may work from it alone.
 
-The certificate is exact.  N = {x : (xy)z = x(yz) for all y, z} is a
-subspace holding S, and 1 by the unit laws.  It is closed under products:
+The words.  N = {x : (xy)z = x(yz) for all y, z} is a subspace holding S,
+and 1 by the unit laws, closed under products:
 ((x1 x2)y)z = (x1(x2 y))z = x1((x2 y)z) = x1(x2(yz)) = (x1 x2)(yz).  So N
-holds every word, and N = A.  Then, with d(1) = 0, the homogeneous x with
-d(xy) = d(x)y + (-1)^|x| x d(y) for all y form, degree by degree, a subspace
-that holds 1 and S and is closed under products by the same computation; the
-words are homogeneous, so it spans A too.
+holds every word, and N = A.  Then, with associativity, degree additivity
+and d(1) = 0, the homogeneous x with d(xy) = d(x)y + (-1)^|x| x d(y) for all
+y form, degree by degree, a subspace holding 1 and S and closed under
+products by the same computation; the words are homogeneous, so it is A.
 
-The kernel and homology algebras take a third route: ``_cycle_algebra``
-passes the validated A as ``parent``, and when d = 0 ``validate_structure``
-skips only the associativity enumeration (Leibniz is void with d = 0); the
-degree, unit and complex checks still run.  For Z = ker d, the map
-iota: Z -> A sending basis vector q to its cycle is injective of degree 0.
-The closure check d(p) = 0 on every product p of two cycles means the
+The cycle map.  ``_cycle_algebra`` passes A as ``parent`` of ker d and H,
+whose d = 0.  The inclusion iota: Z -> A is injective of degree 0, and the
+closure check d(p) = 0 on every product p of two cycles means the
 coordinates read off p reconstruct it, so iota(xy) = iota(x)iota(y) on basis
-pairs, and iota(1) = 1 as the unit is checked to be a cycle too.  Then
-iota((xy)z) = iota(x(yz)) by associativity in A, and Z is associative.  For
-H, the coset projection pi: Z -> H is onto with kernel B, an ideal of Z by
-A's Leibniz rule, so pi(xy) = pi(x)pi(y) and associativity passes from Z down
-to H.  The closure check is thus the certificate; it always runs.
+pairs; iota(1) = 1, as the unit is checked to be a cycle too.  So
+iota((xy)z) = iota(x(yz)) by associativity in A, and Z is associative.  The
+projection pi: Z -> H is onto with kernel B, an ideal of Z by A's Leibniz
+rule, so pi is multiplicative and associativity passes down to H.
 
-An algebra built on a validated algebra P's own dicts takes the shared-table
-route: ``inner_differential``, and ``tensor_product`` with a one-dimensional
-factor, pass P as ``parent`` with ``P.table is table``, ``P.unit is unit``
-and ``P.space == space`` (equal dims give equal flat degrees, as flat order
-is degree-ascending).  Nothing product-related is new then.  L and R are P's,
-associativity was certified on these very objects and is not enumerated
-again, and P's certified generators still generate, as the words depend only
-on table and unit; they are not grown again.  Leibniz is void when d is
-P's d too.  Otherwise it is checked with x a basis term of P's generators,
-against every basis y: by the argument above, the x satisfying it form a
-subspace closed under products, which needs associativity, degree
-additivity and d(1) = 0, the last two checked here.  If P keeps no hint, or
-a failure shows up there, the complete Leibniz loop runs, so the list is
-the complete check's.  The degree, unit, complex and d(1) = 0 checks run as
-always.
+The shared table.  ``inner_differential``, and ``tensor_product`` with a
+one-dimensional factor, pass P as ``parent`` with ``P.table is table``,
+``P.unit is unit`` and ``P.space == space`` (equal dims give equal flat
+degrees, as flat order is degree-ascending).  L and R are then P's,
+associativity was settled on these very objects, and P's hint still
+generates, as the words depend only on table and unit.
 """
 from __future__ import annotations
 
@@ -158,8 +146,9 @@ class DgAlgebra:
         """Validate data that ``build`` would leave unchanged, and wrap its dicts.
 
         Validation goes through the module-level name ``validate_structure``,
-        which the benchmark tracer wraps; ``parent`` is passed on to it.  The
-        algebra keeps the hint that validation certified, or None.
+        which the benchmark tracer wraps; ``generators`` and ``parent`` are
+        passed on to it.  The algebra keeps the operators it formed and its
+        hint: the certified one, or None.
         """
         violations = validate_structure(field, space, unit, table, dcols, generators=generators,
                                         parent=parent)
@@ -305,15 +294,12 @@ def _leibniz_failures(field, L, R, dcols, deg, only=None):
                 yield i, j, lhs, rhs
 
 
-def _generators_certify(field, deg, unit, table, dcols, L, R, generators):
-    """The hint after ``clean_coeffs`` when associativity and Leibniz follow from it, else None.
+def _spanning_hint(field, deg, unit, L, generators):
+    """The hint after ``clean_coeffs`` when its words span A, else None, never an error.
 
-    See the module docstring for why.  None, never an error, for a hint that
-    is no list or tuple of dicts, empty, not homogeneous or not generating, or
-    that ``clean_coeffs`` rejects (an index that is not an int in range, a
-    value that is no scalar), or on any failure; also when the hint's basis
-    terms are over half the basis, as the complete check then costs less than
-    the certificate.
+    None also for a hint that is no list or tuple of dicts, empty, not
+    homogeneous, or rejected by ``clean_coeffs``; and when its basis terms
+    are over half the basis, as enumerating then costs less.
     """
     n = len(deg)
     if not isinstance(generators, (list, tuple)) or not all(isinstance(s, dict) for s in generators):
@@ -322,7 +308,7 @@ def _generators_certify(field, deg, unit, table, dcols, L, R, generators):
         gens = [s for s in (clean_coeffs(field, s, n, "generator index") for s in generators) if s]
     except DgError:
         return None
-    support = sorted({i for s in gens for i in s})
+    support = {i for s in gens for i in s}
     if not support or 2 * len(support) > n or any(len({deg[i] for i in s}) > 1 for s in gens):
         return None
     # the words s1(s2(...(sk*1))): each product that rref_rows reports as
@@ -332,11 +318,20 @@ def _generators_certify(field, deg, unit, table, dcols, L, R, generators):
     words: list = []
     products = (apply(field, op, w) for w in words for op in ops if len(words) < n)
     rref_rows(field, itertools.chain([unit], products), words.append)
-    if (len(words) == n
-            and next(_associativity_failures(field, L, table, support), None) is None
-            and next(_leibniz_failures(field, L, R, dcols, deg, support), None) is None):
-        return gens
-    return None
+    return gens if len(words) == n else None
+
+
+def _unless_certified(failures, hint):
+    """An axiom's failures in order, or () when it holds with x a basis term of ``hint``.
+
+    ``failures(only)`` yields them with x, the first element, running over
+    the sorted indices ``only``, or the whole basis when ``only`` is None.
+    ``hint`` generates A so that this certifies the axiom, or is None.
+    """
+    terms = sorted({i for s in hint or () for i in s})
+    if terms and next(failures(terms), None) is None:
+        return ()
+    return failures(None)
 
 
 class _Violations(list):
@@ -347,26 +342,17 @@ class _Violations(list):
 
 
 def validate_structure(field, space, unit, table, dcols, *, generators=None, parent=None):
-    """Complete axiom check; returns every violation found.
+    """Every axiom, in one sequence; returns every violation found.
 
-    The product axioms are checked around ``validate_complex``: every
-    product becomes an ``apply`` of a left or right multiplication operator.
-    Associativity and Leibniz skip only tuples whose two sides are both zero.
-    ``generators`` (a list of sparse vectors, or None) may certify those two
-    axioms from fewer checks, as the module docstring explains; the list
-    returned is the same with or without it, and its ``generators`` is the
-    hint after ``clean_coeffs`` when it certified them, else None.
-
-    ``parent`` is a validated ``DgAlgebra``.  When ``parent.table is table``,
-    ``parent.unit is unit`` and ``parent.space == space`` (the shared-table
-    route of the module docstring), L and R are the parent's operators,
-    associativity is not enumerated, the list's ``generators`` is
-    ``parent.generators`` and ``generators`` is not read; Leibniz is void
-    when ``dcols is parent.dcols`` and otherwise checked on the basis terms of
-    ``parent.generators``, falling back to the complete loop.  Any other
-    parent is one whose data ``_cycle_algebra`` read off through a checked
-    multiplicative map: it skips the associativity enumeration when d = 0,
-    and nothing else.
+    The product axioms are checked around ``validate_complex``, every product
+    an ``apply`` of a left or right multiplication operator.  Associativity
+    and Leibniz are inherited, certified or enumerated by the rule of the
+    module docstring; the rest is always enumerated.  The list's
+    ``generators`` is the hint when the list is empty, else None.  ``parent``
+    is a validated ``DgAlgebra`` or None.  On a shared table (``parent.table
+    is table``, ``parent.unit is unit``, ``parent.space == space``) L, R and
+    the hint are the parent's and ``generators`` is not read; any other
+    parent is one that ``_cycle_algebra`` passes, with d = 0.
     """
     v = _Violations()
     n = space.total_dim
@@ -413,28 +399,25 @@ def validate_structure(field, space, unit, table, dcols, *, generators=None, par
 
     complex_v = validate_complex(field, space, dcols)
     du = apply(field, dcols, unit)
-    clean = not v and not complex_v and not du
-    leibniz_holds = False
-    if shared:
-        v.generators = parent.generators
-        terms = sorted({i for s in parent.generators or () for i in s})
-        leibniz_holds = dcols is parent.dcols or (
-            clean and terms and next(_leibniz_failures(field, L, R, dcols, deg, terms), None) is None)
-    elif (generators is not None and clean
-            and (gens := _generators_certify(field, deg, unit, table, dcols, L, R, generators))):
-        v.generators = gens
-        return v
+    hint = None
+    if not v and not complex_v and not du:
+        hint = parent.generators if shared else _spanning_hint(field, deg, unit, L, generators)
 
-    inherited = shared or (not dcols and isinstance(parent, DgAlgebra))
-    for i, j, k, left, right in () if inherited else _associativity_failures(field, L, table):
+    inherited = isinstance(parent, DgAlgebra) and (shared or not dcols)
+    for i, j, k, left, right in () if inherited else _unless_certified(
+            lambda only: _associativity_failures(field, L, table, only), hint):
         v.append(AxiomViolation(
             "associativity", (i, j, k),
             f"(e{i}*e{j})*e{k} = {show(left)} but e{i}*(e{j}*e{k}) = {show(right)}",
         ))
+    if v:  # Leibniz is certified on the hint only once associativity holds
+        hint = None
 
     v += complex_v
 
-    for i, j, lhs, rhs in () if leibniz_holds else _leibniz_failures(field, L, R, dcols, deg):
+    inherited = shared and dcols is parent.dcols
+    for i, j, lhs, rhs in () if inherited else _unless_certified(
+            lambda only: _leibniz_failures(field, L, R, dcols, deg, only), hint):
         v.append(AxiomViolation(
             "leibniz", (i, j),
             f"d(e{i}*e{j}) = {show(lhs)} but the rule gives {show(rhs)}",
@@ -444,6 +427,7 @@ def validate_structure(field, space, unit, table, dcols, *, generators=None, par
     if du:
         v.append(AxiomViolation("d-unit", (), f"d(1) = {show(du)}"))
 
+    v.generators = None if v else hint
     return v
 
 
@@ -629,10 +613,8 @@ def _cycle_algebra(A: DgAlgebra, reps, project, prefix: str, axiom: str) -> Kern
     the unit.  It cannot fail on a validated A: by the graded Leibniz rule
     and d(1) = 0, for cycles z, z' and homogeneous x, d(zz') = 0,
     d(x)z = d(xz) and z d(x) = (-1)^|z| d(zx), so Z is a subalgebra holding 1
-    and the boundaries B = d(A) are a two-sided ideal of Z.  These checks
-    make the map to A (or from Z, for H) multiplicative, so the algebra is
-    validated with A as ``parent`` and inherits its associativity (see the
-    module docstring); every other axiom is checked.
+    and the boundaries B = d(A) are a two-sided ideal of Z.  With A as
+    ``parent``, associativity is inherited (the cycle map, module docstring).
     """
     f = A.field
     sub = span_of(f, A.space, reps, prefix)

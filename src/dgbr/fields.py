@@ -152,8 +152,10 @@ class RationalField(Field):
             if not m:
                 raise ValueError(f"Invalid literal for Fraction: {text!r}")
             num, den = m.groups()
+            if den is not None and not den.strip("0"):
+                raise ValueError("zero denominator")
             return int(num) if den is None else _norm(Fraction(int(num), int(den)))
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             reason = _too_long(text) or str(exc).replace(repr(text), _literal(text))
             raise ParseError(f"bad rational literal {_literal(text)}: {reason}") from None
 

@@ -13,12 +13,17 @@ The algebras built on a validated algebra's own table (inner differentials,
 and tensor products with a one-dimensional factor) inherit its certificate
 the same way.  They are checked here against the complete check and against
 ``dense_tensor``, and so are the hints that validation must drop, not raise on.
+Last, every route of the one validation sequence is held to the complete
+check (no hint, no parent) on a grid of variants, hints and parents, and a
+hint that certifies associativity but not Leibniz enumerates only Leibniz.
 """
 import hashlib
 import random
+from types import SimpleNamespace
 
 import pytest
-from dense_oracle import bucketed_numbered, dense_kernel_basis, dense_solve, dense_tensor
+from dense_oracle import (bucketed_numbered, dense_kernel_basis, dense_solve, dense_span_member,
+                          dense_tensor, table_product)
 
 from dgbr import dg
 from dgbr.brauer import structure_realize
@@ -279,7 +284,7 @@ def test_shared_table_constructions_inherit_the_certificate(field, monkeypatch):
     A = mat3_inner(field)
     point, K = end_dg_algebra(KComplex.point(field)), neutral(field)
     EndL = structure_realize(A).witness.target
-    assoc, certify = _spy(monkeypatch, "_associativity_failures"), _spy(monkeypatch, "_generators_certify")
+    assoc, certify = _spy(monkeypatch, "_associativity_failures"), _spy(monkeypatch, "_spanning_hint")
     built = [(inner_differential(M, M.element({"e12": 1})), M), (tensor_product(A, point), A),
              (tensor_product(K, EndL), EndL), (tensor_product(K, K), K)]
     assert assoc == [] and certify == []
@@ -375,3 +380,110 @@ def test_a_malformed_hint_falls_back_to_the_complete_check(field, hint):
         args = (field, D.space, D.unit, table, D.dcols)
         got = dg.validate_structure(*args, generators=hint)
         assert got == dg.validate_structure(*args) and got.generators is None
+
+
+# -- one validation sequence: inherited, certified on the hint, or enumerated ------
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_a_hint_certifies_associativity_while_leibniz_is_enumerated(field, monkeypatch):
+    """Good-graded Mat_3 (1, 1) with d(e12) = e13 and its own cycle hint: the
+    hint's words span A and associativity holds on its terms, but Leibniz
+    fails there.  Associativity is then checked only on the hint's terms and
+    Leibniz in full: the list is the complete check's, and the hint is dropped."""
+    M = good_grading_matrix_algebra(field, 3, (1, 1))
+    labels = M.space.all_labels()
+    args = (field, M.space, M.unit, M.table, {labels.index("e12"): {labels.index("e13"): field.one}})
+    complete = dg.validate_structure(*args)
+    assert "leibniz" in [v.axiom for v in complete]
+    calls, spied = [], dg._associativity_failures
+
+    def spy(field, L, table, only=None):
+        calls.append(only)
+        return spied(field, L, table, only)
+
+    monkeypatch.setattr(dg, "_associativity_failures", spy)
+    got = dg.validate_structure(*args, generators=M.generators)
+    monkeypatch.undo()
+    assert got == complete and got.generators is None
+    assert calls == [sorted({i for s in M.generators for i in s})]
+
+
+def _bump(field, cols, key):
+    """A copy of ``cols`` with one added to the first coefficient of ``cols[key]``."""
+    out = dict(cols)
+    col = dict(out[key])
+    k = min(col)
+    col[k] = field.add(col[k], field.one)
+    out[key] = {m: c for m, c in col.items() if not field.is_zero(c)}
+    return out
+
+
+def _variants(A):
+    """(name, unit, table, d): A's own objects, one product dropped, one product
+    bumped, d bumped and d dropped; the table and unit stay A's objects when
+    only d changes."""
+    f = A.field
+    keys = sorted(A.table)
+    key = keys[len(keys) // 2]
+    dropped = dict(A.table)
+    del dropped[key]
+    out = [("given", A.unit, A.table, A.dcols), ("dropped", A.unit, dropped, A.dcols),
+           ("bumped", A.unit, _bump(f, A.table, key), A.dcols), ("d-dropped", A.unit, A.table, {})]
+    if A.dcols:
+        out.append(("d-bumped", A.unit, A.table, _bump(f, A.dcols, min(A.dcols))))
+    return out
+
+
+def _words_span(field, n, unit, table, hint):
+    """Whether a hint on at most half of the n basis elements, all in range,
+    has words s1(s2(...(sk*1))) that span A, by ``dense_span_member``."""
+    terms = {i for s in hint or () for i in s}
+    if not terms or 2 * len(terms) > n or max(terms) >= n:
+        return False
+    words = [unit]
+    for w in words:  # grows while it is walked
+        for s in hint:
+            p = table_product(SimpleNamespace(field=field, table=table), s, w)
+            if not dense_span_member(field, n, words)(p):
+                words.append(p)
+    return len(words) == n
+
+
+def _grid_algebras(field):
+    rng = random.Random(38)
+    draws = (random_algebra(rng, field) for _ in range(40))
+    return [A for _, A in generators(field)] + [A for A in draws if A.dim <= 12][:8]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_every_route_gives_the_complete_list(field):
+    """Each variant of catalog and random algebras, under five hints, with no
+    parent, with the algebra as parent on its own objects and on copies, gives
+    the complete check's list (no hint, no parent), less the associativity
+    violations wherever associativity is inherited.  The list keeps a hint
+    exactly when it is empty and the hint used, the parent's on a shared
+    table and the caller's otherwise, spans A."""
+    seen = set()
+    for A in _grid_algebras(field):
+        n = A.dim
+        own = A.generators
+        hints = [None, own, [{i: field.one} for i in range(n)], [{99: field.one}], (own or [])[1:]]
+        for _, unit, table, dcols in _variants(A):
+            oracle = dg.validate_structure(field, A.space, unit, table, dcols)
+            for parent, unit_, table_ in ((None, unit, table), (A, unit, table),
+                                          (A, dict(unit), dict(table))):
+                shared = parent is A and unit_ is A.unit and table_ is A.table
+                inherited = parent is A and (shared or not dcols)
+                expected = [v for v in oracle if not (inherited and v.axiom == "associativity")]
+                for hint in hints:
+                    got = dg.validate_structure(field, A.space, unit_, table_, dcols,
+                                                generators=hint, parent=parent)
+                    assert got == expected
+                    used = own if shared else hint
+                    assert (got.generators is not None) == (
+                        not got and _words_span(field, n, unit, table, used))
+                    seen.add((got.generators is not None, bool(got), shared))
+    # kept with and without a shared table, dropped on a clean list, and a
+    # shared table whose new d fails
+    assert {(True, False, True), (True, False, False), (False, False, False), (False, True, True)} <= seen

@@ -443,8 +443,9 @@ def test_cli_overlong_coefficient_exits_two_with_one_short_line(tmp_path, field,
     ('"prime", "p": 7', "\u0663", "bad residue literal '\u0663'"),
     ('"rationals"', "\uff11", "bad rational literal '\uff11': Invalid literal for Fraction: '\uff11'"),
     ('"prime", "p": 7', "\uff11", "bad residue literal '\uff11'"),
+    ('"rationals"', "1/0", "bad rational literal '1/0': zero denominator"),
 ], ids=["rationals-underscore", "rationals-arabic-indic", "prime-underscore", "prime-arabic-indic",
-        "rationals-fullwidth", "prime-fullwidth"])
+        "rationals-fullwidth", "prime-fullwidth", "rationals-zero-denominator"])
 def test_cli_coefficients_take_only_ascii_digits(tmp_path, capsys, field, coeff, message):
     """The same on every Python: Fraction reads "1_0" as 10 from 3.11 on, and
     int and Fraction read any Unicode decimal digit, so a fullwidth one made a
@@ -586,6 +587,7 @@ def test_cli_bad_field_descriptions_name_the_field(tmp_path, capsys, field, mess
      "--inner: bad residue literal '1_0'"),
     (["--field", "prime", "--prime", "7", "--good-grading", "1", "--inner", "e12:\uff11"],
      "--inner: bad residue literal '\uff11'"),
+    (["--good-grading", "1", "--inner", "e12:1/0"], "--inner: bad rational literal '1/0': zero denominator"),
 ])
 def test_cli_bad_matrix_flags_name_the_flag(capsys, argv, message):
     assert main(["matrix", "-n", "2", *argv]) == 2
@@ -761,13 +763,27 @@ def test_max_dim_refuses_larger_inputs_before_building(monkeypatch, capsys, tmp_
     """Above ``--max-dim``, ``matrix -n N`` (dimension N squared) and a file whose
     basis is larger exit 2 with one line; no table is parsed or built.  So do
     the outputs of ``tensor`` (dim A * dim B), ``end`` (dim C squared) and
-    ``hom`` (dim C * dim D): their inputs are read, and nothing is built."""
+    ``hom`` (dim C * dim D), and the algebras of ``sandwich`` (dim A squared),
+    ``kunneth`` (dim A * dim B) and ``verify-equiv`` (dim A * dim C1 squared,
+    dim B * dim C2 squared): their inputs are read, and nothing is built."""
+    from dgbr.brauer import structure_realize
+    from dgbr.catalog import neutral, unit_equivalence_witness
+
     cplx, two = tmp_path / "mat2.json", str(tmp_path / "dual.json")
     cplx.write_text(serialize_complex(mat2_inner(QQ).complex()))
     (tmp_path / "dual.json").write_text(serialize_complex(dual_numbers(QQ).complex()))
     dual, mat2 = str(SAMPLES / "dual_numbers.json"), str(SAMPLES / "mat2_f1_z12.json")
-    for argv in (["matrix", "-n", "2"], ["tensor", dual, dual], ["end", two], ["hom", two, two]):
+    sr = structure_realize(mat2_inner(QQ))
+    files = {"K.json": serialize_algebra(neutral(QQ)), "pt.json": serialize_complex(KComplex.point(QQ)),
+             "L.json": serialize_complex(sr.L),
+             "m.json": serialize_map(unit_equivalence_witness(mat2_inner(QQ), sr).map)}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    K, pt, L, m = (str(tmp_path / name) for name in files)
+    for argv in (["matrix", "-n", "2"], ["tensor", dual, dual], ["end", two], ["hom", two, two],
+                 ["kunneth", dual, dual], ["verify-equiv", mat2, K, pt, L, m]):
         assert main(["--max-dim", "4", *argv]) == 0
+    assert main(["--max-dim", "16", "sandwich", mat2]) == 0
     assert cli.build_parser().parse_args(["catalog"]).max_dim == cli.MAX_DIM
     capsys.readouterr()
     parse_columns, built = formats._parse_columns, []
@@ -788,12 +804,23 @@ def test_max_dim_refuses_larger_inputs_before_building(monkeypatch, capsys, tmp_
     assert built == []
 
     monkeypatch.setattr(formats, "_parse_columns", parse_columns)
-    for name in ("tensor_product", "end_dg_algebra", "hom_of_complexes"):
+    for name in ("tensor_product", "end_dg_algebra", "hom_of_complexes", "sandwich_iso",
+                 "kunneth_check", "equivalence_sides"):
         monkeypatch.setattr(cli, name, lambda *a, name=name: built.append(name))
     out = "{}: output dimension 4 exceeds --max-dim 3".format
-    for argv in (["tensor", dual, dual], ["end", two], ["hom", two, two]):
-        assert main(["--max-dim", "3", *argv]) == 2
+    cases = [(["--max-dim", "3", *argv], out(argv[0]))
+             for argv in (["tensor", dual, dual], ["end", two], ["hom", two, two])]
+    cases += [
+        (["--max-dim", "15", "sandwich", mat2], "sandwich: A (x) A-op dimension 16 exceeds --max-dim 15"),
+        (["--max-dim", "3", "kunneth", dual, dual], "kunneth: A (x) B dimension 4 exceeds --max-dim 3"),
+        (["--max-dim", "3", "verify-equiv", dual, K, two, pt, m],
+         "verify-equiv: A (x) End(C1) dimension 8 exceeds --max-dim 3"),
+        (["--max-dim", "3", "verify-equiv", K, dual, pt, two, m],
+         "verify-equiv: B (x) End(C2) dimension 8 exceeds --max-dim 3"),
+    ]
+    for argv, message in cases:
+        assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"invalid input: {out(argv[0])}\n"
+        assert captured.err == f"invalid input: {message}\n"
     assert built == []
